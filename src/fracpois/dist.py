@@ -23,7 +23,7 @@ from scipy import integrate
 from scipy.special import gammainc, gammaln
 
 from .special_fn import (DEFAULT_CONFIG, EvalResult, NonConvergence,
-                         SeriesConfig, mittag_leffler,
+                         SeriesConfig, _exp_error_bound, mittag_leffler,
                          wright_psi11_weighted_rows)
 
 __all__ = [
@@ -61,10 +61,13 @@ def _series_argument(params: ProcessParams, t: float) -> float:
     return -(params.lam ** params.alpha) * t ** params.nu
 
 
-def _poisson_pmf(mu: float, k: int) -> float:
+def _poisson_row(mu: float, k: int) -> PmfRow:
+    """Poisson(mu) mass at k, bounded through the condition sum of its log."""
     if mu == 0.0:
-        return 1.0 if k == 0 else 0.0
-    return math.exp(-mu + k * math.log(mu) - math.lgamma(k + 1))
+        return PmfRow(k, 1.0 if k == 0 else 0.0, 0.0)
+    lg = math.lgamma(k + 1)
+    p = math.exp(-mu + k * math.log(mu) - lg)
+    return PmfRow(k, p, _exp_error_bound(p, mu + k * abs(math.log(mu)) + lg))
 
 
 def pmf_row(params: ProcessParams, t: float, kmax: int,
@@ -79,9 +82,7 @@ def pmf_row(params: ProcessParams, t: float, kmax: int,
         return [PmfRow(k, 1.0 if k == 0 else 0.0, 0.0)
                 for k in range(kmax + 1)]
     if params.alpha == 1.0 and params.nu == 1.0:
-        mu = params.lam * t
-        return [PmfRow(k, _poisson_pmf(mu, k), 5e-16 * _poisson_pmf(mu, k))
-                for k in range(kmax + 1)]
+        return [_poisson_row(params.lam * t, k) for k in range(kmax + 1)]
     rows = wright_psi11_weighted_rows(params.alpha, kmax,
                                       _series_argument(params, t),
                                       params.nu, cfg)
@@ -105,8 +106,9 @@ def pmf(params: ProcessParams, t: float, k: int,
         return pmf_row(params, t, k, cfg)[k]
     if k == 0:
         if params.nu == 1.0:
-            p0 = math.exp(_series_argument(params, t))
-            return PmfRow(0, p0, 5e-16 * p0)
+            arg = _series_argument(params, t)
+            p0 = math.exp(arg)
+            return PmfRow(0, p0, _exp_error_bound(p0, abs(arg)))
         res = mittag_leffler(params.nu, _series_argument(params, t), cfg)
         return PmfRow(0, res.value, res.abs_error_bound)
     return pmf_row(params, t, k, cfg)[k]
@@ -131,8 +133,7 @@ def pmf_time_fractional_direct(params: ProcessParams, t: float, k: int,
         return PmfRow(k, 1.0 if k == 0 else 0.0, 0.0)
     nu = params.nu
     if nu == 1.0:
-        mu = params.lam * t
-        return PmfRow(k, _poisson_pmf(mu, k), 5e-16 * _poisson_pmf(mu, k))
+        return _poisson_row(params.lam * t, k)
     x = params.lam * t ** nu
 
     # precision sizing from the double-precision term-magnitude profile
@@ -205,7 +206,7 @@ def pgf(params: ProcessParams, t: float, u: float,
         * t ** params.nu
     if params.nu == 1.0:
         v = math.exp(arg)
-        return EvalResult(v, 5e-16 * v, 0)
+        return EvalResult(v, _exp_error_bound(v, abs(arg)), 0)
     return mittag_leffler(params.nu, arg, cfg)
 
 
@@ -291,9 +292,11 @@ def first_passage_density(params: ProcessParams, t: float, k: int,
     cfg = cfg or DEFAULT_CONFIG
     lam, alpha = params.lam, params.alpha
     if alpha == 1.0:
-        v = lam * math.exp(-lam * t + (k - 1) * math.log(lam * t)
-                           - math.lgamma(k))
-        return EvalResult(v, 5e-16 * v, 0)
+        mu, lg = lam * t, math.lgamma(k)
+        e = math.exp(-mu + (k - 1) * math.log(mu) - lg)
+        bound = lam * _exp_error_bound(e, mu + (k - 1) * abs(math.log(mu))
+                                      + lg) + math.ulp(0.0)
+        return EvalResult(lam * e, bound, 0)
 
     a = lam ** alpha
     kmax = k - 1

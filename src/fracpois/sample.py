@@ -64,10 +64,22 @@ class SampleBatch:
     n: int
     stream_id: int = 0
     redraws: int = field(default=0, compare=False)
+    gamma: float | None = None     # stable-clock order of a composed batch
 
     def __post_init__(self):
         if len(self.counts) != self.n:
             raise ValueError("counts length must equal n")
+
+    @property
+    def law(self) -> ProcessParams:
+        """Parameters of the PMF the counts follow.
+
+        A composed batch (the alpha-process on a gamma-stable clock) follows
+        the space law of order alpha * gamma.
+        """
+        if self.gamma is None:
+            return self.params
+        return ProcessParams(self.params.lam, self.params.alpha * self.gamma)
 
 
 def _as_generator(rng) -> np.random.Generator:
@@ -310,4 +322,5 @@ def sample_batch(process: str, params: ProcessParams, t: float, n: int,
     counts = np.concatenate([c for c, _ in results])
     redraws = sum(r for _, r in results)
     return SampleBatch(counts=counts, params=params, t=t, seed=rng.seed,
-                       n=n, stream_id=rng.stream_id, redraws=redraws)
+                       n=n, stream_id=rng.stream_id, redraws=redraws,
+                       gamma=gamma if process == "composed" else None)

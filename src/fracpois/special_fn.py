@@ -15,6 +15,11 @@ precision from a cheap floating-point scan of the term magnitudes and
 runs the summation in extended precision (mpmath) whenever plain doubles
 cannot absorb the cancellation.  Every result carries an explicit
 absolute error certificate (truncation tail + rounding).
+
+Where that scan shows the Mittag-Leffler series cancelling more digits
+than a double holds, ``mittag_leffler`` switches to a second engine: the
+positive-kernel integral of E_nu on the negative axis, summed in doubles
+by the trapezoidal rule with a certified error bound.
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ _LN10 = math.log(10.0)
 
 # log10 headroom usable by a double accumulator (2**52 ~ 15.65 digits)
 _DOUBLE_HEADROOM_DIGITS = 52 * math.log10(2.0)
+_EPS = 2.0 ** -52           # machine epsilon of a double
 
 
 class NonConvergence(ArithmeticError):
@@ -198,11 +204,12 @@ def _rows_mp_at(alpha: float, kmax: int, w: float, nu: float,
 
 
 def _series_rows(alpha: float, kmax: int, w: float, nu: float,
-                 cfg: SeriesConfig):
+                 cfg: SeriesConfig, scan: tuple[float, int] | None = None):
     """Evaluate S_k for k = 0..kmax as (mpf value, mpf bound) pairs.
 
     Returns (values, bounds, terms_used).  Values are mpf so that callers
-    may rescale (e.g. divide by k!) before converting to double.
+    may rescale (e.g. divide by k!) before converting to double.  ``scan``
+    is the result of ``_log10_max_term`` when the caller already has it.
     """
     if w > 0:
         raise ValueError("w must be <= 0")
@@ -211,7 +218,8 @@ def _series_rows(alpha: float, kmax: int, w: float, nu: float,
         vals = [one] + [mp.mpf(0)] * kmax
         return vals, [mp.mpf(0)] * (kmax + 1), 1
 
-    log10max, rpeak = _log10_max_term(alpha, kmax, w, nu, cfg.max_terms)
+    log10max, rpeak = scan or _log10_max_term(alpha, kmax, w, nu,
+                                              cfg.max_terms)
 
     if cfg.working_precision == "double":
         # crude cancellation-headroom certificate for a double accumulator
@@ -240,20 +248,194 @@ def _series_rows(alpha: float, kmax: int, w: float, nu: float,
     return sums, bounds, terms
 
 
+def _to_double(value, bound, terms: int) -> EvalResult:
+    """A series value rounded to double, its bound widened by that rounding."""
+    v = float(value)
+    return EvalResult(v, float(bound) + _EPS * abs(v), terms)
+
+
+def _exp_error_bound(value: float, cond: float = 0.0) -> float:
+    """Error bound of ``value = exp(z)`` evaluated in doubles.
+
+    ``cond`` is the condition sum of the computed argument: the sum of the
+    magnitudes of the terms z is built from (e.g. mu + k*|log mu| +
+    lgamma(k+1) for a Poisson mass), so that each rounding step of the
+    argument errs by at most eps * cond.  The bound allows eight such steps
+    in the argument, four ulps for exp and a final product, and the
+    underflow of a result below the smallest subnormal.
+    """
+    return value * (math.expm1(8 * _EPS * cond) + 4 * _EPS) + math.ulp(0.0)
+
+
+def _ml_line_bound(s: float, nu: float, kappa: float, phi: float) -> float:
+    """Bound on int_0^inf exp(-kappa*(s*r)**(1/nu)) / Q(r) dr, where
+    Q(r) = r**2 - 2*r*cos(phi) + 1 (see ``_ml_integral``).
+
+    Below a cut R the exponential is at most 1 and above it at most its
+    value at R; 1/Q integrates in closed form on both pieces.  The least of
+    these bounds over a few cuts is returned, or the cut-free bound
+    (pi - phi) / sin(phi) if that is smaller.
+    """
+    c, sn = math.cos(phi), math.sin(phi)
+    cuts = (2.0 ** np.arange(-4, 8) / kappa) ** nu / s
+    at = np.arctan((cuts - c) / sn)
+    decay = np.exp(-kappa * (s * cuts) ** (1.0 / nu))
+    split = at + math.atan(c / sn) + decay * (0.5 * math.pi - at)
+    return min(float(split.min()), math.pi - phi) / sn
+
+
+def _ml_integral(nu: float, s: float, cfg: SeriesConfig) -> EvalResult | None:
+    """E_nu(-s) for 0 < nu < 1 and s > 0 from its positive-kernel integral
+
+        E_nu(-s) = sin(nu*pi)/(nu*pi) * int_0^inf exp(-(s*y)**p)/D(y) dy,
+        p = 1/nu,  D(y) = y**2 + 2*y*cos(nu*pi) + 1
+                        = (y - cos th)**2 + sin(th)**2,
+
+    with th = (1 - nu)*pi (the completely monotone kernel of Gorenflo,
+    Loutchko & Luchko, FCAA 5, 2002, after r = y**(1/nu)).
+
+    In v = log y the integrand F(v) = y*exp(-(s*y)**p)/D(y) is analytic
+    apart from simple poles at v = +-i*th and decays along every line
+    |Im v| = a < nu*pi/2.  So the trapezoidal rule h*sum_k F(k*h) errs by
+    at most 2*M/(exp(2*pi*a/h) - 1), M bounding the integral of |F| along
+    Im v = +-a, once the residues of poles inside the strip are removed
+    exactly (Trefethen & Weideman, SIAM Rev. 56, 2014, Thm 5.1).  Nodes
+    below k_lo*h are summed in closed form from 1/D(y) = sum_m U_m(cos th)
+    y**m (Chebyshev U); nodes from k_hi*h on are bounded by an
+    incomplete-gamma tail.  The integrand is positive, so nothing cancels;
+    rounding is bounded node by node.
+
+    Each error source gets a share of rel_tol * L, where
+    L = 1/(1 + Gamma(1-nu)*s) <= E_nu(-s) (T. Simon, Integral Transforms
+    Spec. Funct. 26, 2015).  Returns None when the certified bound still
+    misses rel_tol; raises NonConvergence when the rule would need more
+    than cfg.max_terms terms.
+    """
+    p = 1.0 / nu
+    th = math.pi * (1.0 - nu)
+    th_small = math.pi * min(nu, 1.0 - nu)       # sin(th) = sin(th_small)
+    sin_t = math.sin(th_small)
+    cos_t = math.sin(math.pi * (nu - 0.5))       # cos(th), exact argument
+    scale = sin_t / (nu * math.pi)
+    # absolute error budget of the bare integral: rel_tol * L / scale
+    tau = cfg.rel_tol / (1.0 + math.gamma(1.0 - nu) * s) / scale
+    d_right = sin_t * sin_t if cos_t > 0 else 1.0    # min of D on y >= 0
+    # below t = exp(log_t), exp(-(s*y)**p) = 1 within tau/8 of the sum
+    log_t = min(math.log(0.5), (math.log(tau / 32 * (1 + p))
+                                - p * math.log(s)) / (1 + p))
+    # strip half-width: wide, but with its edge kept off the pole
+    a = 0.9 * nu * math.pi / 2
+    if abs(a - th) < 0.05 * a:
+        a = 0.7 * nu * math.pi / 2
+    m = _ml_line_bound(s, nu, math.cos(p * a), abs(a - th))
+    h = 2 * math.pi * a / math.log1p(4 * m / tau)
+    # right cut: the tail bound below is at most tau/8 once (s*y)**p >= x;
+    # the fixed point is approached from below, so the cut sits at x + 1
+    x = 1.0
+    for _ in range(6):
+        x = max(1.0, math.log((h * x ** nu + nu * x ** (nu - 1))
+                              / (s * d_right * tau / 8)))
+    k_lo = math.floor(log_t / h)
+    k_hi = math.ceil((nu * math.log(x + 1) - math.log(s)) / h)
+    t = math.exp(k_lo * h)
+    n_left = max(1, math.ceil(math.log(tau / 16 * (1 - t)) / math.log(t)) - 1)
+    terms = k_hi - k_lo + n_left
+    if terms > cfg.max_terms:
+        raise NonConvergence(
+            f"Mittag-Leffler integral needs {terms} terms, more than "
+            f"{cfg.max_terms} (nu={nu}, x={-s:.6g})")
+
+    v = h * np.arange(k_lo, k_hi)
+    y = np.exp(v)
+    ay = (s * y) ** p
+    u = y - cos_t
+    d = u * u + sin_t * sin_t
+    f = y * np.exp(-ay) / d
+    body = h * float(f.sum())
+    j = np.arange(1, n_left + 1)
+    cheb = np.sin(j * th_small) / sin_t          # U_{j-1}(cos th)
+    if nu < 0.5:
+        cheb[1::2] = -cheb[1::2]
+    left = h * float(np.sum(cheb * t ** j / np.expm1(j * h)))
+    pole = pole_err = 0.0
+    if a > th:
+        # residues at v = +-i*th, weighted by the trapezoidal kernel:
+        # 2*pi*Re(g)/(sin th*(exp(2*pi*th/h) - 1)), g = exp(-w*e^(i*p*th))
+        w = s ** p
+        weight = (2 * math.pi * math.exp(-w * math.cos(p * th))
+                  / (sin_t * math.expm1(2 * math.pi * th / h)))
+        pole = weight * math.cos(w * math.sin(p * th))
+        pole_err = weight * (8 + w * (2 + 2 * p * th) + 2 * math.pi * th / h)
+    value = scale * (body + left - pole)
+
+    quad = 2 * m / math.expm1(2 * math.pi * a / h)
+    y_n = math.exp(k_hi * h)
+    x_n = (s * y_n) ** p
+    d_n = (y_n - cos_t) ** 2 + sin_t ** 2 if y_n >= cos_t else sin_t ** 2
+    # nodes from k_hi on: F <= y*exp(-(s*y)**p)/d_n, decreasing there
+    right = (h * y_n + nu * x_n ** (nu - 1) / s) * math.exp(-x_n) / d_n
+    # nodes below k_lo: exp(-(s*y)**p) taken as 1, Chebyshev series cut
+    cut = (math.exp(p * math.log(s * t)) * t / ((1 - t) ** 2 * (1 + p))
+           + t ** (n_left + 1) / (1 - t))
+    # first-order relative error of each node, in eps: the node k*h, exp,
+    # the power (s*y)**p and its exponential, y - cos th and D
+    rel = ((np.abs(v) + 1) * (1 + p * ay) + (p + 1) * ay
+           + 2 * np.abs(u) * ((np.abs(v) + 2) * y + 1) / d + 9)
+    rounding = _EPS * (h * float(np.sum(f * rel))
+                       + (math.log2(f.size) + 2) * body
+                       + (abs(k_lo * h) + 8) * t / (1 - t) ** 2 + pole_err)
+    bound = scale * (quad + right + cut + 2 * rounding) + 6 * _EPS * value
+    if not bound <= cfg.rel_tol * value:
+        return None
+    return EvalResult(value, bound, terms)
+
+
 def mittag_leffler(nu: float, x: float, cfg: SeriesConfig | None = None) -> EvalResult:
     """One-parameter Mittag-Leffler function E_nu(x) on the negative axis.
 
     E_nu(x) = sum_r x**r / Gamma(nu*r + 1), for 0 < nu <= 1 and x <= 0.
-    Raises NonConvergence when |x| is beyond series reach within
-    cfg.max_terms (no asymptotic fallback).
+
+    Two engines, chosen by the peak term magnitude of the series (the
+    prescan that also sizes the series' working precision):
+
+    * where the alternating series would cancel more digits than a double
+      holds, or could not finish within cfg.max_terms, the positive-kernel
+      integral (``_ml_integral``): a few hundred double-precision
+      evaluations of a positive integrand, whatever |x|;
+    * elsewhere the series itself, which is short there.  It also covers
+      nu -> 1 at small |x|, where the integrand peaks sharply at y = 1.
+
+    At nu = 1 the value is exp(x).  Both engines work to cfg.rel_tol and
+    report a certified abs_error_bound; the integral keeps its result only
+    when that bound is within rel_tol of the value, and the series runs
+    otherwise.  NonConvergence is raised when the engine would
+    need more than cfg.max_terms terms: series terms, or integrand
+    evaluations plus closed-form left-tail terms for the integral.
     """
     if not 0 < nu <= 1:
         raise ValueError("nu must lie in (0, 1]")
     if x > 0:
         raise ValueError("x must be <= 0")
     cfg = cfg or DEFAULT_CONFIG
-    vals, bounds, terms = _series_rows(1.0, 0, x, nu, cfg)
-    return EvalResult(float(vals[0]), float(bounds[0]), terms)
+    if x == 0.0:
+        return EvalResult(1.0, 0.0, 1)
+    if nu == 1.0:
+        v = math.exp(x)
+        return EvalResult(v, _exp_error_bound(v), 1)
+    scan = _log10_max_term(1.0, 0, x, nu, cfg.max_terms)
+    # the series' stop rule needs terms below rel_tol that fall by a ratio
+    # of 0.9 or less; past the peak both only improve with r, so if the
+    # terms at max_terms fail them the series cannot stop within budget
+    n, lgx = cfg.max_terms, math.log(-x)
+    last = n * lgx - math.lgamma(nu * n + 1)
+    ratio = lgx + math.lgamma(nu * n + 1) - math.lgamma(nu * (n + 1) + 1)
+    unfinished = last > math.log(cfg.rel_tol) or ratio > math.log(0.9)
+    if scan[0] > _DOUBLE_HEADROOM_DIGITS or unfinished:
+        res = _ml_integral(nu, -x, cfg)
+        if res is not None:
+            return res
+    vals, bounds, terms = _series_rows(1.0, 0, x, nu, cfg, scan)
+    return _to_double(vals[0], bounds[0], terms)
 
 
 def wright_psi11_kernel(alpha: float, k: int, w: float, time_nu: float = 1.0,
@@ -271,7 +453,7 @@ def wright_psi11_kernel(alpha: float, k: int, w: float, time_nu: float = 1.0,
         raise ValueError("k must be >= 0")
     cfg = cfg or DEFAULT_CONFIG
     vals, bounds, terms = _series_rows(alpha, k, w, time_nu, cfg)
-    return EvalResult(float(vals[k]), float(bounds[k]), terms)
+    return _to_double(vals[k], bounds[k], terms)
 
 
 def wright_psi11_weighted_rows(alpha: float, kmax: int, w: float,
@@ -297,6 +479,6 @@ def wright_psi11_weighted_rows(alpha: float, kmax: int, w: float,
         if k:
             fact *= k
             sign = -sign
-        out.append(EvalResult(float(sign * vals[k] / fact),
-                              float(bounds[k] / fact), terms))
+        out.append(_to_double(sign * vals[k] / fact, bounds[k] / fact,
+                              terms))
     return out

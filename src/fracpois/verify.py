@@ -99,7 +99,7 @@ def _merge_bins(observed, expected, labels, min_expected=5.0):
 
 def gof_pmf(batch: sample.SampleBatch, cfg: SeriesConfig | None = None,
             kcap: int = 30) -> GofReport:
-    """Chi-square test of a sampled batch against the analytic PMF.
+    """Chi-square test of a sampled batch against the PMF of its law.
 
     Counts k = 0..kcap get individual bins; everything above goes into a
     single tail bin with expected mass 1 - cdf(kcap).
@@ -108,7 +108,7 @@ def gof_pmf(batch: sample.SampleBatch, cfg: SeriesConfig | None = None,
     n = batch.n
     if n < 10_000:
         raise ValueError("need n >= 10**4 for a meaningful test")
-    rows = dist.pmf_row(batch.params, batch.t, kcap, cfg)
+    rows = dist.pmf_row(batch.law, batch.t, kcap, cfg)
     probs = np.clip([r.p for r in rows], 0.0, 1.0)
     tail = max(0.0, 1.0 - probs.sum())
     counts = np.asarray(batch.counts)

@@ -137,3 +137,14 @@ def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["--version"])
     assert exc.value.code == 0
+
+
+@pytest.mark.parametrize("seed", ["0", "1"])
+def test_verify_pmf_mc_composed_passes(capsys, seed):
+    # composed counts follow the space law of order alpha * gamma
+    code, out, _ = run_cli(capsys, "verify", "--suite", "pmf-mc",
+                           "--process", "composed", "--alpha", "0.7",
+                           "--gamma", "0.5", "--lambda", "1", "--t", "1",
+                           "--seed", seed, "--format", "json")
+    assert code == 0
+    assert json.loads(out)["meta"]["passed"] is True

@@ -1,6 +1,9 @@
 import math
 
+import mpmath as mp
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fracpois import dist
 from fracpois.dist import ProcessParams
@@ -214,3 +217,39 @@ def test_nonconvergence_propagates():
     cfg = SeriesConfig(max_terms=5)
     with pytest.raises(dist.NonConvergence):
         dist.pmf(ProcessParams(5.0, 0.5), 1.0, 3, cfg)
+
+
+# Closed-form branches: |value - exact| <= bound, the exact value from
+# 50-digit mpmath on the same double inputs.  The examples are points
+# where a flat 5e-16 relative bound failed.
+
+@settings(deadline=None)
+@given(mu=st.floats(1e-3, 1e4), k=st.integers(0, 3000))
+@example(mu=1e4, k=10_000)
+@example(mu=300.0, k=250)
+@example(mu=5.0, k=3)
+def test_poisson_branch_bound_holds(mu, k):
+    row = dist.pmf_row(ProcessParams(mu), 1.0, k)[k]
+    with mp.workdps(50):
+        m = mp.mpf(mu)
+        exact = mp.exp(-m) * m ** k / mp.factorial(k)
+        assert abs(mp.mpf(row.p) - exact) <= row.abs_error_bound
+
+
+@settings(deadline=None)
+@given(lam=st.floats(0.01, 100.0), alpha=st.floats(0.05, 1.0),
+       t=st.floats(0.01, 100.0), u=st.floats(-1.0, 1.0),
+       k=st.integers(1, 200))
+def test_exp_branch_bounds_hold(lam, alpha, t, u, k):
+    params = ProcessParams(lam, alpha)
+    p0 = dist.pmf(params, t, 0)
+    g = dist.pgf(params, t, u)
+    dens = dist.first_passage_density(ProcessParams(lam), t, k)
+    with mp.workdps(50):
+        a = mp.mpf(lam) ** alpha
+        assert abs(mp.mpf(p0.p) - mp.exp(-a * t)) <= p0.abs_error_bound
+        exact = mp.exp(-a * (1 - mp.mpf(u)) ** alpha * t)
+        assert abs(mp.mpf(g.value) - exact) <= g.abs_error_bound
+        mu = mp.mpf(lam) * t
+        exact = lam * mu ** (k - 1) * mp.exp(-mu) / mp.factorial(k - 1)
+        assert abs(mp.mpf(dens.value) - exact) <= dens.abs_error_bound

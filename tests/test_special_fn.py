@@ -1,16 +1,23 @@
 import math
 
+import mpmath as mp
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fracpois.dist import ProcessParams
 from fracpois.special_fn import (EvalResult, NonConvergence, SeriesConfig,
                                  gamma_ratio_ff, mittag_leffler,
                                  wright_psi11_kernel,
                                  wright_psi11_weighted_rows)
+from fracpois.verify import oracle_pmf
 
 # E_{1/2}(-x) = exp(x^2) * erfc(x); frozen from a 40-digit evaluation
 E_HALF_M1 = 0.4275835761558070044107503444905151808
+# E_{0.3}(-8): 30-digit mpmath quadrature of the kernel integral, in
+# agreement with verify.oracle_pmf
+E_03_M8 = 0.089493095818620724136
+E_HALF_M100 = 0.005641613782989432903556457006951550719
 # frozen 40-digit summation of the k=1 kernel at alpha=0.5, w=-1, nu=1
 KERNEL_HALF_K1 = -0.1839397205857211607977618850807304337
 
@@ -55,15 +62,79 @@ def test_mittag_leffler_half_against_erfc_identity():
 
 @pytest.mark.parametrize("nu", [0.3, 0.5, 0.7, 0.9])
 def test_mittag_leffler_nonincreasing(nu):
-    # series reach within max_terms shrinks like (nu*max_terms)**nu, so
-    # the nu=0.3 spot check stays on a shorter interval
-    lo = -8.0 if nu == 0.3 else -20.0
-    xs = [lo * (1.0 - i / 10.0) for i in range(11)]
+    xs = [-20.0 * (1.0 - i / 10.0) for i in range(11)]
     vals = [mittag_leffler(nu, x).value for x in xs]
     # xs ascend towards 0, so values must not decrease along the grid
     for lo, hi in zip(vals, vals[1:]):
         assert hi >= lo - 1e-12
     assert all(v > 0 for v in vals)
+
+
+def _within_bound(res, ref):
+    with mp.workdps(40):
+        return abs(mp.mpf(res.value) - ref) <= res.abs_error_bound
+
+
+def _kernel_integral(nu, x):
+    """E_nu(x), x < 0, by adaptive mpmath quadrature at 30 digits of
+    sin(nu pi)/(nu pi) int_0^inf exp(-(|x| y)**(1/nu)) / D(y) dy, split at
+    the scale of the exponential and around the peak of 1/D."""
+    with mp.workdps(30):
+        nu, s = mp.mpf(nu), -mp.mpf(x)
+        c, sn = mp.cospi(nu), mp.sinpi(nu)
+
+        def f(y):
+            return mp.exp(-(s * y) ** (1 / nu)) / ((y + c) ** 2 + sn ** 2)
+
+        pts = {mp.mpf(0), 1 / s, 2 / s, 4 / s, mp.mpf(1)}
+        if c < 0:
+            pts |= {-c + d * sn for d in (-10, -1, -0.1, 0, 0.1, 1, 10)}
+        pts = sorted(p for p in pts if p >= 0) + [mp.inf]
+        return mp.quad(f, pts, maxdegree=10) * sn / (nu * mp.pi)
+
+
+# Both engines: the series' peak term is about exp(|x|**(1/nu)), and past
+# ~1e15.65 (|x|**(1/nu) > ~36) mittag_leffler switches to the integral.
+
+@settings(max_examples=40, deadline=None)
+@given(x=st.floats(-100.0, 0.0))
+def test_mittag_leffler_bound_holds_half_order(x):
+    with mp.workdps(40):
+        ref = mp.exp(mp.mpf(x) ** 2) * mp.erfc(-mp.mpf(x))
+    assert _within_bound(mittag_leffler(0.5, x), ref)
+
+
+@settings(max_examples=40, deadline=None)
+@given(nu=st.floats(0.3, 0.999), z=st.floats(1e-3, 60.0))
+def test_mittag_leffler_bound_holds_against_oracle(nu, z):
+    # the oracle is fast only while the peak term exp(z) stays moderate
+    s = z ** nu
+    ref = oracle_pmf(ProcessParams(s, 1.0, nu), 1.0, 0)
+    assert _within_bound(mittag_leffler(nu, -s), ref)
+
+
+@settings(max_examples=30, deadline=None)
+@given(nu=st.floats(0.05, 0.999), x=st.floats(-100.0, -1e-3))
+def test_mittag_leffler_bound_holds_against_kernel_quadrature(nu, x):
+    assert _within_bound(mittag_leffler(nu, x), _kernel_integral(nu, x))
+
+
+@given(x=st.floats(-100.0, 0.0))
+def test_mittag_leffler_bound_holds_at_order_one(x):
+    with mp.workdps(40):
+        ref = mp.exp(mp.mpf(x))
+    assert _within_bound(mittag_leffler(1.0, x), ref)
+
+
+@pytest.mark.parametrize("nu,x,ref", [(0.3, -8.0, E_03_M8),
+                                      (0.5, -100.0, E_HALF_M100)])
+def test_mittag_leffler_bounded_cost(nu, x, ref):
+    # the series needs ~9.4k terms at 482 digits for the first and more
+    # than max_terms for the second
+    res = mittag_leffler(nu, x)
+    assert res.terms_used <= 2000
+    assert res.abs_error_bound <= 1e-12 * res.value
+    assert abs(res.value - ref) <= res.abs_error_bound
 
 
 def test_mittag_leffler_domain_errors():
