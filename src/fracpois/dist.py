@@ -14,6 +14,7 @@ evaluators in :mod:`fracpois.special_fn`.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -22,8 +23,9 @@ import numpy as np
 from scipy import integrate
 from scipy.special import gammainc, gammaln
 
-from .special_fn import (DEFAULT_CONFIG, EvalResult, NonConvergence,
-                         SeriesConfig, _exp_error_bound, mittag_leffler,
+from .special_fn import (_EPS, DEFAULT_CONFIG, EvalResult, NonConvergence,
+                         SeriesConfig, _exp_error_bound, _sum_series,
+                         _to_double, mittag_leffler,
                          wright_psi11_weighted_rows)
 
 __all__ = [
@@ -118,9 +120,11 @@ def pmf_time_fractional_direct(params: ProcessParams, t: float, k: int,
                                cfg: SeriesConfig | None = None) -> PmfRow:
     """Time-fractional PMF by its own series, an independent path at alpha=1.
 
-    Pr{N_nu(t)=k} = (lam*t**nu)**k/k! * sum_r (r+k)!/r! *
-    (-lam*t**nu)**r / Gamma(nu*(k+r)+1).  Used to cross-validate
-    ``pmf`` for the alpha = 1 reduction.
+    Pr{N_nu(t)=k} = sum_r x**k*(r+k)!/(r!*k!) * (-x)**r / Gamma(nu*(k+r)+1),
+    x = lam*t**nu: the (r+k)!/r! recurrence and its own term profile, summed
+    by the same certified engine as the kernel series
+    (``special_fn._sum_series``).  Used to cross-validate ``pmf`` for the
+    alpha = 1 reduction.
     """
     if params.alpha != 1.0:
         raise ValueError("direct time-fractional form requires alpha = 1")
@@ -135,57 +139,23 @@ def pmf_time_fractional_direct(params: ProcessParams, t: float, k: int,
     if nu == 1.0:
         return _poisson_row(params.lam * t, k)
     x = params.lam * t ** nu
-
-    # precision sizing from the double-precision term-magnitude profile
     r = np.arange(min(cfg.max_terms, 50_000) + 1, dtype=float)
-    with np.errstate(divide="ignore"):
-        lt = (gammaln(r + k + 1) - gammaln(r + 1) + r * math.log(x)
-              - gammaln(nu * (k + r) + 1.0))
-    rpeak = int(np.argmax(lt))
-    dps = max(32, int(lt[rpeak] / math.log(10)) + 40)
+    profile = (gammaln(r + k + 1) - gammaln(r + 1) - gammaln(k + 1)
+               + (r + k) * math.log(x) - gammaln(nu * (k + r) + 1.0))
 
-    with mp.workdps(dps):
-        xm = mp.mpf(x)
+    def bases():
         # gamma arguments must be built in working precision: forming
         # nu*(k+r) in doubles feeds incoherent argument noise into a
         # heavily cancelling sum
-        nu_mp = mp.mpf(nu)
-        s = mp.mpf(0)
-        abssum = mp.mpf(0)
-        rise = mp.mpf(1)        # (r+k)!/r!, updated multiplicatively
-        xpow = mp.mpf(1)
-        for j in range(1, k + 1):
-            rise *= j
-        last, prev = mp.mpf(0), mp.inf
-        streak = 0
-        r = 0
-        while True:
-            if r > cfg.max_terms:
-                raise NonConvergence(
-                    f"time-fractional series exceeded {cfg.max_terms} terms")
-            term = rise * xpow * mp.rgamma(nu_mp * (k + r) + 1)
-            if r % 2:
-                term = -term
-            s += term
-            at = abs(term)
-            abssum += at
-            prev, last = last, at
-            thr = cfg.rel_tol * (abs(s) + abssum * mp.mpf(10) ** (2 - dps))
-            if r > rpeak and at <= thr and at <= mp.mpf("0.9") * prev:
-                streak += 1
-                if streak >= 3:
-                    break
-            else:
-                streak = 0
-            r += 1
-            rise = rise * (r + k) / r
-            xpow *= xm
-        q = min(mp.mpf("0.9"), last / prev) if prev > 0 else mp.mpf("0.9")
-        tail = last * q / (1 - q)
-        scale = xm ** k / mp.factorial(k)
-        value = float(scale * s)
-        bound = float(scale * (tail + abssum * mp.mpf(10) ** (2 - dps)))
-    return PmfRow(k, value, bound)
+        xm, nu_mp = mp.mpf(-x), mp.mpf(nu)
+        rise = mp.mpf(x) ** k      # x**k * (r+k)!/(r!*k!), multiplicatively
+        for r in itertools.count():
+            yield rise * mp.rgamma(nu_mp * (k + r) + 1)
+            rise = rise * xm * (r + k + 1) / (r + 1)
+
+    vals, bounds, terms = _sum_series(bases, None, 0, profile, cfg)
+    res = _to_double(vals[0], bounds[0], terms)
+    return PmfRow(k, res.value, res.abs_error_bound)
 
 
 def pgf(params: ProcessParams, t: float, u: float,
@@ -276,11 +246,18 @@ def first_passage_cdf(params: ProcessParams, t: float, k: int,
 
 def first_passage_density(params: ProcessParams, t: float, k: int,
                           cfg: SeriesConfig | None = None) -> EvalResult:
-    """Density of tau_k in t, by term-by-term differentiation (nu = 1).
+    """Density of tau_k in t (nu = 1), from the governing equation.
 
-    density(t) = -sum_{m<k} d/dt p_m(t), with
-    d/dt p_m = ((-1)**m/m!) sum_{r>=1} (-lam**alpha)**r t**(r-1)/(r-1)!
-               * ffact(alpha*r, m).
+    density(t) = -sum_{m<k} d/dt p_m(t), and d/dt p = -lam**alpha *
+    (1-B)**alpha p sums to
+
+        density(t) = lam**alpha * sum_{j<k} p_j(t) * D_{k-1-j},
+
+    where D_n = sum_{i<=n} c_i(alpha) = prod_{i<=n} (1 - alpha/i) is the
+    n-th partial sum of the coefficients of (1-B)**alpha
+    (``frac_ops.frac_binom_coeffs``).  Every D_n lies in (0, 1], so the sum
+    has positive weights and nothing cancels: the bound is lam**alpha times
+    the D-weighted row bounds plus the rounding of the products and the sum.
     At alpha = 1 this is the Erlang density, returned in closed form.
     """
     if params.nu != 1.0:
@@ -289,7 +266,6 @@ def first_passage_density(params: ProcessParams, t: float, k: int,
         raise ValueError("k must be >= 1 for the density")
     if not t > 0:
         raise ValueError("t must be > 0")
-    cfg = cfg or DEFAULT_CONFIG
     lam, alpha = params.lam, params.alpha
     if alpha == 1.0:
         mu, lg = lam * t, math.lgamma(k)
@@ -299,72 +275,17 @@ def first_passage_density(params: ProcessParams, t: float, k: int,
         return EvalResult(lam * e, bound, 0)
 
     a = lam ** alpha
-    kmax = k - 1
-    # d/dt p_m series re-indexed with s = r-1:
-    #   -a * sum_{s>=0} (-a*t)**s / s! * ffact(alpha*(s+1), m)
-    smax = min(cfg.max_terms, 50_000)
-    s = np.arange(smax + 1, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        lt = s * math.log(a * t) - gammaln(s + 1)
-        if kmax > 0:
-            j = np.arange(kmax, dtype=float)
-            lt += np.log(np.abs(alpha * (s[:, None] + 1) - j[None, :])
-                         ).sum(axis=1)
-    lt[~np.isfinite(lt)] = -np.inf
-    speak = int(np.argmax(lt))
-    dps = max(32, int(lt[speak] / math.log(10)) + 40)
-
-    with mp.workdps(dps):
-        q = mp.mpf(-a) * t
-        qpow = mp.mpf(1)
-        inv_fact = mp.mpf(1)
-        sums = [mp.mpf(0)] * (kmax + 1)
-        abssums = [mp.mpf(0)] * (kmax + 1)
-        lastabs = [mp.mpf(0)] * (kmax + 1)
-        prevabs = [mp.inf] * (kmax + 1)
-        streak = 0
-        si = 0
-        while True:
-            if si > cfg.max_terms:
-                raise NonConvergence("first-passage density series "
-                                     f"exceeded {cfg.max_terms} terms")
-            base = qpow * inv_fact
-            z = mp.mpf(alpha) * (si + 1)
-            ff = mp.mpf(1)
-            ok = si > speak
-            for m in range(kmax + 1):
-                term = base * ff
-                sums[m] += term
-                at = abs(term)
-                abssums[m] += at
-                prevabs[m], lastabs[m] = lastabs[m], at
-                ff *= z - m
-                thr = cfg.rel_tol * (abs(sums[m])
-                                     + abssums[m] * mp.mpf(10) ** (2 - dps))
-                if ok and (at > thr or at > mp.mpf("0.9") * prevabs[m]):
-                    ok = False
-            streak = streak + 1 if ok else 0
-            if streak >= 3:
-                break
-            si += 1
-            qpow *= q
-            inv_fact /= si
-        dens = mp.mpf(0)
-        bound = mp.mpf(0)
-        sign = 1
-        fact = mp.mpf(1)
-        floor = mp.mpf(10) ** (2 - dps)
-        for m in range(kmax + 1):
-            if m:
-                fact *= m
-                sign = -sign
-            # d/dt p_m = (sign/fact) * (-a) * sums[m]
-            dens += sign / fact * a * sums[m]
-            tq = (min(mp.mpf("0.9"), lastabs[m] / prevabs[m])
-                  if prevabs[m] > 0 else mp.mpf("0.9"))
-            tail = lastabs[m] * tq / (1 - tq)
-            bound += a * (tail + abssums[m] * floor) / fact
-        return EvalResult(float(dens), float(bound), si + 1)
+    rows = pmf_row(params, t, k - 1, cfg)
+    # D_n = c_0 + ... + c_n = prod_{i<=n} (1 - alpha/i): positive factors,
+    # so each D_n is within 3*n*eps of its exact value
+    d = np.cumprod(np.r_[1.0, 1.0 - alpha / np.arange(1, k)])[::-1]
+    p = np.array([row.p for row in rows])
+    dens = a * float(d @ p)
+    # rounding: D, the products, the sum and lam**alpha
+    bound = a * (float(d @ [row.abs_error_bound for row in rows])
+                 + (3 * k + 6) * _EPS * float(d @ np.abs(p))) \
+        + k * math.ulp(0.0)
+    return EvalResult(dens, bound, k)
 
 
 # ---------------------------------------------------------------------------

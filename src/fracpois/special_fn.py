@@ -10,20 +10,24 @@ series; with general k it is the inner kernel of the fractional Poisson
 probability mass functions.
 
 The series alternate and the intermediate terms can be many orders of
-magnitude larger than the sum, so the evaluator sizes its working
-precision from a cheap floating-point scan of the term magnitudes and
-runs the summation in extended precision (mpmath) whenever plain doubles
-cannot absorb the cancellation.  Every result carries an explicit
-absolute error certificate (truncation tail + rounding).
+magnitude larger than the sum.  One engine, ``_sum_series``, sums every
+such series in this package (also the direct time-fractional form in
+``dist``): it sizes its mpmath working precision from a cheap
+double-precision profile of the term magnitudes, stops once the geometric
+tail is within rel_tol, and redoes the sum with more digits when the
+cancellation it measures outruns the precision.  Every result carries an
+explicit absolute error certificate (truncation tail + rounding).
 
-Where that scan shows the Mittag-Leffler series cancelling more digits
-than a double holds, ``mittag_leffler`` switches to a second engine: the
-positive-kernel integral of E_nu on the negative axis, summed in doubles
-by the trapezoidal rule with a certified error bound.
+Where that profile shows the Mittag-Leffler series cancelling more digits
+than a double holds, or taking more terms than the integral would,
+``mittag_leffler`` switches to a second engine: the positive-kernel
+integral of E_nu on the negative axis, summed in doubles by the
+trapezoidal rule with a certified error bound.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -44,19 +48,16 @@ class NonConvergence(ArithmeticError):
 
 @dataclass(frozen=True)
 class SeriesConfig:
-    """Truncation and precision policy for the series evaluators."""
+    """Truncation policy for the series evaluators."""
 
     rel_tol: float = 1e-12
     max_terms: int = 10_000
-    working_precision: str = "double_double"
 
     def __post_init__(self):
         if not self.rel_tol > 0:
             raise ValueError("rel_tol must be > 0")
         if self.max_terms < 1:
             raise ValueError("max_terms must be >= 1")
-        if self.working_precision not in ("double", "double_double"):
-            raise ValueError("working_precision must be 'double' or 'double_double'")
 
 
 @dataclass(frozen=True)
@@ -85,9 +86,9 @@ def gamma_ratio_ff(z: float, k: int) -> float:
     return p
 
 
-def _log10_max_term(alpha: float, kmax: int, w: float, nu: float,
-                    max_terms: int) -> tuple[float, int]:
-    """Peak log10 term magnitude (at k = kmax) and its index r.
+def _kernel_profile(alpha: float, kmax: int, w: float, nu: float,
+                    max_terms: int) -> np.ndarray:
+    """Natural-log magnitudes of the terms of S_kmax, r = 0..max_terms.
 
     Cheap double-precision scan used only to size the working precision
     and locate the hump of the series; not part of any certificate.
@@ -106,146 +107,113 @@ def _log10_max_term(alpha: float, kmax: int, w: float, nu: float,
                     np.abs(alpha * r[lo:hi, None] - j[None, :])
                 ).sum(axis=1)
     lt[~np.isfinite(lt)] = -np.inf
-    i = int(np.argmax(lt))
-    return float(lt[i]) / _LN10, i
+    return lt
 
 
-def _rows_float(alpha: float, kmax: int, w: float, nu: float,
-                cfg: SeriesConfig, rpeak: int):
-    """Double-precision summation path (certified easy cases only)."""
-    sums = [0.0] * (kmax + 1)
-    abssums = [0.0] * (kmax + 1)
-    lastabs = [0.0] * (kmax + 1)
-    prevabs = [math.inf] * (kmax + 1)
-    streak = 0
-    r = 0
-    while True:
-        if r > cfg.max_terms:
-            raise NonConvergence(
-                f"series did not converge within {cfg.max_terms} terms")
-        base = math.exp(r * math.log(abs(w)) - gammaln(nu * r + 1)) if r else 1.0
-        if w < 0 and r % 2:
-            base = -base
-        ff = 1.0
-        z = alpha * r
-        ok = r > rpeak
-        for k in range(kmax + 1):
-            t = base * ff
-            sums[k] += t
-            at = abs(t)
-            abssums[k] += at
-            prevabs[k], lastabs[k] = lastabs[k], at
-            ff *= z - k
-            if ok:
-                thr = cfg.rel_tol * (abs(sums[k]) + 1e-14 * abssums[k])
-                if at > thr or at > 0.9 * prevabs[k]:
-                    ok = False
-        streak = streak + 1 if ok else 0
-        if streak >= 3:
-            break
-        r += 1
-    out = []
-    for k in range(kmax + 1):
-        q = 0.9 if prevabs[k] == 0 else min(0.9, lastabs[k] / prevabs[k])
-        tail = lastabs[k] * q / (1.0 - q)
-        bound = tail + 4e-16 * abssums[k]
-        out.append((sums[k], bound))
-    return out, r + 1
+def _kernel_bases(w: float, nu: float):
+    """w**r / Gamma(nu*r + 1) for r = 0, 1, ..., in the working precision."""
+    wmp, num = mp.mpf(w), mp.mpf(nu)
+    wpow = mp.mpf(1)
+    for r in itertools.count():
+        yield wpow * mp.rgamma(num * r + 1)
+        wpow *= wmp
 
 
-def _rows_mp_at(alpha: float, kmax: int, w: float, nu: float,
-                cfg: SeriesConfig, dps: int, rpeak: int):
-    with mp.workdps(dps):
-        zero = mp.mpf(0)
-        sums = [zero] * (kmax + 1)
-        abssums = [zero] * (kmax + 1)
-        lastabs = [zero] * (kmax + 1)
-        prevabs = [mp.inf] * (kmax + 1)
-        wmp = mp.mpf(w)
-        wpow = mp.mpf(1)
-        numr = mp.mpf(nu)
-        floor = mp.mpf(10) ** (2 - dps)
-        streak = 0
-        r = 0
-        while True:
-            if r > cfg.max_terms:
-                raise NonConvergence(
-                    f"series did not converge within {cfg.max_terms} terms "
-                    f"(|w|={abs(w):.3g}, nu={nu}, k<={kmax})")
-            base = wpow * mp.rgamma(numr * r + 1)
-            ff = mp.mpf(1)
-            z = mp.mpf(alpha) * r
-            ok = r > rpeak
-            for k in range(kmax + 1):
-                t = base * ff
-                sums[k] += t
-                at = abs(t)
-                abssums[k] += at
-                prevabs[k], lastabs[k] = lastabs[k], at
-                ff *= z - k
-                if ok:
-                    thr = cfg.rel_tol * (abs(sums[k]) + floor * abssums[k])
-                    if at > thr or at > mp.mpf("0.9") * prevabs[k]:
-                        ok = False
-            streak = streak + 1 if ok else 0
-            if streak >= 3:
-                break
-            wpow *= wmp
-            r += 1
-        tails = []
-        for k in range(kmax + 1):
-            if prevabs[k] == 0:
-                tails.append(zero)
-            else:
-                q = min(mp.mpf("0.9"), lastabs[k] / prevabs[k])
-                tails.append(lastabs[k] * q / (1 - q))
-        rounding = [a * floor for a in abssums]
-        return sums, tails, rounding, abssums, r + 1
+def _sum_series(bases, z, kmax: int, profile: np.ndarray, cfg: SeriesConfig):
+    """Rows sum_r base_r * ffact(z(r), k), k = 0..kmax, in mpmath.
 
+    ``bases`` is called inside the working precision and returns an
+    iterator over the k-independent factors base_0, base_1, ... as mpf;
+    ``z(r)`` is the falling-factorial argument of term r (unused, and may be
+    None, when kmax = 0).  ``profile`` holds the natural-log term magnitudes
+    of the largest row in doubles: its peak sets the starting precision
+    (40 digits above the peak term) and the index rpeak past which the sum
+    may stop.
 
-def _series_rows(alpha: float, kmax: int, w: float, nu: float,
-                 cfg: SeriesConfig, scan: tuple[float, int] | None = None):
-    """Evaluate S_k for k = 0..kmax as (mpf value, mpf bound) pairs.
+    The sum stops after three consecutive terms, in every row, that fall
+    by a ratio q <= 0.9 and whose geometric tail last*q/(1-q) is within
+    rel_tol of the partial sum.  Each row's bound is that tail plus a
+    rounding floor of 10**(2-dps) times its sum of |terms|.  When some row
+    cancels more digits than the precision leaves room for, the sum is
+    redone with more digits (at most twice).
 
-    Returns (values, bounds, terms_used).  Values are mpf so that callers
-    may rescale (e.g. divide by k!) before converting to double.  ``scan``
-    is the result of ``_log10_max_term`` when the caller already has it.
+    Returns (sums, bounds, terms_used) with mpf sums and bounds.
     """
-    if w > 0:
-        raise ValueError("w must be <= 0")
-    if w == 0.0:
-        one = mp.mpf(1)
-        vals = [one] + [mp.mpf(0)] * kmax
-        return vals, [mp.mpf(0)] * (kmax + 1), 1
-
-    log10max, rpeak = scan or _log10_max_term(alpha, kmax, w, nu,
-                                              cfg.max_terms)
-
-    if cfg.working_precision == "double":
-        # crude cancellation-headroom certificate for a double accumulator
-        if log10max - math.log10(cfg.rel_tol) <= _DOUBLE_HEADROOM_DIGITS:
-            pairs, terms = _rows_float(alpha, kmax, w, nu, cfg, rpeak)
-            vals = [mp.mpf(v) for v, _ in pairs]
-            bounds = [mp.mpf(b) for _, b in pairs]
-            return vals, bounds, terms
-        # headroom not certified: escalate to the extended-precision path
-
-    dps = max(32, int(log10max) + 40)
+    rpeak = int(np.argmax(profile))
+    dps = max(32, int(profile[rpeak] / _LN10) + 40)
     for _ in range(3):
-        sums, tails, rounding, abssums, terms = _rows_mp_at(
-            alpha, kmax, w, nu, cfg, dps, rpeak)
-        worst = 0
-        for k in range(kmax + 1):
-            if abssums[k] == 0:
-                continue
-            s = abs(sums[k])
-            cancel = mp.log10(abssums[k] / s) if s > 0 else mp.mpf(dps)
-            worst = max(worst, int(cancel) + 32 - dps)
+        with mp.workdps(dps):
+            zero, q_max = mp.mpf(0), mp.mpf("0.9")
+            sums = [zero] * (kmax + 1)
+            abssums = [zero] * (kmax + 1)
+            lastabs = [zero] * (kmax + 1)
+            prevabs = [mp.inf] * (kmax + 1)
+            floor = mp.mpf(10) ** (2 - dps)
+            terms = bases()
+            streak = 0
+            r = 0
+            while True:
+                if r > cfg.max_terms:
+                    raise NonConvergence(
+                        f"series did not converge within {cfg.max_terms} "
+                        f"terms (k<={kmax})")
+                base = next(terms)
+                zr = z(r) if kmax else 0
+                ff = mp.mpf(1)
+                ok = r > rpeak
+                for k in range(kmax + 1):
+                    t = base * ff
+                    sums[k] += t
+                    at = abs(t)
+                    abssums[k] += at
+                    prev = prevabs[k] = lastabs[k]
+                    lastabs[k] = at
+                    ff *= zr - k
+                    if ok:
+                        # tail at*q/(1-q) with q = at/prev, against rel_tol
+                        thr = cfg.rel_tol * (abs(sums[k]) + floor * abssums[k])
+                        if at > q_max * prev or at * at > thr * (prev - at):
+                            ok = False
+                streak = streak + 1 if ok else 0
+                if streak >= 3:
+                    break
+                r += 1
+            bounds = [(a * a / (p - a) if a else zero) + floor * s
+                      for a, p, s in zip(lastabs, prevabs, abssums)]
+            worst = 0
+            for total, abssum in zip(sums, abssums):
+                if abssum == 0:
+                    continue
+                cancel = (mp.log10(abssum / abs(total)) if total
+                          else mp.mpf(dps))
+                worst = max(worst, int(cancel) + 32 - dps)
         if worst <= 0:
             break
         dps += worst + 8
-    bounds = [tails[k] + rounding[k] for k in range(kmax + 1)]
-    return sums, bounds, terms
+    return sums, bounds, r + 1
+
+
+def _kernel_rows(alpha: float, kmax: int, w: float, nu: float,
+                 cfg: SeriesConfig | None):
+    """S_k for k = 0..kmax as (mpf values, mpf bounds, terms_used).
+
+    Values are mpf so that callers may rescale (e.g. divide by k!) before
+    converting to double.
+    """
+    if not 0 < alpha <= 1:
+        raise ValueError("alpha must lie in (0, 1]")
+    if not 0 < nu <= 1:
+        raise ValueError("time_nu must lie in (0, 1]")
+    if kmax < 0:
+        raise ValueError("k must be >= 0")
+    if w > 0:
+        raise ValueError("w must be <= 0")
+    cfg = cfg or DEFAULT_CONFIG
+    if w == 0.0:
+        return [mp.mpf(1)] + [mp.mpf(0)] * kmax, [mp.mpf(0)] * (kmax + 1), 1
+    return _sum_series(lambda: _kernel_bases(w, nu),
+                       lambda r: mp.mpf(alpha) * r, kmax,
+                       _kernel_profile(alpha, kmax, w, nu, cfg.max_terms), cfg)
 
 
 def _to_double(value, bound, terms: int) -> EvalResult:
@@ -277,14 +245,16 @@ def _ml_line_bound(s: float, nu: float, kappa: float, phi: float) -> float:
     (pi - phi) / sin(phi) if that is smaller.
     """
     c, sn = math.cos(phi), math.sin(phi)
-    cuts = (2.0 ** np.arange(-4, 8) / kappa) ** nu / s
-    at = np.arctan((cuts - c) / sn)
+    with np.errstate(over="ignore"):        # cuts beyond 1e308 at tiny s
+        cuts = (2.0 ** np.arange(-4, 8) / kappa) ** nu / s
+        at = np.arctan((cuts - c) / sn)
     decay = np.exp(-kappa * (s * cuts) ** (1.0 / nu))
     split = at + math.atan(c / sn) + decay * (0.5 * math.pi - at)
     return min(float(split.min()), math.pi - phi) / sn
 
 
-def _ml_integral(nu: float, s: float, cfg: SeriesConfig) -> EvalResult | None:
+def _ml_integral(nu: float, s: float, cfg: SeriesConfig,
+                 limit: float = math.inf) -> EvalResult | None:
     """E_nu(-s) for 0 < nu < 1 and s > 0 from its positive-kernel integral
 
         E_nu(-s) = sin(nu*pi)/(nu*pi) * int_0^inf exp(-(s*y)**p)/D(y) dy,
@@ -307,9 +277,10 @@ def _ml_integral(nu: float, s: float, cfg: SeriesConfig) -> EvalResult | None:
 
     Each error source gets a share of rel_tol * L, where
     L = 1/(1 + Gamma(1-nu)*s) <= E_nu(-s) (T. Simon, Integral Transforms
-    Spec. Funct. 26, 2015).  Returns None when the certified bound still
-    misses rel_tol; raises NonConvergence when the rule would need more
-    than cfg.max_terms terms.
+    Spec. Funct. 26, 2015).  Returns None, before any evaluation, when
+    the rule would need ``limit`` terms or more, and also when the
+    certified bound still misses rel_tol; raises NonConvergence when it
+    would need more than cfg.max_terms terms.
     """
     p = 1.0 / nu
     th = math.pi * (1.0 - nu)
@@ -333,13 +304,15 @@ def _ml_integral(nu: float, s: float, cfg: SeriesConfig) -> EvalResult | None:
     # the fixed point is approached from below, so the cut sits at x + 1
     x = 1.0
     for _ in range(6):
-        x = max(1.0, math.log((h * x ** nu + nu * x ** (nu - 1))
-                              / (s * d_right * tau / 8)))
+        x = max(1.0, math.log(h * x ** nu + nu * x ** (nu - 1))
+                - math.log(s) - math.log(d_right * tau / 8))
     k_lo = math.floor(log_t / h)
     k_hi = math.ceil((nu * math.log(x + 1) - math.log(s)) / h)
     t = math.exp(k_lo * h)
     n_left = max(1, math.ceil(math.log(tau / 16 * (1 - t)) / math.log(t)) - 1)
     terms = k_hi - k_lo + n_left
+    if terms >= limit:
+        return None
     if terms > cfg.max_terms:
         raise NonConvergence(
             f"Mittag-Leffler integral needs {terms} terms, more than "
@@ -390,18 +363,31 @@ def _ml_integral(nu: float, s: float, cfg: SeriesConfig) -> EvalResult | None:
     return EvalResult(value, bound, terms)
 
 
+def _series_length(profile: np.ndarray, rel_tol: float) -> float:
+    """Terms the stop rule of ``_sum_series`` takes on ``profile``, whose
+    log term ratios decrease past the peak, with the sum taken as 1;
+    inf when it would not stop within the profile."""
+    rpeak = int(np.argmax(profile))
+    lq = np.diff(profile[rpeak:])
+    with np.errstate(invalid="ignore", divide="ignore"):
+        tail = profile[rpeak + 1:] + lq - np.log(-np.expm1(lq))
+    hits = np.flatnonzero((lq <= math.log(0.9)) & (tail <= math.log(rel_tol)))
+    return rpeak + int(hits[0]) + 4 if hits.size else math.inf
+
+
 def mittag_leffler(nu: float, x: float, cfg: SeriesConfig | None = None) -> EvalResult:
     """One-parameter Mittag-Leffler function E_nu(x) on the negative axis.
 
     E_nu(x) = sum_r x**r / Gamma(nu*r + 1), for 0 < nu <= 1 and x <= 0.
 
-    Two engines, chosen by the peak term magnitude of the series (the
-    prescan that also sizes the series' working precision):
+    Two engines, chosen from the magnitude profile of the series terms
+    (the prescan that also sizes the series' working precision):
 
-    * where the alternating series would cancel more digits than a double
-      holds, or could not finish within cfg.max_terms, the positive-kernel
-      integral (``_ml_integral``): a few hundred double-precision
-      evaluations of a positive integrand, whatever |x|;
+    * the positive-kernel integral (``_ml_integral``), a few hundred
+      double-precision evaluations of a positive integrand whatever |x|,
+      where the alternating series would cancel more digits than a double
+      holds, or where the series' stop rule, predicted from the profile,
+      would take more terms than the integral does;
     * elsewhere the series itself, which is short there.  It also covers
       nu -> 1 at small |x|, where the integrand peaks sharply at y = 1.
 
@@ -422,19 +408,16 @@ def mittag_leffler(nu: float, x: float, cfg: SeriesConfig | None = None) -> Eval
     if nu == 1.0:
         v = math.exp(x)
         return EvalResult(v, _exp_error_bound(v), 1)
-    scan = _log10_max_term(1.0, 0, x, nu, cfg.max_terms)
-    # the series' stop rule needs terms below rel_tol that fall by a ratio
-    # of 0.9 or less; past the peak both only improve with r, so if the
-    # terms at max_terms fail them the series cannot stop within budget
-    n, lgx = cfg.max_terms, math.log(-x)
-    last = n * lgx - math.lgamma(nu * n + 1)
-    ratio = lgx + math.lgamma(nu * n + 1) - math.lgamma(nu * (n + 1) + 1)
-    unfinished = last > math.log(cfg.rel_tol) or ratio > math.log(0.9)
-    if scan[0] > _DOUBLE_HEADROOM_DIGITS or unfinished:
-        res = _ml_integral(nu, -x, cfg)
-        if res is not None:
-            return res
-    vals, bounds, terms = _series_rows(1.0, 0, x, nu, cfg, scan)
+    profile = _kernel_profile(1.0, 0, x, nu, cfg.max_terms)
+    if profile.max() / _LN10 > _DOUBLE_HEADROOM_DIGITS:
+        limit = math.inf
+    else:
+        limit = _series_length(profile, cfg.rel_tol)
+    res = _ml_integral(nu, -x, cfg, limit)
+    if res is not None:
+        return res
+    vals, bounds, terms = _sum_series(lambda: _kernel_bases(x, nu), None, 0,
+                                      profile, cfg)
     return _to_double(vals[0], bounds[0], terms)
 
 
@@ -445,14 +428,7 @@ def wright_psi11_kernel(alpha: float, k: int, w: float, time_nu: float = 1.0,
     The shared series of the space-fractional (nu=1) and space-time
     fractional probability mass functions.
     """
-    if not 0 < alpha <= 1:
-        raise ValueError("alpha must lie in (0, 1]")
-    if not 0 < time_nu <= 1:
-        raise ValueError("time_nu must lie in (0, 1]")
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    cfg = cfg or DEFAULT_CONFIG
-    vals, bounds, terms = _series_rows(alpha, k, w, time_nu, cfg)
+    vals, bounds, terms = _kernel_rows(alpha, k, w, time_nu, cfg)
     return _to_double(vals[k], bounds[k], terms)
 
 
@@ -464,14 +440,7 @@ def wright_psi11_weighted_rows(alpha: float, kmax: int, w: float,
     The division by k! happens in extended precision so rows remain
     finite doubles even where k! alone would overflow.
     """
-    if not 0 < alpha <= 1:
-        raise ValueError("alpha must lie in (0, 1]")
-    if not 0 < time_nu <= 1:
-        raise ValueError("time_nu must lie in (0, 1]")
-    if kmax < 0:
-        raise ValueError("kmax must be >= 0")
-    cfg = cfg or DEFAULT_CONFIG
-    vals, bounds, terms = _series_rows(alpha, kmax, w, time_nu, cfg)
+    vals, bounds, terms = _kernel_rows(alpha, kmax, w, time_nu, cfg)
     out = []
     sign = 1
     fact = mp.mpf(1)

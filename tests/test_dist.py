@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fracpois import dist
+from fracpois import dist, verify
 from fracpois.dist import ProcessParams
 from fracpois.special_fn import SeriesConfig
 
@@ -253,3 +253,67 @@ def test_exp_branch_bounds_hold(lam, alpha, t, u, k):
         mu = mp.mpf(lam) * t
         exact = lam * mu ** (k - 1) * mp.exp(-mu) / mp.factorial(k - 1)
         assert abs(mp.mpf(dens.value) - exact) <= dens.abs_error_bound
+
+
+# Series paths against references that share no code with them:
+# |value - reference| <= abs_error_bound + 1e-15.
+
+def _density_reference(lam, alpha, t, k):
+    """tau_k density at 60 digits, summed term by term from
+    -sum_{m<k} d/dt p_m = lam**alpha * sum_{m<k} ((-1)**m/m!) *
+    sum_{s>=0} (-lam**alpha*t)**s/s! * ffact(alpha*(s+1), m)."""
+    with mp.workdps(60):
+        a, al = mp.mpf(lam) ** alpha, mp.mpf(alpha)
+        total = mp.mpf(0)
+        for m in range(k):
+            s_sum, s, base = mp.mpf(0), 0, mp.mpf(1)
+            while True:
+                ff = mp.mpf(1)
+                for j in range(m):
+                    ff *= al * (s + 1) - j
+                term = base * ff
+                s_sum += term
+                if s > 2 * a * t + m + 10 and abs(term) < mp.mpf(10) ** -65:
+                    break
+                s += 1
+                base *= -a * t / s
+            total += (-1) ** m / mp.factorial(m) * s_sum
+        return a * total
+
+
+@settings(max_examples=25, deadline=None)
+@given(alpha=st.floats(0.3, 0.999), nu=st.floats(0.3, 0.999),
+       t=st.floats(0.2, 3.0), k=st.integers(0, 30))
+def test_series_rows_bound_holds_against_oracle(alpha, nu, t, k):
+    params = ProcessParams(1.0, alpha, nu)
+    row = dist.pmf_row(params, t, k)[k]
+    ref = verify.oracle_pmf(params, t, k)
+    assert abs(mp.mpf(row.p) - ref) <= row.abs_error_bound + 1e-15
+
+
+@settings(max_examples=25, deadline=None)
+@given(nu=st.floats(0.3, 0.999), t=st.floats(0.2, 3.0),
+       k=st.integers(0, 30))
+def test_direct_form_bound_holds_against_oracle(nu, t, k):
+    params = ProcessParams(1.0, 1.0, nu)
+    row = dist.pmf_time_fractional_direct(params, t, k)
+    ref = verify.oracle_pmf(params, t, k)
+    assert abs(mp.mpf(row.p) - ref) <= row.abs_error_bound + 1e-15
+
+
+@settings(max_examples=25, deadline=None)
+@given(lam=st.floats(0.5, 2.0), alpha=st.floats(0.3, 0.999),
+       t=st.floats(0.2, 3.0), k=st.integers(1, 10))
+def test_first_passage_density_bound_holds(lam, alpha, t, k):
+    res = dist.first_passage_density(ProcessParams(lam, alpha), t, k)
+    ref = _density_reference(lam, alpha, t, k)
+    assert abs(mp.mpf(res.value) - ref) <= res.abs_error_bound + 1e-15
+
+
+@settings(max_examples=100, deadline=None)
+@given(x=st.floats(1e-3, 1e4), k=st.integers(1, 3000))
+def test_erlang_passage_cdf_bound_holds(x, k):
+    res = dist.first_passage_cdf(ProcessParams(1.0), x, k)
+    with mp.workdps(40):
+        ref = mp.gammainc(k, 0, x, regularized=True)
+        assert abs(mp.mpf(res.value) - ref) <= res.abs_error_bound + 1e-15
