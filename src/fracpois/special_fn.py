@@ -40,6 +40,8 @@ _LN10 = math.log(10.0)
 # log10 headroom usable by a double accumulator (2**52 ~ 15.65 digits)
 _DOUBLE_HEADROOM_DIGITS = 52 * math.log10(2.0)
 _EPS = 2.0 ** -52           # machine epsilon of a double
+# the series stop rule: past the peak, terms must fall by this ratio or less
+_STOP_RATIO = 0.9
 
 
 class NonConvergence(ArithmeticError):
@@ -143,7 +145,7 @@ def _sum_series(bases, z, kmax: int, profile: np.ndarray, cfg: SeriesConfig):
     dps = max(32, int(profile[rpeak] / _LN10) + 40)
     for _ in range(3):
         with mp.workdps(dps):
-            zero, q_max = mp.mpf(0), mp.mpf("0.9")
+            zero, q_max = mp.mpf(0), mp.mpf(_STOP_RATIO)
             sums = [zero] * (kmax + 1)
             abssums = [zero] * (kmax + 1)
             lastabs = [zero] * (kmax + 1)
@@ -371,7 +373,8 @@ def _series_length(profile: np.ndarray, rel_tol: float) -> float:
     lq = np.diff(profile[rpeak:])
     with np.errstate(invalid="ignore", divide="ignore"):
         tail = profile[rpeak + 1:] + lq - np.log(-np.expm1(lq))
-    hits = np.flatnonzero((lq <= math.log(0.9)) & (tail <= math.log(rel_tol)))
+    hits = np.flatnonzero((lq <= math.log(_STOP_RATIO))
+                          & (tail <= math.log(rel_tol)))
     return rpeak + int(hits[0]) + 4 if hits.size else math.inf
 
 
