@@ -160,7 +160,14 @@ def test_nonconvergence_when_max_terms_too_small():
 def test_kernel_reduces_to_exp():
     res = wright_psi11_kernel(1.0, 0, -2.0)
     assert res.value == pytest.approx(math.exp(-2.0), rel=1e-12)
-    # w = -30 cancels about 26 digits: the engine must size its precision
+
+
+def test_double_mode_escalates_instead_of_losing_digits():
+    # E_1(-30): the series cancels about 26 digits, far beyond a double's
+    # headroom; the engine must size its precision and stay accurate
+    res = mittag_leffler(1.0, -30.0)
+    assert res.value == pytest.approx(math.exp(-30.0), rel=1e-12)
+    # the same cancellation through the kernel's series
     res = wright_psi11_kernel(1.0, 0, -30.0)
     assert res.value == pytest.approx(math.exp(-30.0), rel=1e-12)
 
