@@ -292,13 +292,15 @@ def cmd_passage(args) -> int:
     times = ([args.t] if args.t is not None
              else list(np.linspace(args.tmax / args.steps, args.tmax,
                                    args.steps)))
+    lowest = min(times)
+    if lowest < 0 or (lowest == 0 and args.k >= 1):
+        raise UsageError("passage times must be > 0 (>= 0 at --k 0)")
     rows = []
     try:
         for t in times:
-            c = dist.first_passage_cdf(params, t, args.k, cfg)
+            c, d = dist.first_passage(params, t, args.k, cfg)
             row = {"t": float(t), "cdf": c.value}
-            if args.k >= 1:
-                d = dist.first_passage_density(params, t, args.k, cfg)
+            if d is not None:
                 row["density"] = d.value
             rows.append(row)
     except NonConvergence as exc:

@@ -30,7 +30,7 @@ from .special_fn import (_EPS, DEFAULT_CONFIG, EvalResult, NonConvergence,
 
 __all__ = [
     "ProcessParams", "PmfRow", "pmf", "pmf_row", "pmf_time_fractional_direct",
-    "pgf", "pgf_partial_sum", "cdf", "first_passage_cdf",
+    "pgf", "pgf_partial_sum", "cdf", "first_passage", "first_passage_cdf",
     "first_passage_density", "survival_subordination", "NonConvergence",
 ]
 
@@ -146,14 +146,16 @@ def pmf_time_fractional_direct(params: ProcessParams, t: float, k: int,
     def bases():
         # gamma arguments must be built in working precision: forming
         # nu*(k+r) in doubles feeds incoherent argument noise into a
-        # heavily cancelling sum
+        # heavily cancelling sum.  rise takes three roundings a step, so
+        # base r is within the engine's allowance of 3r + 5 roundings
         xm, nu_mp = mp.mpf(-x), mp.mpf(nu)
         rise = mp.mpf(x) ** k      # x**k * (r+k)!/(r!*k!), multiplicatively
         for r in itertools.count():
             yield rise * mp.rgamma(nu_mp * (k + r) + 1)
             rise = rise * xm * (r + k + 1) / (r + 1)
 
-    vals, bounds, terms = _sum_series(bases, None, 0, profile, cfg)
+    vals, bounds, terms = _sum_series(bases, 1.0, [profile.max()], profile,
+                                      cfg)
     res = _to_double(vals[0], bounds[0], terms)
     return PmfRow(k, res.value, res.abs_error_bound)
 
@@ -219,36 +221,60 @@ def cdf(params: ProcessParams, t: float, k: int,
                       sum(r.abs_error_bound for r in rows), k + 1)
 
 
-def first_passage_cdf(params: ProcessParams, t: float, k: int,
-                      cfg: SeriesConfig | None = None) -> EvalResult:
-    """Pr{tau_k < t} = Pr{N(t) >= k}, in complement form 1 - cdf(k-1).
+def _erlang_cdf(mu: float, k: int, cfg: SeriesConfig) -> EvalResult:
+    """Pr{Poisson(mu) >= k} for k >= 1: the Erlang(k) distribution function.
 
-    Defined for the space-fractional process (nu = 1); k = 0 returns 1.
+    Summed in mpmath outward from k, so that nothing cancels: upward,
+    p_k + p_{k+1} + ..., when k >= mu, else as the complement of
+    p_{k-1} + p_{k-2} + ... + p_0.  The ratios of successive terms,
+    mu/(j+1) upward and j/mu downward, are below 1 and shrink, so after a
+    term t of ratio q the remainder is at most t*q/(1-q); the sum stops
+    once that is below 2**-prec of the sum.
+
+    The first term is exp(j*log(mu) - mu - log(j!)), whose argument has the
+    condition sum c = mu + k*|log mu| + log(k!); the working precision
+    keeps 30 digits beyond c, so the term is within (8c + 4) roundings of
+    its value.  Each further term adds two roundings and each addition
+    one, so with n terms the sum errs by at most (8c + 3n + 6) * 2**-prec
+    of itself; the remainder adds one more, the subtraction from 1 one
+    ulp of 1.  The bound adds the rounding to double and the underflow of
+    a result below the smallest subnormal.
     """
-    if params.nu != 1.0:
-        raise ValueError("first-passage laws require nu = 1")
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    if k == 0:
-        return EvalResult(1.0, 0.0, 0)
-    if t == 0.0:
-        return EvalResult(0.0, 0.0, 0)
-    if params.alpha == 1.0:
-        # Erlang reduction: Pr{N(t) >= k} as a regularized incomplete gamma
-        v = float(gammainc(k, params.lam * t))
-        return EvalResult(v, 5e-16, 0)
-    below = cdf(params, t, k - 1, cfg)
-    return EvalResult(1.0 - below.value, below.abs_error_bound,
-                      below.terms_used)
+    cond = mu + k * abs(math.log(mu)) + math.lgamma(k + 1)
+    up = k >= mu
+    with mp.workdps(30 + int(math.log10(cond + 1))):
+        ulp = mp.mpf(2) ** -mp.mp.prec
+        m = mp.mpf(mu)
+        j = k if up else k - 1
+        term = mp.exp(j * mp.log(m) - m - mp.loggamma(j + 1))
+        total, n = mp.mpf(0), 0
+        while True:
+            total += term
+            n += 1
+            if not up and j == 0:
+                break
+            q = m / (j + 1) if up else j / m
+            if term * q <= ulp * total * (1 - q):
+                break
+            if n >= cfg.max_terms:
+                raise NonConvergence(
+                    f"Erlang distribution function needs more than "
+                    f"{cfg.max_terms} Poisson terms (k={k}, mu={mu:.6g})")
+            term *= q
+            j += 1 if up else -1
+        err = ((8 * cond + 3 * n + 7) * total + 1) * ulp
+        v = float(total if up else 1 - total)
+        return EvalResult(v, float(err) + _EPS * v + math.ulp(0.0), n)
 
 
-def first_passage_density(params: ProcessParams, t: float, k: int,
-                          cfg: SeriesConfig | None = None) -> EvalResult:
-    """Density of tau_k in t (nu = 1), from the governing equation.
+def first_passage(params: ProcessParams, t: float, k: int,
+                  cfg: SeriesConfig | None = None
+                  ) -> tuple[EvalResult, EvalResult | None]:
+    """Pr{tau_k < t} and the density of tau_k at t, from one kernel row.
 
-    density(t) = -sum_{m<k} d/dt p_m(t), and d/dt p = -lam**alpha *
+    Defined for the space-fractional process (nu = 1).  The distribution
+    function is Pr{N(t) >= k} = 1 - sum_{j<k} p_j(t), with k = 0 giving 1.
+    The density is -sum_{j<k} d/dt p_j(t), and d/dt p = -lam**alpha *
     (1-B)**alpha p sums to
 
         density(t) = lam**alpha * sum_{j<k} p_j(t) * D_{k-1-j},
@@ -258,34 +284,61 @@ def first_passage_density(params: ProcessParams, t: float, k: int,
     (``frac_ops.frac_binom_coeffs``).  Every D_n lies in (0, 1], so the sum
     has positive weights and nothing cancels: the bound is lam**alpha times
     the D-weighted row bounds plus the rounding of the products and the sum.
-    At alpha = 1 this is the Erlang density, returned in closed form.
+    Both come from one ``pmf_row(params, t, k-1)``.  At alpha = 1 they are
+    the Erlang distribution function (``_erlang_cdf``) and density.  The
+    density is None where it is not defined: k = 0 or t = 0.
     """
     if params.nu != 1.0:
         raise ValueError("first-passage laws require nu = 1")
-    if k < 1:
-        raise ValueError("k must be >= 1 for the density")
-    if not t > 0:
-        raise ValueError("t must be > 0")
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    if t < 0:
+        raise ValueError("t must be >= 0")
+    if k == 0:
+        return EvalResult(1.0, 0.0, 0), None
+    if t == 0.0:
+        return EvalResult(0.0, 0.0, 0), None
     lam, alpha = params.lam, params.alpha
     if alpha == 1.0:
         mu, lg = lam * t, math.lgamma(k)
         e = math.exp(-mu + (k - 1) * math.log(mu) - lg)
         bound = lam * _exp_error_bound(e, mu + (k - 1) * abs(math.log(mu))
                                       + lg) + math.ulp(0.0)
-        return EvalResult(lam * e, bound, 0)
+        return _erlang_cdf(mu, k, cfg or DEFAULT_CONFIG), \
+            EvalResult(lam * e, bound, 0)
 
-    a = lam ** alpha
     rows = pmf_row(params, t, k - 1, cfg)
+    p = np.array([row.p for row in rows])
+    bounds = np.array([row.abs_error_bound for row in rows])
+    # rounding: the k-term sum and the subtraction from 1
+    passed = EvalResult(1.0 - sum(row.p for row in rows), float(bounds.sum())
+                        + (k + 1) * _EPS * (1.0 + float(np.abs(p).sum())), k)
+    a = lam ** alpha
     # D_n = c_0 + ... + c_n = prod_{i<=n} (1 - alpha/i): positive factors,
     # so each D_n is within 3*n*eps of its exact value
     d = np.cumprod(np.r_[1.0, 1.0 - alpha / np.arange(1, k)])[::-1]
-    p = np.array([row.p for row in rows])
     dens = a * float(d @ p)
     # rounding: D, the products, the sum and lam**alpha
-    bound = a * (float(d @ [row.abs_error_bound for row in rows])
+    bound = a * (float(d @ bounds)
                  + (3 * k + 6) * _EPS * float(d @ np.abs(p))) \
         + k * math.ulp(0.0)
-    return EvalResult(dens, bound, k)
+    return passed, EvalResult(dens, bound, k)
+
+
+def first_passage_cdf(params: ProcessParams, t: float, k: int,
+                      cfg: SeriesConfig | None = None) -> EvalResult:
+    """Pr{tau_k < t} = Pr{N(t) >= k} (nu = 1); see ``first_passage``."""
+    return first_passage(params, t, k, cfg)[0]
+
+
+def first_passage_density(params: ProcessParams, t: float, k: int,
+                          cfg: SeriesConfig | None = None) -> EvalResult:
+    """Density of tau_k at t > 0 for k >= 1 (nu = 1); see ``first_passage``."""
+    if k < 1:
+        raise ValueError("k must be >= 1 for the density")
+    if not t > 0:
+        raise ValueError("t must be > 0")
+    return first_passage(params, t, k, cfg)[1]
 
 
 # ---------------------------------------------------------------------------

@@ -12,11 +12,18 @@ probability mass functions.
 The series alternate and the intermediate terms can be many orders of
 magnitude larger than the sum.  One engine, ``_sum_series``, sums every
 such series in this package (also the direct time-fractional form in
-``dist``): it sizes its mpmath working precision from a cheap
-double-precision profile of the term magnitudes, stops once the geometric
-tail is within rel_tol, and redoes the sum with more digits when the
+``dist``).  A cheap double-precision profile of the term magnitudes sizes
+the mpmath working precision of the k-independent factors
+w**r / Gamma(nu*r + 1) and places, for each row k, a fixed-point grid
+just below the row's peak term.  Everything else is exact Python-integer
+arithmetic: a double alpha is m / 2**e, so the falling factorial is an
+integer product, and each term is truncated onto its row's grid and
+summed exactly.  The engine stops once the geometric tail is within
+rel_tol (tested in integers) and redoes the sum with more digits when the
 cancellation it measures outruns the precision.  Every result carries an
-explicit absolute error certificate (truncation tail + rounding).
+explicit absolute error certificate: the tail, plus a rounding term
+derived from that arithmetic (the roundings of each factor, and one grid
+unit per term).
 
 Where that profile shows the Mittag-Leffler series cancelling more digits
 than a double holds, or taking more terms than the integral would,
@@ -33,15 +40,20 @@ from dataclasses import dataclass
 
 import mpmath as mp
 import numpy as np
+from mpmath import libmp
 from scipy.special import gammaln
 
 _LN10 = math.log(10.0)
+_LN2 = math.log(2.0)
 
 # log10 headroom usable by a double accumulator (2**52 ~ 15.65 digits)
 _DOUBLE_HEADROOM_DIGITS = 52 * math.log10(2.0)
 _EPS = 2.0 ** -52           # machine epsilon of a double
 # the series stop rule: past the peak, terms must fall by this ratio or less
 _STOP_RATIO = 0.9
+# bits of each row's summation grid below the working precision, so that
+# truncating a term onto the grid errs by 2**-16 of its rounding allowance
+_GRID_GUARD_BITS = 16
 
 
 class NonConvergence(ArithmeticError):
@@ -89,31 +101,43 @@ def gamma_ratio_ff(z: float, k: int) -> float:
 
 
 def _kernel_profile(alpha: float, kmax: int, w: float, nu: float,
-                    max_terms: int) -> np.ndarray:
-    """Natural-log magnitudes of the terms of S_kmax, r = 0..max_terms.
+                    max_terms: int) -> tuple[np.ndarray, np.ndarray]:
+    """Natural-log magnitudes of the terms of S_kmax, r = 0..max_terms, and
+    the peak log magnitude of each row S_0..S_kmax.
 
-    Cheap double-precision scan used only to size the working precision
-    and locate the hump of the series; not part of any certificate.
+    Cheap double-precision scan used only to size the working precision,
+    locate the hump of the series and place each row's summation grid; not
+    part of any certificate.
     """
     rmax = min(max_terms, 50_000)
     r = np.arange(rmax + 1, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
         lt = r * math.log(abs(w)) - gammaln(nu * r + 1.0)
+        lt[~np.isfinite(lt)] = -np.inf
+        peaks = np.full(kmax + 1, -np.inf)
+        peaks[0] = lt.max()
         if kmax > 0:
-            # sum_j log|alpha*r - j| accumulated in chunks to bound memory
+            # row k adds sum_{j<k} log|alpha*r - j|: a cumulative sum over j,
+            # taken in chunks of r to bound memory
             j = np.arange(kmax, dtype=float)
             step = max(1, 2_000_000 // (kmax + 1))
             for lo in range(0, rmax + 1, step):
                 hi = min(lo + step, rmax + 1)
-                lt[lo:hi] += np.log(
-                    np.abs(alpha * r[lo:hi, None] - j[None, :])
-                ).sum(axis=1)
-    lt[~np.isfinite(lt)] = -np.inf
-    return lt
+                rows = lt[lo:hi, None] + np.cumsum(np.log(
+                    np.abs(alpha * r[lo:hi, None] - j[None, :])), axis=1)
+                np.maximum(peaks[1:], rows.max(axis=0), out=peaks[1:])
+                lt[lo:hi] = rows[:, -1]
+    return lt, peaks
 
 
 def _kernel_bases(w: float, nu: float):
-    """w**r / Gamma(nu*r + 1) for r = 0, 1, ..., in the working precision."""
+    """w**r / Gamma(nu*r + 1) for r = 0, 1, ..., in the working precision.
+
+    nu*r + 1 is exact in the least working precision (110 bits) unless
+    nu < ~1e-17, where it lies so close to 1 that its rounding moves
+    rgamma by less than two roundings; so base r is within r + 4
+    roundings: the power's r - 1, rgamma's and the product's.
+    """
     wmp, num = mp.mpf(w), mp.mpf(nu)
     wpow = mp.mpf(1)
     for r in itertools.count():
@@ -121,36 +145,57 @@ def _kernel_bases(w: float, nu: float):
         wpow *= wmp
 
 
-def _sum_series(bases, z, kmax: int, profile: np.ndarray, cfg: SeriesConfig):
-    """Rows sum_r base_r * ffact(z(r), k), k = 0..kmax, in mpmath.
+def _sum_series(bases, alpha: float, peaks, profile: np.ndarray,
+                cfg: SeriesConfig):
+    """Rows S_k = sum_r base_r * ffact(alpha*r, k), k = 0..len(peaks)-1.
 
     ``bases`` is called inside the working precision and returns an
-    iterator over the k-independent factors base_0, base_1, ... as mpf;
-    ``z(r)`` is the falling-factorial argument of term r (unused, and may be
-    None, when kmax = 0).  ``profile`` holds the natural-log term magnitudes
-    of the largest row in doubles: its peak sets the starting precision
-    (40 digits above the peak term) and the index rpeak past which the sum
-    may stop.
+    iterator over the k-independent factors base_0, base_1, ... as mpf,
+    each within (3r + 5) roundings of its exact value.  ``alpha`` is a
+    double, so exactly m / 2**e, and the falling factorial of term r is
+    the exact integer FF_k = prod_{j<k} (m*r - j*2**e) times 2**(-e*k);
+    ``alpha`` is unused when there is one row.  ``peaks`` holds each row's
+    peak natural-log term magnitude and ``profile`` the log term
+    magnitudes of the last row, both in doubles: the profile's peak sets
+    the working precision (40 digits above the peak term, prec bits) and
+    the index rpeak past which the sum may stop.
+
+    The sums are exact Python integers.  Term (r, k) is the exact product
+    +-man*FF_k*2**(exp - e*k) of base_r = +-man*2**exp and FF_k; its
+    magnitude is truncated onto row k's grid, 2**E_k with E_k set
+    prec + _GRID_GUARD_BITS bits below the row's peak term, and added to
+    the row's sum and sum of |terms| in units of 2**E_k.
 
     The sum stops after three consecutive terms, in every row, that fall
-    by a ratio q <= 0.9 and whose geometric tail last*q/(1-q) is within
-    rel_tol of the partial sum.  Each row's bound is that tail plus a
-    rounding floor of 10**(2-dps) times its sum of |terms|.  When some row
-    cancels more digits than the precision leaves room for, the sum is
-    redone with more digits (at most twice).
+    by a ratio q <= _STOP_RATIO and whose geometric tail last*q/(1-q) is within
+    rel_tol of |partial sum| + rounding; both tests are made in integers.
+    Each row's bound is that tail plus its rounding: (3R + 2) * 2**-prec
+    times its sum of |terms| for the bases (R terms summed), and one grid
+    unit per term for the truncation.  When some row cancels more digits
+    than the precision leaves room for, the sum is redone with more
+    digits (at most twice).
 
-    Returns (sums, bounds, terms_used) with mpf sums and bounds.
+    Returns (sums, bounds, terms_used) with mpf sums and bounds, both
+    exact images of their integers.
     """
+    kmax = len(peaks) - 1
+    m, den = alpha.as_integer_ratio()
+    e = den.bit_length() - 1
+    tol_num, tol_den = cfg.rel_tol.as_integer_ratio()
+    q_num, q_den = _STOP_RATIO.as_integer_ratio()
     rpeak = int(np.argmax(profile))
     dps = max(32, int(profile[rpeak] / _LN10) + 40)
     for _ in range(3):
         with mp.workdps(dps):
-            zero, q_max = mp.mpf(0), mp.mpf(_STOP_RATIO)
-            sums = [zero] * (kmax + 1)
-            abssums = [zero] * (kmax + 1)
-            lastabs = [zero] * (kmax + 1)
-            prevabs = [mp.inf] * (kmax + 1)
-            floor = mp.mpf(10) ** (2 - dps)
+            prec = mp.mp.prec
+            grid = [math.floor(p / _LN2) - prec - _GRID_GUARD_BITS
+                    for p in peaks]
+            # term (r, k) sits 2**(e*k) below base_r * FF_k on its grid
+            off = [g + e * k for k, g in enumerate(grid)]
+            sums = [0] * (kmax + 1)
+            abssums = [0] * (kmax + 1)
+            lastabs = [0] * (kmax + 1)
+            prevabs = [0] * (kmax + 1)
             terms = bases()
             streak = 0
             r = 0
@@ -159,40 +204,52 @@ def _sum_series(bases, z, kmax: int, profile: np.ndarray, cfg: SeriesConfig):
                     raise NonConvergence(
                         f"series did not converge within {cfg.max_terms} "
                         f"terms (k<={kmax})")
-                base = next(terms)
-                zr = z(r) if kmax else 0
-                ff = mp.mpf(1)
+                neg, ff, exp, _ = next(terms)._mpf_
+                f = m * r
                 ok = r > rpeak
                 for k in range(kmax + 1):
-                    t = base * ff
-                    sums[k] += t
-                    at = abs(t)
-                    abssums[k] += at
+                    sh = exp - off[k]
+                    # truncate the magnitude: >> floors negative numbers
+                    at = ff << sh if sh >= 0 else ff >> -sh
+                    s = sums[k] = sums[k] - at if neg else sums[k] + at
+                    a = abssums[k] = abssums[k] + at
                     prev = prevabs[k] = lastabs[k]
                     lastabs[k] = at
-                    ff *= zr - k
                     if ok:
                         # tail at*q/(1-q) with q = at/prev, against rel_tol
-                        thr = cfg.rel_tol * (abs(sums[k]) + floor * abssums[k])
-                        if at > q_max * prev or at * at > thr * (prev - at):
+                        thr = tol_num * (abs(s) + ((3 * r + 5) * a >> prec)
+                                         + r + 1)
+                        if (q_den * at > q_num * prev
+                                or at * at * tol_den > thr * (prev - at)):
                             ok = False
+                    if f < 0:
+                        neg ^= 1
+                        ff *= -f
+                    else:
+                        ff *= f
+                    f -= den
                 streak = streak + 1 if ok else 0
                 if streak >= 3:
                     break
                 r += 1
-            bounds = [(a * a / (p - a) if a else zero) + floor * s
-                      for a, p, s in zip(lastabs, prevabs, abssums)]
             worst = 0
             for total, abssum in zip(sums, abssums):
                 if abssum == 0:
                     continue
-                cancel = (mp.log10(abssum / abs(total)) if total
-                          else mp.mpf(dps))
+                cancel = (math.log10(abssum) - math.log10(abs(total))
+                          if total else dps)
                 worst = max(worst, int(cancel) + 32 - dps)
         if worst <= 0:
             break
         dps += worst + 8
-    return sums, bounds, r + 1
+    n = r + 1
+    bounds = []
+    for last, prev, abssum, g in zip(lastabs, prevabs, abssums, grid):
+        tail = -(-last * last // (prev - last)) if last else 0
+        units = tail + ((3 * n + 2) * (abssum + n) >> prec) + 1 + n
+        bounds.append(mp.make_mpf(libmp.from_man_exp(units, g)))
+    return ([mp.make_mpf(libmp.from_man_exp(s, g))
+             for s, g in zip(sums, grid)], bounds, n)
 
 
 def _kernel_rows(alpha: float, kmax: int, w: float, nu: float,
@@ -213,9 +270,9 @@ def _kernel_rows(alpha: float, kmax: int, w: float, nu: float,
     cfg = cfg or DEFAULT_CONFIG
     if w == 0.0:
         return [mp.mpf(1)] + [mp.mpf(0)] * kmax, [mp.mpf(0)] * (kmax + 1), 1
-    return _sum_series(lambda: _kernel_bases(w, nu),
-                       lambda r: mp.mpf(alpha) * r, kmax,
-                       _kernel_profile(alpha, kmax, w, nu, cfg.max_terms), cfg)
+    profile, peaks = _kernel_profile(alpha, kmax, w, nu, cfg.max_terms)
+    return _sum_series(lambda: _kernel_bases(w, nu), alpha, peaks, profile,
+                       cfg)
 
 
 def _to_double(value, bound, terms: int) -> EvalResult:
@@ -411,7 +468,7 @@ def mittag_leffler(nu: float, x: float, cfg: SeriesConfig | None = None) -> Eval
     if nu == 1.0:
         v = math.exp(x)
         return EvalResult(v, _exp_error_bound(v), 1)
-    profile = _kernel_profile(1.0, 0, x, nu, cfg.max_terms)
+    profile, peaks = _kernel_profile(1.0, 0, x, nu, cfg.max_terms)
     if profile.max() / _LN10 > _DOUBLE_HEADROOM_DIGITS:
         limit = math.inf
     else:
@@ -419,8 +476,8 @@ def mittag_leffler(nu: float, x: float, cfg: SeriesConfig | None = None) -> Eval
     res = _ml_integral(nu, -x, cfg, limit)
     if res is not None:
         return res
-    vals, bounds, terms = _sum_series(lambda: _kernel_bases(x, nu), None, 0,
-                                      profile, cfg)
+    vals, bounds, terms = _sum_series(lambda: _kernel_bases(x, nu), 1.0,
+                                      peaks, profile, cfg)
     return _to_double(vals[0], bounds[0], terms)
 
 

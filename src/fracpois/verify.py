@@ -225,8 +225,9 @@ def oracle_pmf(params: ProcessParams, t: float, k: int,
 
     Terms are built from gamma-function quotients (reciprocal gamma at
     the poles), sharing no code with the falling-factorial evaluator in
-    special_fn.  The truncation tail is geometrically dominated once the
-    term ratio falls below 1/2.
+    special_fn.  Past the peak the term ratios q shrink, so the sum stops
+    after three terms whose geometric tail last*q/(1-q) is within the
+    tolerance.
     """
     ocfg = ocfg or OracleConfig()
     if k < 0:
@@ -291,8 +292,9 @@ def oracle_pmf(params: ProcessParams, t: float, k: int,
             # exact zeros (falling-factorial roots, r < k at alpha = 1)
             # carry no tail information and must not feed the stop rule
             if at > 0:
-                if (r > rpeak and r > k and at < last / 2
-                        and at <= tol * (abs(s) + tol)):
+                # geometric tail at*q/(1-q), q = at/last, within tol
+                if (r > rpeak and r > k and at < last
+                        and at * at <= tol * (abs(s) + tol) * (last - at)):
                     small_streak += 1
                     if small_streak >= 3:
                         break

@@ -75,6 +75,23 @@ def test_passage_table(capsys):
     assert "density" in rows[0]
 
 
+def test_passage_one_kernel_row_per_step(capsys, monkeypatch):
+    calls = []
+    pmf_row = dist.pmf_row
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return pmf_row(*args, **kwargs)
+
+    monkeypatch.setattr(dist, "pmf_row", counted)
+    code, out, _ = run_cli(capsys, "passage", "--lambda", "1.0", "--alpha",
+                           "0.5", "--k", "3", "--tmax", "5.0", "--steps",
+                           "25")
+    assert code == 0
+    assert len(list(csv.DictReader(io.StringIO(out)))) == 25
+    assert len(calls) == 25
+
+
 def test_passage_single_time(capsys):
     code, out, _ = run_cli(capsys, "passage", "--lambda", "1.0", "--k", "0",
                            "--t", "1.0", "--format", "json")

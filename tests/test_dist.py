@@ -310,6 +310,26 @@ def test_first_passage_density_bound_holds(lam, alpha, t, k):
     assert abs(mp.mpf(res.value) - ref) <= res.abs_error_bound + 1e-15
 
 
+@pytest.mark.parametrize("params", [ProcessParams(1.0, 0.5, 1.0),
+                                    ProcessParams(0.5, 1.0, 0.7)])
+def test_rows_with_exact_zero_terms_match_oracle(params):
+    # alpha*r hits the integers j < k, so whole runs of terms are exactly
+    # zero, and tiny negative terms must truncate towards zero
+    rows = dist.pmf_row(params, 1.0, 30)
+    for row in rows:
+        ref = verify.oracle_pmf(params, 1.0, row.k)
+        assert abs(mp.mpf(row.p) - ref) <= row.abs_error_bound
+
+
+@pytest.mark.parametrize("x,k", [(10.952592355277854, 11), (0.5, 1),
+                                 (100.3, 100), (2999.0, 3000)])
+def test_erlang_passage_cdf_bound_holds_near_mode(x, k):
+    res = dist.first_passage_cdf(ProcessParams(1.0), x, k)
+    with mp.workdps(40):
+        ref = mp.gammainc(k, 0, x, regularized=True)
+        assert abs(mp.mpf(res.value) - ref) <= res.abs_error_bound
+
+
 @settings(max_examples=100, deadline=None)
 @given(x=st.floats(1e-3, 1e4), k=st.integers(1, 3000))
 def test_erlang_passage_cdf_bound_holds(x, k):

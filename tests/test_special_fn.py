@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fracpois import special_fn
 from fracpois.dist import ProcessParams
 from fracpois.special_fn import (EvalResult, NonConvergence, SeriesConfig,
                                  gamma_ratio_ff, mittag_leffler,
@@ -209,6 +210,29 @@ def test_error_certificate_is_conservative(alpha, k, w, nu):
                                SeriesConfig(rel_tol=1e-14, max_terms=20_000))
     assert abs(coarse.value - fine.value) <= \
         coarse.abs_error_bound + fine.abs_error_bound
+
+
+@pytest.mark.parametrize("alpha,kmax,w,nu", [
+    (0.7, 30, -5.0, 0.3), (1.0, 10, -3.0, 0.5), (0.5, 30, -1.0, 1.0),
+])
+def test_series_rounding_certificate(monkeypatch, alpha, kmax, w, nu):
+    """At rel_tol=1e-60 rounding dominates the bound: a rerun 60 digits
+    more precise must land within it on every row."""
+    cfg = SeriesConfig(rel_tol=1e-60)
+    vals, bounds, _ = special_fn._kernel_rows(alpha, kmax, w, nu, cfg)
+    profile_of = special_fn._kernel_profile
+
+    def shifted(*args):
+        # the profile sets the precision, the row peaks the grids: a
+        # higher profile refines both by 60 digits
+        profile, peaks = profile_of(*args)
+        return profile + 60 * math.log(10.0), peaks
+
+    monkeypatch.setattr(special_fn, "_kernel_profile", shifted)
+    refs, _, _ = special_fn._kernel_rows(alpha, kmax, w, nu, cfg)
+    with mp.workdps(400):
+        for v, b, ref in zip(vals, bounds, refs):
+            assert abs(v - ref) <= b
 
 
 def test_series_config_validation():

@@ -6,6 +6,7 @@ import pytest
 from fracpois import dist, verify
 from fracpois.dist import ProcessParams
 from fracpois.sample import RngStream, SampleBatch, sample_batch
+from fracpois.special_fn import mittag_leffler
 from fracpois.verify import (DegenerateBins, OracleConfig, check_fixture,
                              check_min_uniform_space,
                              check_min_uniform_space_time, check_ode_residual,
@@ -118,6 +119,15 @@ def test_oracle_poisson_case():
 def test_oracle_t_zero():
     assert oracle_pmf(ProcessParams(1.0, 0.5), 0.0, 0) == 1
     assert oracle_pmf(ProcessParams(1.0, 0.5), 0.0, 4) == 0
+
+
+def test_oracle_small_order_near_unit_argument():
+    # term ratios s/Gamma-growth stay above 1/2 for ~1e7 terms here, so
+    # the oracle must stop on the geometric tail itself
+    s = 36 ** 0.05
+    ref = oracle_pmf(ProcessParams(s, 1.0, 0.05), 1.0, 0)
+    res = mittag_leffler(0.05, -s)
+    assert abs(res.value - ref) <= res.abs_error_bound
 
 
 def test_oracle_config_validation():
