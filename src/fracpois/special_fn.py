@@ -167,8 +167,9 @@ def _sum_series(bases, alpha: float, peaks, profile: np.ndarray,
     the row's sum and sum of |terms| in units of 2**E_k.
 
     The sum stops after three consecutive terms, in every row, that fall
-    by a ratio q <= _STOP_RATIO and whose geometric tail last*q/(1-q) is within
-    rel_tol of |partial sum| + rounding; both tests are made in integers.
+    by a ratio q <= _STOP_RATIO and whose geometric tail last*q/(1-q) is
+    within rel_tol of |partial sum| + rounding; both tests are made in
+    integers.
     Each row's bound is that tail plus its rounding: (3R + 2) * 2**-prec
     times its sum of |terms| for the bases (R terms summed), and one grid
     unit per term for the truncation.  When some row cancels more digits
