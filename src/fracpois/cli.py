@@ -191,11 +191,19 @@ def cmd_sample(args) -> int:
     return EXIT_OK
 
 
+def _verify_stream(args, draw: int, attempt: int) -> RngStream:
+    """Stream of one draw of a verify suite under ``--seed``.
+
+    Every draw and every two-stage attempt has its own stream id, so a
+    retry never repeats another seed's first attempt.
+    """
+    return RngStream(args.seed, 2 * draw + attempt)
+
+
 def _suite_pmf_mc(args, params, cfg):
     def run(n, attempt):
-        rng = RngStream(args.seed + attempt, args.stream_id
-                        if hasattr(args, "stream_id") else 0)
-        batch = sample.sample_batch(args.process, params, args.t, n, rng,
+        batch = sample.sample_batch(args.process, params, args.t, n,
+                                    _verify_stream(args, 0, attempt),
                                     gamma=args.gamma)
         rep = verify.gof_pmf(batch, cfg)
         return rep.passed, rep
@@ -211,9 +219,9 @@ def _suite_pmf_mc(args, params, cfg):
 def _suite_min_uniform(args, params, cfg):
     rows = []
     passed = True
-    for u in (0.2, 0.5, 0.8):
-        def run(n, attempt, u=u):
-            rng = RngStream(args.seed + attempt, 1)
+    for draw, u in enumerate((0.2, 0.5, 0.8)):
+        def run(n, attempt, draw=draw, u=u):
+            rng = _verify_stream(args, draw, attempt)
             if params.nu == 1.0:
                 res = verify.check_min_uniform_space(
                     params.alpha, params.lam, args.t, u, n, rng)
@@ -237,11 +245,11 @@ def _suite_subordination(args, params, cfg):
 
     def run(n, attempt):
         a = sample.sample_batch("composed", params, args.t, n,
-                                RngStream(args.seed + attempt, 1),
+                                _verify_stream(args, 0, attempt),
                                 gamma=args.gamma)
         b = sample.sample_batch(
             "space", ProcessParams(params.lam, inner, 1.0), args.t, n,
-            RngStream(args.seed + attempt, 2))
+            _verify_stream(args, 1, attempt))
         rep = verify.gof_two_sample(a.counts, b.counts)
         return rep.passed, rep
 
@@ -289,6 +297,8 @@ def cmd_passage(args) -> int:
         raise UsageError("--k must be >= 0")
     if params.nu != 1.0:
         raise UsageError("first-passage laws require --nu 1")
+    if args.t is None and args.steps < 1:
+        raise UsageError("--steps must be >= 1")
     times = ([args.t] if args.t is not None
              else list(np.linspace(args.tmax / args.steps, args.tmax,
                                    args.steps)))

@@ -1,10 +1,23 @@
 """Exact stochastic samplers for the fractional Poisson processes.
 
-Building blocks: a counter-based (Philox) seeded random source, the
-Chambers-Mallows-Stuck/Kanter sampler for the one-sided stable
-subordinator, Mittag-Leffler renewal waiting times, and the subordinated
-compositions realizing the space-, time- and space-time fractional
-counting processes.
+Every process of the package counts as a Poisson variable with a random
+mean: N(t) = Poisson(lam * T), where the mixing time T is the random
+operational time at which a rate-lam Poisson process is read off.  With
+S_g a one-sided g-stable variable (Laplace transform exp(-z**g)):
+
+* space-fractional:  T = t**(1/alpha) * S_alpha;
+* time-fractional:   T = L_nu(t) = t**nu * S_nu**-nu, the inverse
+  nu-stable subordinator (Meerschaert, Nane & Vellaisamy, EJP 16, 2011);
+* space-time:        T = L_nu(t)**(1/alpha) * S_alpha;
+* composed:          T = (t**(1/gamma) * S_gamma)**(1/alpha) * S_alpha.
+
+So one count path, ``_mixed_poisson_counts``, draws every process: one
+stable draw per subordinator and one Poisson draw per count.  Its other
+building blocks are a counter-based (Philox) seeded random source and the
+Chambers-Mallows-Stuck/Kanter sampler for S_g.  The renewal construction
+of the time-fractional process (epochs of Mittag-Leffler waiting times)
+is kept in :mod:`fracpois.verify` as the independent reference these
+counts are tested against.
 """
 
 from __future__ import annotations
@@ -30,6 +43,10 @@ _MASK64 = (1 << 64) - 1
 _POISSON_MEAN_LIMIT = 4.0e18
 _COUNT_CAP = 1 << 62
 _OVERFLOW_LIMIT = 1e300
+# a child index is one digit of this many bits in the jump count; Philox
+# jumps count blocks of 2**128 draws in a 2**256 counter, so paths of
+# child indices nest four levels deep
+_CHILD_BITS = 32
 
 
 @dataclass(frozen=True)
@@ -37,20 +54,36 @@ class RngStream:
     """Seeded, splittable random source.
 
     Identical (seed, stream_id) always reproduces identical draws;
-    distinct stream_ids index statistically independent Philox streams.
+    distinct stream_ids are distinct Philox keys, so statistically
+    independent streams.  ``substream`` counts jumps of 2**128 draws along
+    the key's counter; it is set by ``child``.
     """
 
     seed: int
     stream_id: int = 0
+    substream: int = 0
 
     def generator(self) -> np.random.Generator:
         key = (self.seed & _MASK64) | ((self.stream_id & _MASK64) << 64)
-        return np.random.Generator(np.random.Philox(key=key))
+        bits = np.random.Philox(key=key)
+        if self.substream:
+            bits = bits.jumped(self.substream)
+        return np.random.Generator(bits)
 
     def child(self, index: int) -> "RngStream":
-        """Derived stream for worker fan-out; index must be unique."""
-        return RngStream(self.seed,
-                         ((self.stream_id + 1) << 20) + index & _MASK64)
+        """Derived stream for worker fan-out, 0 <= index < 2**32 - 1.
+
+        Same Philox key, counter jumped past the parent's own draws: each
+        path of child indices (up to four levels) has its own jump count,
+        so children never overlap their parent, each other or another
+        stream id.
+        """
+        if not 0 <= index < (1 << _CHILD_BITS) - 1:
+            raise ValueError("child index must lie in [0, 2**32 - 1)")
+        sub = (self.substream << _CHILD_BITS) | (index + 1)
+        if sub >> 4 * _CHILD_BITS:
+            raise ValueError("child streams nest at most four levels deep")
+        return RngStream(self.seed, self.stream_id, sub)
 
 
 @dataclass(frozen=True)
@@ -128,6 +161,42 @@ def _stable_unit(gamma: float, size: int, gen: np.random.Generator):
     return out, redraws
 
 
+def _mixed_poisson_counts(lam: float, alpha: float, nu: float, t: float,
+                          n: int, gen: np.random.Generator,
+                          gamma: float | None = None):
+    """n counts Poisson(lam * T) with T the mixing time of the process.
+
+    The operational time is the gamma-stable clock t**(1/gamma) * S_gamma
+    when gamma is given (nu is then unused), else the inverse nu-stable
+    time L_nu(t) = t**nu * S_nu**-nu, which is t at nu = 1.  For alpha < 1
+    the alpha-stable subordinator runs on that clock: T = clock**(1/alpha)
+    * S_alpha.  Returns (counts, stable redraws).
+    """
+    clock, redraws = t, 0
+    with np.errstate(over="ignore"):
+        if gamma is not None:
+            s, redraws = _stable_unit(gamma, n, gen)
+            clock = t ** (1.0 / gamma) * s
+        elif nu != 1.0:
+            s, redraws = _stable_unit(nu, n, gen)
+            clock = t ** nu * s ** -nu
+        if alpha != 1.0:
+            s, rd = _stable_unit(alpha, n, gen)
+            redraws += rd
+            clock = np.minimum(clock ** (1.0 / alpha) * s, _OVERFLOW_LIMIT)
+        mu = lam * np.broadcast_to(clock, (n,))
+    return _poisson_counts(mu, gen), redraws
+
+
+def _one_count(lam: float, alpha: float, nu: float, t: float, rng,
+               gamma: float | None = None) -> int:
+    if not t > 0:
+        raise ValueError("t must be > 0")
+    counts, _ = _mixed_poisson_counts(lam, alpha, nu, t, 1,
+                                      _as_generator(rng), gamma)
+    return int(counts[0])
+
+
 def sample_poisson(mean: float, rng) -> int:
     """One Poisson draw with the given mean (exact sampler)."""
     if not mean >= 0 or not math.isfinite(mean):
@@ -144,31 +213,15 @@ def sample_stable_subordinator(gamma: float, t: float, rng) -> float:
     return float(t ** (1.0 / gamma) * s[0])
 
 
-def _space_fractional_counts(lam: float, alpha: float, t, n: int,
-                             gen: np.random.Generator):
-    """Counts of N_alpha at (possibly per-trial random) times t."""
-    t = np.broadcast_to(np.asarray(t, dtype=float), (n,))
-    if alpha == 1.0:
-        return _poisson_counts(lam * t, gen), 0
-    s, redraws = _stable_unit(alpha, n, gen)
-    with np.errstate(over="ignore"):
-        mu = lam * np.minimum(t ** (1.0 / alpha) * s, _OVERFLOW_LIMIT)
-    return _poisson_counts(mu, gen), redraws
-
-
 def sample_space_fractional(params: ProcessParams, t: float, rng) -> int:
     """One draw of the space-fractional process N_alpha(t) (nu = 1).
 
-    Realized through the subordinated form: a Poisson count with random
-    mean lam * S_alpha(t) for alpha < 1, plain Poisson(lam*t) at alpha=1.
+    A Poisson count with random mean lam * S_alpha(t) for alpha < 1,
+    plain Poisson(lam*t) at alpha = 1.
     """
     if params.nu != 1.0:
         raise ValueError("space-fractional sampler requires nu = 1")
-    if not t > 0:
-        raise ValueError("t must be > 0")
-    counts, _ = _space_fractional_counts(params.lam, params.alpha, t, 1,
-                                         _as_generator(rng))
-    return int(counts[0])
+    return _one_count(params.lam, params.alpha, 1.0, t, rng)
 
 
 def sample_composed_subordination(alpha: float, gamma: float, lam: float,
@@ -180,80 +233,33 @@ def sample_composed_subordination(alpha: float, gamma: float, lam: float,
     """
     if not 0 < alpha <= 1:
         raise ValueError("alpha must lie in (0, 1]")
-    gen = _as_generator(rng)
-    s, _ = _stable_unit(gamma, 1, gen)
-    time = t ** (1.0 / gamma) * s
-    counts, _ = _space_fractional_counts(lam, alpha, time, 1, gen)
-    return int(counts[0])
-
-
-def _ml_waiting_times(nu: float, rate: float, size: int,
-                      gen: np.random.Generator):
-    """Waiting times T with Pr{T > t} = E_nu(-rate * t**nu).
-
-    Mixture representation T = (E**(1/nu) * S_nu) / rate**(1/nu) with E
-    unit exponential and S_nu one-sided stable; exponential at nu = 1.
-    """
-    if nu == 1.0:
-        return gen.exponential(1.0 / rate, size), 0
-    e = gen.standard_exponential(size)
-    s, redraws = _stable_unit(nu, size, gen)
-    return e ** (1.0 / nu) * s / rate ** (1.0 / nu), redraws
+    return _one_count(lam, alpha, 1.0, t, rng, gamma)
 
 
 def sample_ml_waiting_time(nu: float, rate: float, rng) -> float:
-    """One Mittag-Leffler renewal waiting time for a rate-`rate` process."""
+    """One Mittag-Leffler renewal waiting time for a rate-`rate` process.
+
+    Pr{T > t} = E_nu(-rate * t**nu): the nu-stable subordinator read at
+    the first epoch E/rate of the operational Poisson clock, E unit
+    exponential, so T = (E/rate)**(1/nu) * S_nu.
+    """
     if not 0 < nu <= 1:
         raise ValueError("nu must lie in (0, 1]")
     if not rate > 0:
         raise ValueError("rate must be > 0")
-    t, _ = _ml_waiting_times(nu, rate, 1, _as_generator(rng))
-    return float(t[0])
-
-
-def _time_fractional_counts(lam: float, nu: float, t: float, n: int,
-                            gen: np.random.Generator):
-    """Renewal counts: epochs of ML waiting times falling in [0, t]."""
-    counts = np.zeros(n, dtype=np.int64)
-    elapsed = np.zeros(n)
-    active = np.arange(n)
-    redraws = 0
-    while active.size:
-        w, rd = _ml_waiting_times(nu, lam, active.size, gen)
-        redraws += rd
-        elapsed[active] += w
-        within = elapsed[active] <= t
-        counts[active[within]] += 1
-        active = active[within]
-    return counts, redraws
+    gen = _as_generator(rng)
+    first = gen.standard_exponential() / rate
+    if nu == 1.0:
+        return float(first)
+    s, _ = _stable_unit(nu, 1, gen)
+    return float(first ** (1.0 / nu) * s[0])
 
 
 def sample_time_fractional(params: ProcessParams, t: float, rng) -> int:
     """One draw of the time-fractional process N_nu(t) (alpha = 1)."""
     if params.alpha != 1.0:
         raise ValueError("time-fractional sampler requires alpha = 1")
-    if not t > 0:
-        raise ValueError("t must be > 0")
-    counts, _ = _time_fractional_counts(params.lam, params.nu, t, 1,
-                                        _as_generator(rng))
-    return int(counts[0])
-
-
-def _inverse_stable_times(nu: float, t: float, size: int,
-                          gen: np.random.Generator):
-    """Draws of the inverse-nu-stable time change L_nu(t) = t**nu * S**-nu."""
-    s, redraws = _stable_unit(nu, size, gen)
-    return t ** nu * s ** -nu, redraws
-
-
-def _space_time_counts(params: ProcessParams, t: float, n: int,
-                       gen: np.random.Generator):
-    if params.nu == 1.0:
-        return _space_fractional_counts(params.lam, params.alpha, t, n, gen)
-    times, rd1 = _inverse_stable_times(params.nu, t, n, gen)
-    counts, rd2 = _space_fractional_counts(params.lam, params.alpha, times,
-                                           n, gen)
-    return counts, rd1 + rd2
+    return _one_count(params.lam, 1.0, params.nu, t, rng)
 
 
 def sample_space_time(params: ProcessParams, t: float, rng) -> int:
@@ -262,10 +268,7 @@ def sample_space_time(params: ProcessParams, t: float, rng) -> int:
     Space-fractional process run on an inverse-nu-stable time change;
     reproduces the PGF E_nu(-lam**alpha * (1-u)**alpha * t**nu).
     """
-    if not t > 0:
-        raise ValueError("t must be > 0")
-    counts, _ = _space_time_counts(params, t, 1, _as_generator(rng))
-    return int(counts[0])
+    return _one_count(params.lam, params.alpha, params.nu, t, rng)
 
 
 _PROCESSES = ("space", "time", "space-time", "composed")
@@ -292,6 +295,8 @@ def sample_batch(process: str, params: ProcessParams, t: float, n: int,
             raise ValueError("the composed process requires gamma")
         if not 0 < gamma < 1:
             raise ValueError("gamma must lie in (0, 1)")
+    else:
+        gamma = None
     if process == "space" and params.nu != 1.0:
         raise ValueError("the space process requires nu = 1")
     if process == "time" and params.alpha != 1.0:
@@ -299,19 +304,9 @@ def sample_batch(process: str, params: ProcessParams, t: float, n: int,
 
     def run_chunk(idx: int) -> tuple[np.ndarray, int]:
         lo = idx * _CHUNK
-        m = min(_CHUNK, n - lo)
-        gen = rng.child(idx).generator()
-        if process == "space":
-            return _space_fractional_counts(params.lam, params.alpha, t, m, gen)
-        if process == "time":
-            return _time_fractional_counts(params.lam, params.nu, t, m, gen)
-        if process == "space-time":
-            return _space_time_counts(params, t, m, gen)
-        s, rd1 = _stable_unit(gamma, m, gen)
-        times = t ** (1.0 / gamma) * s
-        counts, rd2 = _space_fractional_counts(params.lam, params.alpha,
-                                               times, m, gen)
-        return counts, rd1 + rd2
+        return _mixed_poisson_counts(params.lam, params.alpha, params.nu, t,
+                                     min(_CHUNK, n - lo),
+                                     rng.child(idx).generator(), gamma)
 
     nchunks = (n + _CHUNK - 1) // _CHUNK
     if threads > 1 and nchunks > 1:
@@ -323,4 +318,4 @@ def sample_batch(process: str, params: ProcessParams, t: float, n: int,
     redraws = sum(r for _, r in results)
     return SampleBatch(counts=counts, params=params, t=t, seed=rng.seed,
                        n=n, stream_id=rng.stream_id, redraws=redraws,
-                       gamma=gamma if process == "composed" else None)
+                       gamma=gamma)

@@ -51,6 +51,9 @@ _DOUBLE_HEADROOM_DIGITS = 52 * math.log10(2.0)
 _EPS = 2.0 ** -52           # machine epsilon of a double
 # the series stop rule: past the peak, terms must fall by this ratio or less
 _STOP_RATIO = 0.9
+# the prescan ends once every row's last term is this many nats below both
+# its peak and 1 (and past its hump; see _kernel_profile)
+_PRESCAN_DROP = 250.0
 # bits of each row's summation grid below the working precision, so that
 # truncating a term onto the grid errs by 2**-16 of its rounding allowance
 _GRID_GUARD_BITS = 16
@@ -102,32 +105,50 @@ def gamma_ratio_ff(z: float, k: int) -> float:
 
 def _kernel_profile(alpha: float, kmax: int, w: float, nu: float,
                     max_terms: int) -> tuple[np.ndarray, np.ndarray]:
-    """Natural-log magnitudes of the terms of S_kmax, r = 0..max_terms, and
+    """Natural-log magnitudes of the terms of S_kmax, r = 0, 1, ..., and
     the peak log magnitude of each row S_0..S_kmax.
 
     Cheap double-precision scan used only to size the working precision,
     locate the hump of the series and place each row's summation grid; not
-    part of any certificate.
+    part of any certificate.  It runs in doubling blocks of r up to
+    r = min(max_terms, 50_000) and stops early once r > kmax/alpha + 2,
+    where every row's log magnitude is concave in r, and the last term of
+    every row lies _PRESCAN_DROP nats below both its row's peak and 1: no
+    row peaks again, and the stop rule's test on the last row (ratio at
+    most _STOP_RATIO, tail within rel_tol) holds within the profile for
+    any rel_tol above exp(-_PRESCAN_DROP).
     """
     rmax = min(max_terms, 50_000)
-    r = np.arange(rmax + 1, dtype=float)
+    logw = math.log(abs(w))
+    j = np.arange(kmax, dtype=float)
+    # rows of a block are a (block, kmax) matrix; blocks bound its memory
+    cap = max(1, 2_000_000 // (kmax + 1))
+    peaks = np.full(kmax + 1, -np.inf)
+    blocks = []
+    lo = 0
     with np.errstate(divide="ignore", invalid="ignore"):
-        lt = r * math.log(abs(w)) - gammaln(nu * r + 1.0)
-        lt[~np.isfinite(lt)] = -np.inf
-        peaks = np.full(kmax + 1, -np.inf)
-        peaks[0] = lt.max()
-        if kmax > 0:
-            # row k adds sum_{j<k} log|alpha*r - j|: a cumulative sum over j,
-            # taken in chunks of r to bound memory
-            j = np.arange(kmax, dtype=float)
-            step = max(1, 2_000_000 // (kmax + 1))
-            for lo in range(0, rmax + 1, step):
-                hi = min(lo + step, rmax + 1)
-                rows = lt[lo:hi, None] + np.cumsum(np.log(
-                    np.abs(alpha * r[lo:hi, None] - j[None, :])), axis=1)
+        while lo <= rmax:
+            hi = min(rmax + 1, lo + min(cap, max(lo, 64)))
+            r = np.arange(lo, hi, dtype=float)
+            lt = r * logw - gammaln(nu * r + 1.0)
+            lt[~np.isfinite(lt)] = -np.inf
+            last = [lt[-1]]
+            np.maximum(peaks[:1], lt.max(), out=peaks[:1])
+            if kmax > 0:
+                # row k adds sum_{j<k} log|alpha*r - j|: a cumsum over j
+                rows = lt[:, None] + np.cumsum(np.log(
+                    np.abs(alpha * r[:, None] - j[None, :])), axis=1)
                 np.maximum(peaks[1:], rows.max(axis=0), out=peaks[1:])
-                lt[lo:hi] = rows[:, -1]
-    return lt, peaks
+                lt = rows[:, -1]
+                last = np.concatenate((last, rows[-1]))
+            blocks.append(lt)
+            lo = hi
+            if (hi - 1 > kmax / alpha + 2 and lt.size > 1
+                    and lt[-1] - lt[-2] <= math.log(_STOP_RATIO)
+                    and np.all(last <= np.minimum(peaks, 0.0)
+                               - _PRESCAN_DROP)):
+                break
+    return np.concatenate(blocks), peaks
 
 
 def _kernel_bases(w: float, nu: float):

@@ -2,9 +2,12 @@
 
 Chi-square goodness of fit of sampled counts against the closed-form
 PMFs, the min-of-uniforms representation checks of the generating
-functions, the governing-equation residual test, and an independent
-extended-precision oracle for the PMF (deliberately sharing no series
-code with :mod:`fracpois.special_fn`).
+functions, the governing-equation residual test, and two independent
+references: an extended-precision oracle for the PMF (deliberately
+sharing no series code with :mod:`fracpois.special_fn`), and the renewal
+construction of the time-fractional process (epochs of Mittag-Leffler
+waiting times), against which the mixed-Poisson counts of
+:mod:`fracpois.sample` are tested.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ __all__ = [
     "gof_two_sample", "check_min_uniform_space",
     "check_min_uniform_space_time", "check_ode_residual", "oracle_pmf",
     "write_fixture", "load_fixture", "check_fixture", "two_stage",
-    "MinUniformResult",
+    "MinUniformResult", "renewal_batch",
 ]
 
 REJECT_P = 1e-3          # statistical failure threshold (with two-stage rule)
@@ -153,13 +156,11 @@ def _min_uniform_result(counts: np.ndarray, alpha: float, u: float,
                         analytic: float, gen: np.random.Generator
                         ) -> MinUniformResult:
     n = len(counts)
-    v = gen.random(n)
-    hold = np.ones(n, dtype=bool)
-    pos = counts > 0
-    # min of N uniforms sampled by inversion: 1 - V**(1/N)
-    minx = 1.0 - v[pos] ** (1.0 / counts[pos])
-    hold[pos] = minx >= (1.0 - u) ** alpha
-    emp = float(hold.mean())
+    # the min of N uniforms is 1 - V**(1/N) (inversion), so the event
+    # min >= c is log V <= N*log1p(-c); at N = 0 it always holds
+    with np.errstate(divide="ignore"):
+        logv = np.log(gen.random(n))
+    emp = float(np.mean(logv <= counts * math.log1p(-(1.0 - u) ** alpha)))
     sigma = math.sqrt(max(analytic * (1.0 - analytic), 1e-300) / n)
     return MinUniformResult(emp, analytic, (emp - analytic) / sigma)
 
@@ -188,7 +189,8 @@ def check_min_uniform_space_time(alpha: float, nu: float, lam: float,
     if not 0 < u < 1:
         raise ValueError("u must lie in (0, 1)")
     gen = sample._as_generator(rng)
-    counts, _ = sample._time_fractional_counts(lam ** alpha, nu, t, n, gen)
+    counts, _ = sample._mixed_poisson_counts(lam ** alpha, 1.0, nu, t, n,
+                                             gen)
     analytic = mittag_leffler(
         nu, -(lam ** alpha) * t ** nu * (1.0 - u) ** alpha).value
     return _min_uniform_result(counts, alpha, u, analytic, gen)
@@ -213,6 +215,53 @@ def check_ode_residual(params: ProcessParams, t: float, K: int,
     rhs = -(params.lam ** params.alpha) * frac_ops.apply_frac_difference(
         p_mid, params.alpha)
     return float(np.max(np.abs(dpdt - rhs)))
+
+
+# ---------------------------------------------------------------------------
+# independent renewal construction of the time-fractional process
+
+def _ml_waiting_times(nu: float, rate: float, size: int,
+                      gen: np.random.Generator):
+    """Waiting times T with Pr{T > t} = E_nu(-rate * t**nu).
+
+    Mixture representation T = (E**(1/nu) * S_nu) / rate**(1/nu) with E
+    unit exponential and S_nu one-sided stable; exponential at nu = 1.
+    """
+    if nu == 1.0:
+        return gen.exponential(1.0 / rate, size), 0
+    e = gen.standard_exponential(size)
+    s, redraws = sample._stable_unit(nu, size, gen)
+    return e ** (1.0 / nu) * s / rate ** (1.0 / nu), redraws
+
+
+def renewal_batch(params: ProcessParams, t: float, n: int,
+                  rng: sample.RngStream) -> sample.SampleBatch:
+    """n time-fractional counts N_nu(t) by the renewal construction.
+
+    Each count is the number of epochs of i.i.d. Mittag-Leffler waiting
+    times of rate lam within [0, t], drawn round after round until every
+    realization has passed t.  The reference that the mixed-Poisson
+    counts of ``sample_batch("time", ...)`` are tested against.
+    """
+    if params.alpha != 1.0:
+        raise ValueError("the renewal construction requires alpha = 1")
+    if not t > 0:
+        raise ValueError("t must be > 0")
+    gen = rng.generator()
+    counts = np.zeros(n, dtype=np.int64)
+    elapsed = np.zeros(n)
+    active = np.arange(n)
+    redraws = 0
+    while active.size:
+        w, rd = _ml_waiting_times(params.nu, params.lam, active.size, gen)
+        redraws += rd
+        elapsed[active] += w
+        within = elapsed[active] <= t
+        counts[active[within]] += 1
+        active = active[within]
+    return sample.SampleBatch(counts=counts, params=params, t=t,
+                              seed=rng.seed, n=n, stream_id=rng.stream_id,
+                              redraws=redraws)
 
 
 # ---------------------------------------------------------------------------

@@ -173,12 +173,19 @@ def test_criterion_10_time_fractional_cross_check():
             worst = max(worst, gap)
             ok_series = ok_series and gap <= bound
 
-    def run(n, attempt):
-        batch = sample_batch("time", ProcessParams(1.0, 1.0, 0.5), 1.0, n,
-                             RngStream(210 + attempt))
-        rep = verify.gof_pmf(batch)
-        return rep.passed, rep
+    params = ProcessParams(1.0, 1.0, 0.5)
 
-    ok_gof, rep = verify.two_stage(run, 1_000_000)
-    _report(10, "time-fractional cross-check", ok_series and ok_gof,
-            f"max series gap {worst:.2e}, renewal GoF p={rep.p_value:.4f}")
+    def gof(draw):
+        def run(n, attempt):
+            rep = verify.gof_pmf(draw(n, attempt))
+            return rep.passed, rep
+        return verify.two_stage(run, 1_000_000)
+
+    ok_renewal, renewal = gof(lambda n, attempt: verify.renewal_batch(
+        params, 1.0, n, RngStream(210 + attempt)))
+    ok_mixture, mixture = gof(lambda n, attempt: sample_batch(
+        "time", params, 1.0, n, RngStream(210 + attempt, 1)))
+    _report(10, "time-fractional cross-check",
+            ok_series and ok_renewal and ok_mixture,
+            f"max series gap {worst:.2e}, renewal GoF "
+            f"p={renewal.p_value:.4f}, mixture GoF p={mixture.p_value:.4f}")

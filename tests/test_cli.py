@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from fracpois import cli, dist
+from fracpois import cli, dist, sample, verify
 from fracpois.dist import ProcessParams
 
 
@@ -92,6 +92,15 @@ def test_passage_one_kernel_row_per_step(capsys, monkeypatch):
     assert len(calls) == 25
 
 
+@pytest.mark.parametrize("steps", ["0", "-3"])
+def test_passage_steps_must_be_positive(capsys, steps):
+    code, _, err = run_cli(capsys, "passage", "--lambda", "1.0", "--alpha",
+                           "0.5", "--k", "1", "--tmax", "1.0", "--steps",
+                           steps)
+    assert code == 1
+    assert "--steps" in err
+
+
 def test_passage_single_time(capsys):
     code, out, _ = run_cli(capsys, "passage", "--lambda", "1.0", "--k", "0",
                            "--t", "1.0", "--format", "json")
@@ -165,3 +174,67 @@ def test_verify_pmf_mc_composed_passes(capsys, seed):
                            "--seed", seed, "--format", "json")
     assert code == 0
     assert json.loads(out)["meta"]["passed"] is True
+
+
+def _first_draws(rng):
+    return tuple(rng.generator().random(4))
+
+
+def test_verify_retries_draw_their_own_streams(capsys, monkeypatch):
+    """A retry must not repeat the next seed's first attempt."""
+    streams = []
+
+    def record(process, params, t, n, rng, **kwargs):
+        streams.append(_first_draws(rng))
+        return type("Batch", (), {"counts": None})
+
+    failing = verify.GofReport(0.0, 1, 0.0, [])
+    monkeypatch.setattr(sample, "sample_batch", record)
+    monkeypatch.setattr(verify, "gof_pmf", lambda batch, cfg: failing)
+    monkeypatch.setattr(verify, "gof_two_sample", lambda a, b: failing)
+    for seed in ("5", "6"):
+        assert run_cli(capsys, "verify", "--suite", "pmf-mc", "--lambda",
+                       "1", "--t", "1", "--seed", seed)[0] == 3
+        assert run_cli(capsys, "verify", "--suite", "subordination",
+                       "--alpha", "0.8", "--gamma", "0.5", "--lambda", "1",
+                       "--t", "1", "--seed", seed)[0] == 3
+    # per seed: two pmf-mc attempts, then two subordination attempts of
+    # two draws each
+    assert len(streams) == 12
+    for seed in (streams[:6], streams[6:]):
+        pmf_mc, subordination = seed[:2], seed[2:]
+        assert len(set(pmf_mc)) == 2 and len(set(subordination)) == 4
+    assert not set(streams[:6]) & set(streams[6:])
+
+
+def test_min_uniform_draws_one_stream_per_u(capsys, monkeypatch):
+    streams = []
+
+    def record(alpha, lam, t, u, n, rng):
+        streams.append(_first_draws(rng))
+        return verify.MinUniformResult(0.5, 0.5, 0.0)
+
+    monkeypatch.setattr(verify, "check_min_uniform_space", record)
+    code, _, _ = run_cli(capsys, "verify", "--suite", "min-uniform",
+                         "--alpha", "0.7", "--lambda", "1", "--t", "1")
+    assert code == 0
+    assert len(streams) == 3 and len(set(streams)) == 3
+
+
+def test_sample_meta_reports_redraws(capsys, monkeypatch):
+    stable_unit = sample._stable_unit
+    redraws = []
+
+    def one_more(gamma, size, gen):
+        s, rd = stable_unit(gamma, size, gen)
+        redraws.append(rd + 1)
+        return s, rd + 1
+
+    monkeypatch.setattr(sample, "_stable_unit", one_more)
+    code, out, _ = run_cli(capsys, "sample", "--process", "space-time",
+                           "--lambda", "1", "--alpha", "0.5", "--nu", "0.7",
+                           "--t", "1", "--n", "10", "--seed", "0",
+                           "--format", "json")
+    assert code == 0
+    assert len(redraws) == 2
+    assert json.loads(out)["meta"]["redraws"] == sum(redraws)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import erfcinv
 
-from fracpois import sample
+from fracpois import sample, verify
 from fracpois.dist import ProcessParams
 from fracpois.sample import RngStream, SampleBatch, sample_batch
 from fracpois.special_fn import mittag_leffler
@@ -24,9 +24,23 @@ def test_rng_stream_ids_differ():
 
 def test_child_streams_are_distinct():
     root = RngStream(11)
-    kids = {root.child(i).stream_id for i in range(100)}
+    kids = {tuple(root.child(i).generator().random(2)) for i in range(100)}
     assert len(kids) == 100
-    assert root.stream_id not in kids
+    assert tuple(root.generator().random(2)) not in kids
+
+
+def test_child_streams_do_not_alias_other_stream_ids():
+    a = RngStream(7, 1 << 20).generator().random(4)
+    b = RngStream(7, 0).child(0).generator().random(4)
+    assert not np.array_equal(a, b)
+
+
+def test_child_index_range():
+    with pytest.raises(ValueError):
+        RngStream(0).child(-1)
+    deep = RngStream(0).child(1).child(2).child(3).child(4)
+    with pytest.raises(ValueError):
+        deep.child(0)
 
 
 def test_sample_batch_length_check():
@@ -95,7 +109,7 @@ def test_ml_waiting_time_survival():
     gen = RngStream(17).generator()
     n = 200_000
     nu, lam = 0.6, 1.3
-    w, _ = sample._ml_waiting_times(nu, lam, n, gen)
+    w, _ = verify._ml_waiting_times(nu, lam, n, gen)
     for t in (0.5, 1.0, 2.0):
         emp = float((w > t).mean())
         target = mittag_leffler(nu, -lam * t ** nu).value
@@ -103,9 +117,19 @@ def test_ml_waiting_time_survival():
         assert abs(emp - target) < 4 * se
 
 
+def test_scalar_ml_waiting_time_survival():
+    gen = RngStream(19).generator()
+    n = 20_000
+    w = np.array([sample.sample_ml_waiting_time(0.6, 1.3, gen)
+                  for _ in range(n)])
+    emp = float((w > 1.0).mean())
+    target = mittag_leffler(0.6, -1.3).value
+    assert abs(emp - target) < 4 * math.sqrt(target * (1 - target) / n)
+
+
 def test_ml_waiting_time_exponential_case():
     gen = RngStream(17).generator()
-    w, _ = sample._ml_waiting_times(1.0, 2.0, 100_000, gen)
+    w, _ = verify._ml_waiting_times(1.0, 2.0, 100_000, gen)
     assert w.mean() == pytest.approx(0.5, rel=0.02)
 
 
@@ -138,6 +162,43 @@ def test_time_fractional_pgf_empirical():
     target = mittag_leffler(0.5, -(1 - u)).value
     se = y.std() / math.sqrt(batch.n)
     assert abs(y.mean() - target) < 4 * se
+
+
+def test_time_counts_match_renewal_reference():
+    """Mixture counts Poisson(lam * L_nu(t)) against renewal epochs."""
+    params = ProcessParams(2.0, 1.0, 0.3)
+
+    def run(n, attempt):
+        a = sample_batch("time", params, 3.0, n, RngStream(61, attempt))
+        b = verify.renewal_batch(params, 3.0, n, RngStream(61, 2 + attempt))
+        rep = verify.gof_two_sample(a.counts, b.counts)
+        return rep.passed, rep
+
+    passed, rep = verify.two_stage(run, 100_000)
+    assert passed, rep.p_value
+
+
+@pytest.mark.parametrize("process,params,calls", [
+    ("space", ProcessParams(1.0, 0.5), 2),
+    ("time", ProcessParams(1.0, 1.0, 0.7), 2),
+    ("space-time", ProcessParams(1.0, 0.5, 0.7), 4),
+    ("composed", ProcessParams(1.0, 0.5), 4),
+])
+def test_batch_counts_stable_redraws(monkeypatch, process, params, calls):
+    """Every chunk's stable redraws add up in SampleBatch.redraws."""
+    stable_unit = sample._stable_unit
+    redraws = []
+
+    def one_more(gamma, size, gen):
+        s, rd = stable_unit(gamma, size, gen)
+        redraws.append(rd + 1)
+        return s, rd + 1
+
+    monkeypatch.setattr(sample, "_stable_unit", one_more)
+    batch = sample_batch(process, params, 1.0, sample._CHUNK + 1,
+                         RngStream(3), gamma=0.5)
+    assert len(redraws) == calls
+    assert batch.redraws == sum(redraws)
 
 
 def test_batch_deterministic_across_threads():

@@ -1,9 +1,11 @@
 import math
 
 import mpmath as mp
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import gammaln
 
 from fracpois import special_fn
 from fracpois.dist import ProcessParams
@@ -233,6 +235,36 @@ def test_series_rounding_certificate(monkeypatch, alpha, kmax, w, nu):
     with mp.workdps(400):
         for v, b, ref in zip(vals, bounds, refs):
             assert abs(v - ref) <= b
+
+
+def _full_profile(alpha, kmax, w, nu, rmax):
+    """Every row's log term magnitudes over r = 0..rmax, without stopping."""
+    r = np.arange(rmax + 1, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lt = r * math.log(abs(w)) - gammaln(nu * r + 1.0)
+        lt[~np.isfinite(lt)] = -np.inf
+        rows = lt[:, None] + np.cumsum(np.log(np.abs(
+            alpha * r[:, None] - np.arange(kmax)[None, :])), axis=1)
+    rows = np.column_stack([lt, rows])
+    return rows[:, -1], rows.max(axis=0)
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.5, 0.7, 1.0])
+@pytest.mark.parametrize("nu", [0.05, 0.3, 0.5, 0.7, 1.0])
+def test_truncated_profile_matches_full_scan(alpha, nu):
+    """The prescan may stop early only where the rest of the scan would
+    change no peak, no precision and no predicted series length."""
+    for w in (-100.0, -8.0, -1.0, -1e-3):
+        for kmax in (0, 1, 10, 30, 100):
+            profile, peaks = special_fn._kernel_profile(alpha, kmax, w, nu,
+                                                        10_000)
+            full, full_peaks = _full_profile(alpha, kmax, w, nu, 10_000)
+            assert np.array_equal(peaks, full_peaks)
+            assert np.array_equal(profile, full[:profile.size])
+            assert np.argmax(profile) == np.argmax(full)
+            for tol in (1e-12, 1e-60):
+                assert (special_fn._series_length(profile, tol)
+                        == special_fn._series_length(full, tol))
 
 
 def test_series_config_validation():
