@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+from types import SimpleNamespace
 
 import pytest
 
@@ -186,7 +187,7 @@ def test_verify_retries_draw_their_own_streams(capsys, monkeypatch):
 
     def record(process, params, t, n, rng, **kwargs):
         streams.append(_first_draws(rng))
-        return type("Batch", (), {"counts": None})
+        return SimpleNamespace(counts=None)
 
     failing = verify.GofReport(0.0, 1, 0.0, [])
     monkeypatch.setattr(sample, "sample_batch", record)
