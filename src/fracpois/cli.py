@@ -43,22 +43,40 @@ def _fmt(value):
     return str(value)
 
 
+def _write(text, out):
+    if out:
+        with open(out, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+
+
 def _emit(rows, meta, fmt, out):
-    fh = open(out, "w", encoding="utf-8", newline="\n") if out else sys.stdout
-    try:
-        if fmt == "json":
-            payload = {"meta": meta, "rows": rows}
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
-        else:
-            if rows:
-                keys = list(rows[0].keys())
-                fh.write(",".join(keys) + "\n")
-                for row in rows:
-                    fh.write(",".join(_fmt(row[key]) for key in keys) + "\n")
-    finally:
-        if out:
-            fh.close()
+    if fmt == "json":
+        text = json.dumps({"meta": meta, "rows": rows}, indent=2) + "\n"
+    elif rows:
+        keys = list(rows[0].keys())
+        lines = [",".join(keys)] + [",".join(_fmt(row[key]) for key in keys)
+                                    for row in rows]
+        text = "\n".join(lines) + "\n"
+    else:
+        text = ""
+    _write(text, out)
+
+
+def _emit_counts(counts, meta, fmt, out):
+    """``_emit`` of the rows {"count": c}, written straight from the
+    integer array: the same bytes without a dict per count."""
+    counts = counts.tolist()
+    if fmt == "json":
+        # json.dumps(..., indent=2) of {"meta": meta, "rows": rows}
+        head = json.dumps({"meta": meta}, indent=2)[:-2]
+        rows = '\n    },\n    {\n      "count": '.join(map(str, counts))
+        text = (head + ',\n  "rows": [\n    {\n      "count": ' + rows
+                + "\n    }\n  ]\n}\n")
+    else:
+        text = "count\n" + "\n".join(map(str, counts)) + "\n"
+    _write(text, out)
 
 
 def _add_common(p, need_t=True):
@@ -173,21 +191,43 @@ def cmd_pgf(args) -> int:
     return EXIT_OK
 
 
+def _threads(args) -> int:
+    """Worker threads of ``sample``: --threads, else FRACPOIS_THREADS, else 1."""
+    if args.threads is not None:
+        threads, source = args.threads, "--threads"
+    else:
+        source = "FRACPOIS_THREADS"
+        try:
+            threads = int(os.environ.get(source, "1"))
+        except ValueError as exc:
+            raise UsageError(f"{source} must be an integer") from exc
+    if threads < 1:
+        raise UsageError(f"{source} must be >= 1")
+    return threads
+
+
+def _stream(seed: int, stream_id: int = 0) -> RngStream:
+    try:
+        return RngStream(seed, stream_id)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+
+
 def cmd_sample(args) -> int:
     params, _ = _params(args), _cfg(args)
     if args.n < 1:
         raise UsageError("--n must be >= 1")
-    threads = args.threads or int(os.environ.get("FRACPOIS_THREADS", "1"))
+    rng, threads = _stream(args.seed, args.stream_id), _threads(args)
     try:
         batch = sample.sample_batch(args.process, params, args.t, args.n,
-                                    RngStream(args.seed, args.stream_id),
-                                    gamma=args.gamma, threads=threads)
+                                    rng, gamma=args.gamma, threads=threads)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    rows = [{"count": int(c)} for c in batch.counts]
-    _emit(rows, _meta(args, process=args.process, n=args.n, seed=args.seed,
-                      stream_id=args.stream_id, redraws=batch.redraws),
-          args.format, args.out)
+    _emit_counts(batch.counts, _meta(args, process=args.process, n=args.n,
+                                     seed=args.seed,
+                                     stream_id=args.stream_id,
+                                     redraws=batch.redraws),
+                 args.format, args.out)
     return EXIT_OK
 
 
@@ -279,6 +319,7 @@ def _suite_oracle(args, params, cfg):
 
 def cmd_verify(args) -> int:
     params, cfg = _params(args), _cfg(args)
+    _stream(args.seed)      # --seed is checked for every suite
     suites = {"pmf-mc": _suite_pmf_mc, "min-uniform": _suite_min_uniform,
               "subordination": _suite_subordination, "ode": _suite_ode,
               "oracle": _suite_oracle}

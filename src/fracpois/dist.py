@@ -20,13 +20,11 @@ from dataclasses import dataclass
 
 import mpmath as mp
 import numpy as np
-from scipy import integrate
-from scipy.special import gammainc, gammaln
 
 from .special_fn import (_EPS, DEFAULT_CONFIG, EvalResult, NonConvergence,
-                         SeriesConfig, _exp_error_bound, _sum_series,
-                         _to_double, mittag_leffler,
-                         wright_psi11_weighted_rows)
+                         SeriesConfig, _exp_error_bound, _lgamma,
+                         _scan_profile, _sum_series, _to_double,
+                         mittag_leffler, wright_psi11_weighted_rows)
 
 __all__ = [
     "ProcessParams", "PmfRow", "pmf", "pmf_row", "pmf_time_fractional_direct",
@@ -124,7 +122,11 @@ def pmf_time_fractional_direct(params: ProcessParams, t: float, k: int,
     x = lam*t**nu: the (r+k)!/r! recurrence and its own term profile, summed
     by the same certified engine as the kernel series
     (``special_fn._sum_series``).  Used to cross-validate ``pmf`` for the
-    alpha = 1 reduction.
+    alpha = 1 reduction.  The log term magnitudes are concave in r (the
+    ratio of successive terms falls), so the profile is scanned in
+    doubling blocks (``special_fn._scan_profile``) up to
+    r = min(max_terms, 50_000), stopping once past the peak and
+    _PRESCAN_DROP nats below both the peak and 1.
     """
     if params.alpha != 1.0:
         raise ValueError("direct time-fractional form requires alpha = 1")
@@ -139,9 +141,13 @@ def pmf_time_fractional_direct(params: ProcessParams, t: float, k: int,
     if nu == 1.0:
         return _poisson_row(params.lam * t, k)
     x = params.lam * t ** nu
-    r = np.arange(min(cfg.max_terms, 50_000) + 1, dtype=float)
-    profile = (gammaln(r + k + 1) - gammaln(r + 1) - gammaln(k + 1)
-               + (r + k) * math.log(x) - gammaln(nu * (k + r) + 1.0))
+    logx, lgk = math.log(x), math.lgamma(k + 1)
+
+    def block(r):
+        return (_lgamma(r + k + 1) - _lgamma(r + 1) - lgk + (r + k) * logx
+                - _lgamma(nu * (k + r) + 1.0))[:, None]
+
+    profile, peaks = _scan_profile(block, 1, min(cfg.max_terms, 50_000), 0)
 
     def bases():
         # gamma arguments must be built in working precision: forming
@@ -154,8 +160,7 @@ def pmf_time_fractional_direct(params: ProcessParams, t: float, k: int,
             yield rise * mp.rgamma(nu_mp * (k + r) + 1)
             rise = rise * xm * (r + k + 1) / (r + 1)
 
-    vals, bounds, terms = _sum_series(bases, 1.0, [profile.max()], profile,
-                                      cfg)
+    vals, bounds, terms = _sum_series(bases, 1.0, peaks, profile, cfg)
     res = _to_double(vals[0], bounds[0], terms)
     return PmfRow(k, res.value, res.abs_error_bound)
 
@@ -342,48 +347,46 @@ def first_passage_density(params: ProcessParams, t: float, k: int,
 
 
 # ---------------------------------------------------------------------------
-# large-k survival via the Poisson-over-stable mixture (nu = 1, alpha < 1)
-
-def _stable_pdf_unit(x: float, alpha: float) -> float:
-    """Density of the one-sided alpha-stable law with LT exp(-z**alpha).
-
-    Only the alpha = 1/2 (Levy) case has a closed form accurate enough
-    for tail quadrature; other orders are rejected.
-    """
-    if alpha != 0.5:
-        raise ValueError("stable density available in closed form only "
-                         "for alpha = 1/2")
-    if x <= 0.0:
-        return 0.0
-    return x ** -1.5 / (2.0 * math.sqrt(math.pi)) * math.exp(-0.25 / x)
-
+# large-k survival via the Poisson-over-stable mixture (nu = 1, alpha = 1/2)
 
 def survival_subordination(params: ProcessParams, t: float, k: int) -> float:
-    """Pr{N(t) > k} by quadrature against the stable subordinator density.
+    """Pr{N(t) > k} from the subordinated representation, for any k.
 
-    Uses the subordinated representation of the space-fractional process:
-    the count is Poisson with random mean lam * S_alpha(t).  Well
+    The space-fractional count is Poisson with random mean lam * S(t),
+    S the alpha-stable subordinator, so Pr{N(t) > k} = Pr{G <= lam*S} with
+    G ~ Gamma(k+1) independent of S.  At alpha = 1/2 (the Levy case)
+    Pr{S(t) >= x} = erf(t / (2*sqrt(x))), hence
+
+        Pr{N(t) > k} = E[erf(c / sqrt(G))],   c = t*sqrt(lam)/2,
+
+    an integral of a positive integrand with no cancellation, well
     conditioned for arbitrarily large k, unlike the alternating series.
-    Requires nu = 1 and alpha = 1/2 (the Levy case with a closed-form
-    subordinator density).
+
+    It is summed in doubles by the trapezoidal rule in v = log G about the
+    mode log(k+1), where the Gamma(k+1) density is proportional to
+    exp(-(k+1)*(expm1(x) - x)), x = v - log(k+1): formed this way its
+    argument loses no digits to the cancellation of (k+1)*v, e**v and
+    log k!.  The step is min(0.1, 1/(4*sqrt(k+1))), a quarter of the
+    density's width; the integrand is analytic in the strip |Im v| < pi/2,
+    so the rule's error is far below double rounding.  The rule's sum of
+    the density weights, 1 to within that error, normalises the result,
+    so no constant of the density enters.  Requires nu = 1 and
+    alpha = 1/2.
     """
     if params.nu != 1.0 or params.alpha != 0.5:
         raise ValueError("subordination route requires nu = 1, alpha = 1/2")
     if k < 0:
         raise ValueError("k must be >= 0")
-    lam, alpha = params.lam, params.alpha
-    scale = t ** (1.0 / alpha)
-
-    def integrand(s):
-        return (gammainc(k + 1, lam * s)
-                * _stable_pdf_unit(s / scale, alpha) / scale)
-
-    mid = (k + 1.0) / lam + scale
-    total = 0.0
-    for a, b in ((0.0, mid), (mid, 10.0 * mid)):
-        val, _ = integrate.quad(integrand, a, b, limit=200)
-        total += val
-    # map the tail onto (0, 1/(10*mid)] to keep the quadrature finite
-    val, _ = integrate.quad(lambda v: integrand(1.0 / v) / v ** 2,
-                            0.0, 1.0 / (10.0 * mid), limit=200)
-    return total + val
+    if t < 0:
+        raise ValueError("t must be >= 0")
+    n = k + 1.0
+    h = min(0.1, 0.25 / math.sqrt(n))
+    # the log weight -n*(expm1(x) - x) is below -50 outside [lo, hi]:
+    # expm1(x) - x >= x**2/2 for x >= 0 and >= |x| - 1 for x < 0
+    hi = math.sqrt(100.0 / n)
+    lo = -(50.0 / n + 1.0 if n < 150.0 else math.sqrt(150.0 / n))
+    x = h * np.arange(math.floor(lo / h), math.ceil(hi / h) + 1)
+    weight = np.exp(-n * (np.expm1(x) - x))
+    z = t * math.sqrt(params.lam) / (2.0 * math.sqrt(n)) * np.exp(-0.5 * x)
+    erf = np.fromiter(map(math.erf, z.tolist()), float, z.size)
+    return float(erf @ weight / weight.sum())

@@ -27,6 +27,9 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
+# numpy loads its random module lazily: load it with this module, not in
+# the first draw
+import numpy.random  # noqa: F401
 
 from .dist import ProcessParams
 
@@ -37,7 +40,6 @@ __all__ = [
     "sample_batch",
 ]
 
-_MASK64 = (1 << 64) - 1
 # numpy's poisson sampler rejects means near 2**63; counts beyond the cap
 # are astronomically larger than any analysis bin and are clamped.
 _POISSON_MEAN_LIMIT = 4.0e18
@@ -55,16 +57,22 @@ class RngStream:
 
     Identical (seed, stream_id) always reproduces identical draws;
     distinct stream_ids are distinct Philox keys, so statistically
-    independent streams.  ``substream`` counts jumps of 2**128 draws along
-    the key's counter; it is set by ``child``.
+    independent streams.  seed and stream_id are the two 64-bit halves of
+    the key, so each must lie in [0, 2**64).  ``substream`` counts jumps of
+    2**128 draws along the key's counter; it is set by ``child``.
     """
 
     seed: int
     stream_id: int = 0
     substream: int = 0
 
+    def __post_init__(self):
+        for name in ("seed", "stream_id"):
+            if not 0 <= getattr(self, name) < 1 << 64:
+                raise ValueError(f"{name} must lie in [0, 2**64)")
+
     def generator(self) -> np.random.Generator:
-        key = (self.seed & _MASK64) | ((self.stream_id & _MASK64) << 64)
+        key = self.seed | (self.stream_id << 64)
         bits = np.random.Philox(key=key)
         if self.substream:
             bits = bits.jumped(self.substream)

@@ -41,7 +41,6 @@ from dataclasses import dataclass
 import mpmath as mp
 import numpy as np
 from mpmath import libmp
-from scipy.special import gammaln
 
 _LN10 = math.log(10.0)
 _LN2 = math.log(2.0)
@@ -103,52 +102,74 @@ def gamma_ratio_ff(z: float, k: int) -> float:
     return p
 
 
+def _lgamma(x: np.ndarray) -> np.ndarray:
+    """log Gamma of each entry of a 1-D array of positive doubles
+    (``math.lgamma`` elementwise)."""
+    return np.fromiter(map(math.lgamma, x.tolist()), float, x.size)
+
+
+def _scan_profile(block, rows: int, rmax: int, r_concave: float
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """Natural-log term magnitudes of one or more series, r = 0, 1, ...
+
+    ``block(r)`` maps a float array of term indices to the (len(r), rows)
+    matrix of the rows' log magnitudes.  The scan runs in doubling blocks
+    (64, 64, 128, ..., each matrix within 2e6 entries) up to r = rmax and
+    stops early once r > r_concave, past which every row's log magnitude
+    is concave in r, the last row has fallen by a ratio of at most
+    _STOP_RATIO, and the last term of every row lies _PRESCAN_DROP nats
+    below both its row's peak and 1: no row peaks again, so the argmax
+    and maximum of every row are those of the full scan.
+
+    Returns the last row's log magnitudes and the peak of each row.
+    """
+    cap = max(1, 2_000_000 // rows)
+    peaks = np.full(rows, -np.inf)
+    blocks = []
+    lo = 0
+    while lo <= rmax:
+        hi = min(rmax + 1, lo + min(cap, max(lo, 64)))
+        lt = block(np.arange(lo, hi, dtype=float))
+        lt[~np.isfinite(lt)] = -np.inf
+        np.maximum(peaks, lt.max(axis=0), out=peaks)
+        last = lt[:, -1]
+        blocks.append(last)
+        lo = hi
+        if (hi - 1 > r_concave and last.size > 1
+                and last[-1] - last[-2] <= math.log(_STOP_RATIO)
+                and np.all(lt[-1] <= np.minimum(peaks, 0.0)
+                           - _PRESCAN_DROP)):
+            break
+    return np.concatenate(blocks), peaks
+
+
 def _kernel_profile(alpha: float, kmax: int, w: float, nu: float,
                     max_terms: int) -> tuple[np.ndarray, np.ndarray]:
     """Natural-log magnitudes of the terms of S_kmax, r = 0, 1, ..., and
     the peak log magnitude of each row S_0..S_kmax.
 
-    Cheap double-precision scan used only to size the working precision,
+    Cheap double-precision scan (``_scan_profile``, up to
+    r = min(max_terms, 50_000)) used only to size the working precision,
     locate the hump of the series and place each row's summation grid; not
-    part of any certificate.  It runs in doubling blocks of r up to
-    r = min(max_terms, 50_000) and stops early once r > kmax/alpha + 2,
-    where every row's log magnitude is concave in r, and the last term of
-    every row lies _PRESCAN_DROP nats below both its row's peak and 1: no
-    row peaks again, and the stop rule's test on the last row (ratio at
-    most _STOP_RATIO, tail within rel_tol) holds within the profile for
-    any rel_tol above exp(-_PRESCAN_DROP).
+    part of any certificate.  Past r = kmax/alpha + 2 every row is concave
+    in r, so the scan may stop there once every row has fallen
+    _PRESCAN_DROP nats below its peak and 1; the stop rule's test on the
+    last row (ratio at most _STOP_RATIO, tail within rel_tol) then holds
+    within the profile for any rel_tol above exp(-_PRESCAN_DROP).
     """
-    rmax = min(max_terms, 50_000)
     logw = math.log(abs(w))
     j = np.arange(kmax, dtype=float)
-    # rows of a block are a (block, kmax) matrix; blocks bound its memory
-    cap = max(1, 2_000_000 // (kmax + 1))
-    peaks = np.full(kmax + 1, -np.inf)
-    blocks = []
-    lo = 0
+
+    def block(r):
+        lt = r * logw - _lgamma(nu * r + 1.0)
+        # row k adds sum_{j<k} log|alpha*r - j|: a cumsum over j
+        rows = lt[:, None] + np.cumsum(np.log(
+            np.abs(alpha * r[:, None] - j[None, :])), axis=1)
+        return np.column_stack((lt, rows))
+
     with np.errstate(divide="ignore", invalid="ignore"):
-        while lo <= rmax:
-            hi = min(rmax + 1, lo + min(cap, max(lo, 64)))
-            r = np.arange(lo, hi, dtype=float)
-            lt = r * logw - gammaln(nu * r + 1.0)
-            lt[~np.isfinite(lt)] = -np.inf
-            last = [lt[-1]]
-            np.maximum(peaks[:1], lt.max(), out=peaks[:1])
-            if kmax > 0:
-                # row k adds sum_{j<k} log|alpha*r - j|: a cumsum over j
-                rows = lt[:, None] + np.cumsum(np.log(
-                    np.abs(alpha * r[:, None] - j[None, :])), axis=1)
-                np.maximum(peaks[1:], rows.max(axis=0), out=peaks[1:])
-                lt = rows[:, -1]
-                last = np.concatenate((last, rows[-1]))
-            blocks.append(lt)
-            lo = hi
-            if (hi - 1 > kmax / alpha + 2 and lt.size > 1
-                    and lt[-1] - lt[-2] <= math.log(_STOP_RATIO)
-                    and np.all(last <= np.minimum(peaks, 0.0)
-                               - _PRESCAN_DROP)):
-                break
-    return np.concatenate(blocks), peaks
+        return _scan_profile(block, kmax + 1, min(max_terms, 50_000),
+                             kmax / alpha + 2)
 
 
 def _kernel_bases(w: float, nu: float):

@@ -18,13 +18,11 @@ from dataclasses import dataclass
 
 import mpmath as mp
 import numpy as np
-from scipy.special import gammaln
-from scipy.stats import chi2
 
 from . import dist, frac_ops, sample
 from .dist import ProcessParams
 from .special_fn import (DEFAULT_CONFIG, NonConvergence, SeriesConfig,
-                         mittag_leffler)
+                         _lgamma, _scan_profile, mittag_leffler)
 
 __all__ = [
     "GofReport", "OracleConfig", "DegenerateBins", "gof_pmf",
@@ -100,6 +98,12 @@ def _merge_bins(observed, expected, labels, min_expected=5.0):
     return np.array(obs), np.array(exp), labs
 
 
+def _chi2_sf(stat: float, dof: int) -> float:
+    """Upper tail Pr{X >= stat} of the chi-square law with dof degrees of
+    freedom: the regularized upper incomplete gamma Q(dof/2, stat/2)."""
+    return float(mp.gammainc(dof / 2, stat / 2, regularized=True))
+
+
 def gof_pmf(batch: sample.SampleBatch, cfg: SeriesConfig | None = None,
             kcap: int = 30) -> GofReport:
     """Chi-square test of a sampled batch against the PMF of its law.
@@ -122,7 +126,7 @@ def gof_pmf(batch: sample.SampleBatch, cfg: SeriesConfig | None = None,
     obs, exp, labs = _merge_bins(observed, expected, labels)
     stat = float(((obs - exp) ** 2 / exp).sum())
     dof = len(obs) - 1
-    return GofReport(stat, dof, float(chi2.sf(stat, dof)),
+    return GofReport(stat, dof, _chi2_sf(stat, dof),
                      list(zip(labs, obs, exp)))
 
 
@@ -148,7 +152,7 @@ def gof_two_sample(counts_a, counts_b, kcap: int = 15) -> GofReport:
     eb = tot * nb / (na + nb)
     stat = float((((obs_a - ea) ** 2) / ea + ((obs_b - eb) ** 2) / eb).sum())
     dof = len(obs_a) - 1
-    return GofReport(stat, dof, float(chi2.sf(stat, dof)),
+    return GofReport(stat, dof, _chi2_sf(stat, dof),
                      list(zip(labs, obs_a, obs_b)))
 
 
@@ -277,6 +281,13 @@ def oracle_pmf(params: ProcessParams, t: float, k: int,
     special_fn.  Past the peak the term ratios q shrink, so the sum stops
     after three terms whose geometric tail last*q/(1-q) is within the
     tolerance.
+
+    The working precision comes from a double-precision profile of the
+    term magnitudes over r <= 50_000, scanned in doubling blocks by
+    ``special_fn._scan_profile``: past r = k/alpha + 2 the log magnitudes
+    are concave in r, so the scan stops there once past the peak and
+    _PRESCAN_DROP nats below both the peak and 1, with the argmax and
+    maximum of the full scan.
     """
     ocfg = ocfg or OracleConfig()
     if k < 0:
@@ -287,15 +298,17 @@ def oracle_pmf(params: ProcessParams, t: float, k: int,
     wf = -(params.lam ** alpha) * t ** nu
 
     # size precision from a double-precision magnitude profile
-    r = np.arange(50_001, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        lt = (r * math.log(abs(wf)) - gammaln(nu * r + 1.0)
-              + gammaln(alpha * r + 1.0))
+    logw = math.log(abs(wf))
+
+    def block(r):
+        lt = r * logw - _lgamma(nu * r + 1.0) + _lgamma(alpha * r + 1.0)
         zk = alpha * r + 1.0 - k
         # |1/Gamma(z)| <= Gamma(1-z) for z <= 0 via reflection (|sin| <= 1)
-        lt += np.where(zk > 0, -gammaln(np.maximum(zk, 1e-300)),
-                       gammaln(np.maximum(1.0 - zk, 1.0)))
-    lt[~np.isfinite(lt)] = -np.inf
+        lt += np.where(zk > 0, -_lgamma(np.maximum(zk, 1e-300)),
+                       _lgamma(np.maximum(1.0 - zk, 1.0)))
+        return lt[:, None]
+
+    lt, _ = _scan_profile(block, 1, 50_000, k / alpha + 2)
     rpeak = int(np.argmax(lt))
     dps = max(ocfg.precision_digits + 10,
               int(lt[rpeak] / math.log(10)) + ocfg.precision_digits + 10)

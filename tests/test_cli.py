@@ -2,6 +2,10 @@ import csv
 import io
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 from types import SimpleNamespace
 
 import pytest
@@ -239,3 +243,93 @@ def test_sample_meta_reports_redraws(capsys, monkeypatch):
     assert code == 0
     assert len(redraws) == 2
     assert json.loads(out)["meta"]["redraws"] == sum(redraws)
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--seed", "-1"), ("--seed", str(2 ** 64)),
+    ("--stream-id", "-1"), ("--stream-id", str(2 ** 64))])
+def test_sample_seed_and_stream_id_range(capsys, flag, value):
+    streams = {"--seed": "0", "--stream-id": "0", flag: value}
+    code, out, err = run_cli(capsys, "sample", "--process", "space",
+                             "--alpha", "0.7", "--lambda", "1", "--t", "1",
+                             "--n", "3", *(x for kv in streams.items()
+                                           for x in kv))
+    assert code == 1 and out == ""
+    assert "must lie in [0, 2**64)" in err
+
+
+def test_verify_seed_range(capsys):
+    code, _, err = run_cli(capsys, "verify", "--suite", "ode", "--alpha",
+                           "0.7", "--lambda", "1", "--t", "1", "--seed", "-1")
+    assert code == 1
+    assert "must lie in [0, 2**64)" in err
+
+
+@pytest.mark.parametrize("env, flag", [("abc", None), ("0", None),
+                                       (None, "-2")])
+def test_sample_threads_validated(capsys, monkeypatch, env, flag):
+    if env is None:
+        monkeypatch.delenv("FRACPOIS_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("FRACPOIS_THREADS", env)
+    argv = ["sample", "--process", "space", "--lambda", "1", "--t", "1",
+            "--n", "3", "--seed", "0"]
+    if flag is not None:
+        argv += ["--threads", flag]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert ("FRACPOIS_THREADS" if flag is None else "--threads") in err
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_sample_output_matches_dict_rows(tmp_path, capsys, fmt):
+    """Counts written straight from the array give the bytes of the
+    per-row dicts written by ``_emit``."""
+    argv = ["sample", "--process", "space-time", "--alpha", "0.7", "--nu",
+            "0.6", "--lambda", "2", "--t", "1.5", "--n", "50", "--seed", "7"]
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    batch = sample.sample_batch("space-time", ProcessParams(2.0, 0.7, 0.6),
+                                1.5, 50, sample.RngStream(7))
+    rows = [{"count": int(c)} for c in batch.counts]
+    assert payload["rows"] == rows
+    got, want = tmp_path / "got", tmp_path / "want"
+    assert cli.main(argv + ["--format", fmt, "--out", str(got)]) == 0
+    cli._emit(rows, payload["meta"], fmt, str(want))
+    assert got.read_bytes() == want.read_bytes()
+
+
+SRC = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+
+
+def _run_python(code):
+    env = dict(os.environ, PYTHONPATH=SRC)
+    env.pop("FRACPOIS_THREADS", None)
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True, timeout=120).stdout
+
+
+def test_cli_import_loads_no_scipy():
+    out = _run_python(
+        "import sys, fracpois.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'));"
+        "print('numpy.random' in sys.modules)")
+    assert out.split("\n")[:2] == ["[]", "True"]
+
+
+def test_commands_run_with_scipy_blocked():
+    out = _run_python("""
+import sys
+sys.modules["scipy"] = None
+from fracpois import cli, dist
+law = ["--alpha", "0.5", "--lambda", "1", "--t", "1"]
+for argv in (["pmf", *law, "--kmax", "5"], ["pgf", *law, "--u", "0.3"],
+             ["passage", "--alpha", "0.5", "--lambda", "1", "--k", "3",
+              "--tmax", "2", "--steps", "3"],
+             ["verify", "--suite", "pmf-mc", *law, "--n", "20000"]):
+    assert cli.main(argv) == 0, argv
+print(dist.survival_subordination(dist.ProcessParams(1.0, 0.5), 1.0, 10))
+""")
+    sv = float(out.splitlines()[-1])
+    assert sv == pytest.approx(0.1746649939382278, rel=1e-13)

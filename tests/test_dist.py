@@ -1,6 +1,7 @@
 import math
 
 import mpmath as mp
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -99,6 +100,23 @@ def test_time_fractional_direct_frozen_value():
     row = dist.pmf_time_fractional_direct(ProcessParams(1.0, 1.0, 0.5),
                                           1.0, 1)
     assert abs(row.p - TF_P1_NU_HALF) <= row.abs_error_bound + 1e-13
+
+
+@pytest.mark.parametrize("nu", [0.05, 0.3, 0.7, 0.95])
+def test_direct_form_profile_matches_full_scan(profile_scans, nu):
+    """Same argmax and maximum, so the same working precision, as the
+    full scan."""
+    truncated = 0
+    for lam in (1e-3, 1.0, 8.0, 60.0):
+        for k in (0, 1, 10, 100):
+            scan, full = profile_scans(
+                dist, lambda: dist.pmf_time_fractional_direct(
+                    ProcessParams(lam, 1.0, nu), 1.0, k))
+            assert np.array_equal(scan, full[:scan.size])
+            assert np.argmax(scan) == np.argmax(full)
+            assert scan.max() == full.max()
+            truncated += scan.size < full.size
+    assert truncated > 0
 
 
 def test_pgf_normalization_and_poisson_case():
@@ -206,11 +224,38 @@ def test_survival_subordination_matches_series():
                                    abs=1e-10)
 
 
+def _erf_integral(lam, t, k):
+    """E[erf(t*sqrt(lam) / (2*sqrt(G)))], G ~ Gamma(k+1), by 30-digit
+    quadrature split about the mode of G."""
+    with mp.workdps(30):
+        c = mp.mpf(t) * mp.sqrt(lam) / 2
+        lk = mp.loggamma(k + 1)
+
+        def f(g):
+            return mp.erf(c / mp.sqrt(g)) * mp.exp(k * mp.log(g) - g - lk)
+
+        sd = mp.sqrt(k + 1)
+        cuts = sorted({mp.mpf(0), *(max(0, k + 1 + j * sd)
+                                    for j in (-12, -4, 0, 4, 12))})
+        return mp.quad(f, cuts + [mp.inf])
+
+
+@pytest.mark.parametrize("k", [0, 3, 10, 100, 1000, 10_000])
+def test_survival_subordination_matches_erf_integral(k):
+    for lam, t in ((1.0, 1.0), (3.0, 0.2), (0.5, 7.0)):
+        sv = dist.survival_subordination(ProcessParams(lam, 0.5), t, k)
+        ref = _erf_integral(lam, t, k)
+        assert abs(sv - ref) <= 1e-13 * ref
+
+
 def test_survival_subordination_domain():
     with pytest.raises(ValueError):
         dist.survival_subordination(ProcessParams(1.0, 0.7), 1.0, 5)
     with pytest.raises(ValueError):
         dist.survival_subordination(ProcessParams(1.0, 0.5, 0.5), 1.0, 5)
+    with pytest.raises(ValueError):
+        dist.survival_subordination(ProcessParams(1.0, 0.5), -1.0, 5)
+    assert dist.survival_subordination(ProcessParams(1.0, 0.5), 0.0, 5) == 0
 
 
 def test_nonconvergence_propagates():

@@ -22,6 +22,17 @@ def test_rng_stream_ids_differ():
     assert not np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("seed, stream_id", [(-1, 0), (2 ** 64, 0),
+                                             (0, -1), (0, 2 ** 64)])
+def test_rng_stream_key_range(seed, stream_id):
+    """seed and stream_id are the 64-bit halves of the Philox key: values
+    outside [0, 2**64) would alias another stream."""
+    with pytest.raises(ValueError):
+        RngStream(seed, stream_id)
+    top = RngStream(2 ** 64 - 1, 2 ** 64 - 1).generator().random(3)
+    assert not np.array_equal(top, RngStream(0, 0).generator().random(3))
+
+
 def test_child_streams_are_distinct():
     root = RngStream(11)
     kids = {tuple(root.child(i).generator().random(2)) for i in range(100)}

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import chi2
 
 from fracpois import dist, verify
 from fracpois.dist import ProcessParams
@@ -186,3 +187,29 @@ def test_two_stage_retries_once():
 def test_two_stage_short_circuits_on_pass():
     passed, payload = two_stage(lambda n, attempt: (True, n), 100)
     assert passed and payload == 100
+
+
+def test_chi2_tail_matches_scipy():
+    stats = np.r_[0.0, np.geomspace(1e-3, 300.0, 40)]
+    for dof in range(1, 61):
+        for stat in stats:
+            want = chi2.sf(stat, dof)
+            assert verify._chi2_sf(stat, dof) == pytest.approx(want,
+                                                               rel=1e-12)
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.7, 1.0])
+@pytest.mark.parametrize("nu", [0.3, 1.0])
+def test_oracle_profile_matches_full_scan(profile_scans, alpha, nu):
+    """Same argmax and maximum, so the same working precision, as the
+    full scan."""
+    truncated = 0
+    for lam, t in ((1e-3, 1.0), (1.0, 1.0), (30.0, 1.0)):
+        for k in (0, 3, 30):
+            scan, full = profile_scans(verify, lambda: oracle_pmf(
+                ProcessParams(lam, alpha, nu), t, k))
+            assert np.array_equal(scan, full[:scan.size])
+            assert np.argmax(scan) == np.argmax(full)
+            assert scan.max() == full.max()
+            truncated += scan.size < full.size
+    assert truncated > 0
