@@ -43,12 +43,13 @@ def _fmt(value):
     return str(value)
 
 
-def _write(text, out):
+def _write(parts, out):
+    """Write the strings ``parts`` to the file ``out``, or to stdout."""
     if out:
         with open(out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            fh.writelines(parts)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(parts)
 
 
 def _emit(rows, meta, fmt, out):
@@ -61,22 +62,33 @@ def _emit(rows, meta, fmt, out):
         text = "\n".join(lines) + "\n"
     else:
         text = ""
-    _write(text, out)
+    _write([text], out)
+
+
+# counts formatted per block, so that no string of the whole output is held
+_COUNT_BLOCK = 1 << 16
 
 
 def _emit_counts(counts, meta, fmt, out):
     """``_emit`` of the rows {"count": c}, written straight from the
     integer array: the same bytes without a dict per count."""
-    counts = counts.tolist()
     if fmt == "json":
         # json.dumps(..., indent=2) of {"meta": meta, "rows": rows}
-        head = json.dumps({"meta": meta}, indent=2)[:-2]
-        rows = '\n    },\n    {\n      "count": '.join(map(str, counts))
-        text = (head + ',\n  "rows": [\n    {\n      "count": ' + rows
-                + "\n    }\n  ]\n}\n")
+        head = (json.dumps({"meta": meta}, indent=2)[:-2]
+                + ',\n  "rows": [\n    {\n      "count": ')
+        sep, tail = '\n    },\n    {\n      "count": ', "\n    }\n  ]\n}\n"
     else:
-        text = "count\n" + "\n".join(map(str, counts)) + "\n"
-    _write(text, out)
+        head, sep, tail = "count\n", "\n", "\n"
+
+    def parts():
+        yield head
+        for lo in range(0, len(counts), _COUNT_BLOCK):
+            if lo:
+                yield sep
+            yield sep.join(map(str, counts[lo:lo + _COUNT_BLOCK].tolist()))
+        yield tail
+
+    _write(parts(), out)
 
 
 def _add_common(p, need_t=True):

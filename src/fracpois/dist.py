@@ -382,7 +382,8 @@ def survival_subordination(params: ProcessParams, t: float, k: int) -> float:
     n = k + 1.0
     h = min(0.1, 0.25 / math.sqrt(n))
     # the log weight -n*(expm1(x) - x) is below -50 outside [lo, hi]:
-    # expm1(x) - x >= x**2/2 for x >= 0 and >= |x| - 1 for x < 0
+    # expm1(x) - x is >= x**2/2 for x >= 0; for x < 0 it is >= |x| - 1,
+    # and >= x**2/3 while |x| <= 1 (so for n >= 150)
     hi = math.sqrt(100.0 / n)
     lo = -(50.0 / n + 1.0 if n < 150.0 else math.sqrt(150.0 / n))
     x = h * np.arange(math.floor(lo / h), math.ceil(hi / h) + 1)

@@ -281,10 +281,14 @@ def test_sample_threads_validated(capsys, monkeypatch, env, flag):
     assert ("FRACPOIS_THREADS" if flag is None else "--threads") in err
 
 
+@pytest.mark.parametrize("block", [None, 7])
 @pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_sample_output_matches_dict_rows(tmp_path, capsys, fmt):
-    """Counts written straight from the array give the bytes of the
-    per-row dicts written by ``_emit``."""
+def test_sample_output_matches_dict_rows(tmp_path, capsys, monkeypatch, fmt,
+                                         block):
+    """Counts written straight from the array, in one block or several,
+    give the bytes of the per-row dicts written by ``_emit``."""
+    if block is not None:
+        monkeypatch.setattr(cli, "_COUNT_BLOCK", block)
     argv = ["sample", "--process", "space-time", "--alpha", "0.7", "--nu",
             "0.6", "--lambda", "2", "--t", "1.5", "--n", "50", "--seed", "7"]
     code, out, _ = run_cli(capsys, *argv, "--format", "json")

@@ -240,12 +240,13 @@ def _erf_integral(lam, t, k):
         return mp.quad(f, cuts + [mp.inf])
 
 
-@pytest.mark.parametrize("k", [0, 3, 10, 100, 1000, 10_000])
-def test_survival_subordination_matches_erf_integral(k):
-    for lam, t in ((1.0, 1.0), (3.0, 0.2), (0.5, 7.0)):
-        sv = dist.survival_subordination(ProcessParams(lam, 0.5), t, k)
-        ref = _erf_integral(lam, t, k)
-        assert abs(sv - ref) <= 1e-13 * ref
+@pytest.mark.parametrize("k, lam, t", [(0, 1.0, 1.0), (3, 1.0, 1.0),
+                                       (10, 0.5, 7.0), (100, 3.0, 0.2),
+                                       (1000, 1.0, 1.0), (10_000, 0.5, 7.0)])
+def test_survival_subordination_matches_erf_integral(k, lam, t):
+    sv = dist.survival_subordination(ProcessParams(lam, 0.5), t, k)
+    ref = _erf_integral(lam, t, k)
+    assert abs(sv - ref) <= 1e-13 * ref
 
 
 def test_survival_subordination_domain():

@@ -190,7 +190,7 @@ def test_two_stage_short_circuits_on_pass():
 
 
 def test_chi2_tail_matches_scipy():
-    stats = np.r_[0.0, np.geomspace(1e-3, 300.0, 40)]
+    stats = np.r_[0.0, np.geomspace(1e-3, 300.0, 12)]
     for dof in range(1, 61):
         for stat in stats:
             want = chi2.sf(stat, dof)
@@ -198,18 +198,18 @@ def test_chi2_tail_matches_scipy():
                                                                rel=1e-12)
 
 
-@pytest.mark.parametrize("alpha", [0.3, 0.7, 1.0])
-@pytest.mark.parametrize("nu", [0.3, 1.0])
-def test_oracle_profile_matches_full_scan(profile_scans, alpha, nu):
+def test_oracle_profile_matches_full_scan(profile_scans):
     """Same argmax and maximum, so the same working precision, as the
     full scan."""
     truncated = 0
-    for lam, t in ((1e-3, 1.0), (1.0, 1.0), (30.0, 1.0)):
-        for k in (0, 3, 30):
-            scan, full = profile_scans(verify, lambda: oracle_pmf(
-                ProcessParams(lam, alpha, nu), t, k))
-            assert np.array_equal(scan, full[:scan.size])
-            assert np.argmax(scan) == np.argmax(full)
-            assert scan.max() == full.max()
-            truncated += scan.size < full.size
+    for alpha, nu, lam, k in ((0.3, 0.3, 30.0, 3), (0.3, 1.0, 1.0, 30),
+                              (0.5, 0.5, 1e-3, 0), (0.7, 0.3, 1.0, 0),
+                              (0.7, 1.0, 30.0, 30), (1.0, 0.3, 30.0, 3),
+                              (1.0, 0.7, 1.0, 30), (1.0, 1.0, 1e-3, 3)):
+        scan, full = profile_scans(verify, lambda: oracle_pmf(
+            ProcessParams(lam, alpha, nu), 1.0, k))
+        assert np.array_equal(scan, full[:scan.size])
+        assert np.argmax(scan) == np.argmax(full)
+        assert scan.max() == full.max()
+        truncated += scan.size < full.size
     assert truncated > 0
