@@ -91,17 +91,17 @@ def _emit_counts(counts, meta, fmt, out):
     _write(parts(), out)
 
 
-def _add_common(p, need_t=True):
+def _add_common(p, need_t=True, series=True):
     p.add_argument("--alpha", type=float, default=1.0)
     p.add_argument("--nu", type=float, default=1.0)
     p.add_argument("--lambda", dest="lam", type=float, required=True)
     if need_t:
         p.add_argument("--t", type=float, required=True)
-    p.add_argument("--tol", type=float, default=1e-12)
-    p.add_argument("--max-terms", type=int, default=10_000)
+    if series:
+        p.add_argument("--tol", type=float, default=1e-12)
+        p.add_argument("--max-terms", type=int, default=10_000)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out", default=None)
-    p.add_argument("--threads", type=int, default=None)
 
 
 def build_parser() -> _Parser:
@@ -119,12 +119,13 @@ def build_parser() -> _Parser:
     sp.add_argument("--u", type=float, required=True)
 
     sp = sub.add_parser("sample", help="draw counts")
-    _add_common(sp)
+    _add_common(sp, series=False)
     sp.add_argument("--process", choices=sample._PROCESSES, required=True)
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--seed", type=int, required=True)
     sp.add_argument("--stream-id", type=int, default=0)
     sp.add_argument("--gamma", type=float, default=None)
+    sp.add_argument("--threads", type=int, default=None)
 
     sp = sub.add_parser("verify", help="run a verification suite")
     _add_common(sp)
@@ -226,7 +227,7 @@ def _stream(seed: int, stream_id: int = 0) -> RngStream:
 
 
 def cmd_sample(args) -> int:
-    params, _ = _params(args), _cfg(args)
+    params = _params(args)
     if args.n < 1:
         raise UsageError("--n must be >= 1")
     rng, threads = _stream(args.seed, args.stream_id), _threads(args)
@@ -273,13 +274,8 @@ def _suite_min_uniform(args, params, cfg):
     passed = True
     for draw, u in enumerate((0.2, 0.5, 0.8)):
         def run(n, attempt, draw=draw, u=u):
-            rng = _verify_stream(args, draw, attempt)
-            if params.nu == 1.0:
-                res = verify.check_min_uniform_space(
-                    params.alpha, params.lam, args.t, u, n, rng)
-            else:
-                res = verify.check_min_uniform_space_time(
-                    params.alpha, params.nu, params.lam, args.t, u, n, rng)
+            res = verify.check_min_uniform_space(
+                params, args.t, u, n, _verify_stream(args, draw, attempt))
             return abs(res.z_score) < 4.0, res
 
         ok, res = verify.two_stage(run, args.n)

@@ -243,8 +243,11 @@ def _erlang_cdf(mu: float, k: int, cfg: SeriesConfig) -> EvalResult:
     one, so with n terms the sum errs by at most (8c + 3n + 6) * 2**-prec
     of itself; the remainder adds one more, the subtraction from 1 one
     ulp of 1.  The bound adds the rounding to double and the underflow of
-    a result below the smallest subnormal.
+    a result below the smallest subnormal.  A mean that underflows to 0
+    gives 0, within ulp(0) since Pr{N >= k} <= mu.
     """
+    if mu == 0.0:
+        return EvalResult(0.0, math.ulp(0.0), 0)
     cond = mu + k * abs(math.log(mu)) + math.lgamma(k + 1)
     up = k >= mu
     with mp.workdps(30 + int(math.log10(cond + 1))):
@@ -290,8 +293,9 @@ def first_passage(params: ProcessParams, t: float, k: int,
     has positive weights and nothing cancels: the bound is lam**alpha times
     the D-weighted row bounds plus the rounding of the products and the sum.
     Both come from one ``pmf_row(params, t, k-1)``.  At alpha = 1 they are
-    the Erlang distribution function (``_erlang_cdf``) and density.  The
-    density is None where it is not defined: k = 0 or t = 0.
+    the Erlang distribution function (``_erlang_cdf``) and density, lam
+    times the Poisson(lam*t) mass at k-1.  The density is None where it is
+    not defined: k = 0 or t = 0.
     """
     if params.nu != 1.0:
         raise ValueError("first-passage laws require nu = 1")
@@ -305,12 +309,11 @@ def first_passage(params: ProcessParams, t: float, k: int,
         return EvalResult(0.0, 0.0, 0), None
     lam, alpha = params.lam, params.alpha
     if alpha == 1.0:
-        mu, lg = lam * t, math.lgamma(k)
-        e = math.exp(-mu + (k - 1) * math.log(mu) - lg)
-        bound = lam * _exp_error_bound(e, mu + (k - 1) * abs(math.log(mu))
-                                      + lg) + math.ulp(0.0)
+        mu = lam * t
+        row = _poisson_row(mu, k - 1)
         return _erlang_cdf(mu, k, cfg or DEFAULT_CONFIG), \
-            EvalResult(lam * e, bound, 0)
+            EvalResult(lam * row.p, lam * row.abs_error_bound + math.ulp(0.0),
+                       0)
 
     rows = pmf_row(params, t, k - 1, cfg)
     p = np.array([row.p for row in rows])

@@ -14,10 +14,11 @@ S_g a one-sided g-stable variable (Laplace transform exp(-z**g)):
 So one count path, ``_mixed_poisson_counts``, draws every process: one
 stable draw per subordinator and one Poisson draw per count.  Its other
 building blocks are a counter-based (Philox) seeded random source and the
-Chambers-Mallows-Stuck/Kanter sampler for S_g.  The renewal construction
-of the time-fractional process (epochs of Mittag-Leffler waiting times)
-is kept in :mod:`fracpois.verify` as the independent reference these
-counts are tested against.
+Chambers-Mallows-Stuck/Kanter sampler for S_g.  ``sample_batch`` is the
+only entry point; a single count is a batch of n = 1.  The renewal
+construction of the time-fractional process (epochs of Mittag-Leffler
+waiting times) is kept in :mod:`fracpois.verify` as the independent
+reference these counts are tested against.
 """
 
 from __future__ import annotations
@@ -33,12 +34,7 @@ import numpy.random  # noqa: F401
 
 from .dist import ProcessParams
 
-__all__ = [
-    "RngStream", "SampleBatch", "sample_poisson", "sample_stable_subordinator",
-    "sample_space_fractional", "sample_composed_subordination",
-    "sample_ml_waiting_time", "sample_time_fractional", "sample_space_time",
-    "sample_batch",
-]
+__all__ = ["RngStream", "SampleBatch", "sample_batch"]
 
 # numpy's poisson sampler rejects means near 2**63; counts beyond the cap
 # are astronomically larger than any analysis bin and are clamped.
@@ -123,22 +119,19 @@ class SampleBatch:
         return ProcessParams(self.params.lam, self.params.alpha * self.gamma)
 
 
-def _as_generator(rng) -> np.random.Generator:
-    if isinstance(rng, RngStream):
-        return rng.generator()
-    if isinstance(rng, np.random.Generator):
-        return rng
-    raise TypeError("rng must be an RngStream or numpy Generator")
+def _poisson_counts(mu, n: int, gen: np.random.Generator) -> np.ndarray:
+    """n Poisson counts of mean mu, one scalar or an array of n means.
 
-
-def _poisson_counts(mu: np.ndarray, gen: np.random.Generator) -> np.ndarray:
-    mu = np.asarray(mu, dtype=float)
-    out = np.empty(mu.shape, dtype=np.int64)
-    big = mu >= _POISSON_MEAN_LIMIT
-    if big.any():
-        out[big] = _COUNT_CAP
+    Means of _POISSON_MEAN_LIMIT or more give _COUNT_CAP.  Without them mu
+    goes to numpy as it is: its scalar-mean sampler is faster than the
+    array one.
+    """
+    big = np.broadcast_to(mu >= _POISSON_MEAN_LIMIT, (n,))
+    if not big.any():
+        return gen.poisson(mu, n)
+    out = np.full(n, _COUNT_CAP, dtype=np.int64)
     ok = ~big
-    out[ok] = gen.poisson(mu[ok])
+    out[ok] = gen.poisson(np.broadcast_to(mu, (n,))[ok])
     return out
 
 
@@ -192,91 +185,8 @@ def _mixed_poisson_counts(lam: float, alpha: float, nu: float, t: float,
             s, rd = _stable_unit(alpha, n, gen)
             redraws += rd
             clock = np.minimum(clock ** (1.0 / alpha) * s, _OVERFLOW_LIMIT)
-        mu = lam * np.broadcast_to(clock, (n,))
-    return _poisson_counts(mu, gen), redraws
-
-
-def _one_count(lam: float, alpha: float, nu: float, t: float, rng,
-               gamma: float | None = None) -> int:
-    if not t > 0:
-        raise ValueError("t must be > 0")
-    counts, _ = _mixed_poisson_counts(lam, alpha, nu, t, 1,
-                                      _as_generator(rng), gamma)
-    return int(counts[0])
-
-
-def sample_poisson(mean: float, rng) -> int:
-    """One Poisson draw with the given mean (exact sampler)."""
-    if not mean >= 0 or not math.isfinite(mean):
-        raise ValueError("mean must be finite and >= 0")
-    return int(_poisson_counts(np.array([mean]), _as_generator(rng))[0])
-
-
-def sample_stable_subordinator(gamma: float, t: float, rng) -> float:
-    """One draw of S_gamma(t), with Laplace transform exp(-t*z**gamma)."""
-    if not t > 0:
-        raise ValueError("t must be > 0")
-    gen = _as_generator(rng)
-    s, _ = _stable_unit(gamma, 1, gen)
-    return float(t ** (1.0 / gamma) * s[0])
-
-
-def sample_space_fractional(params: ProcessParams, t: float, rng) -> int:
-    """One draw of the space-fractional process N_alpha(t) (nu = 1).
-
-    A Poisson count with random mean lam * S_alpha(t) for alpha < 1,
-    plain Poisson(lam*t) at alpha = 1.
-    """
-    if params.nu != 1.0:
-        raise ValueError("space-fractional sampler requires nu = 1")
-    return _one_count(params.lam, params.alpha, 1.0, t, rng)
-
-
-def sample_composed_subordination(alpha: float, gamma: float, lam: float,
-                                  t: float, rng) -> int:
-    """One draw of N_alpha evaluated at an independent S_gamma(t).
-
-    Distributionally equal to the space-fractional process of order
-    alpha * gamma.
-    """
-    if not 0 < alpha <= 1:
-        raise ValueError("alpha must lie in (0, 1]")
-    return _one_count(lam, alpha, 1.0, t, rng, gamma)
-
-
-def sample_ml_waiting_time(nu: float, rate: float, rng) -> float:
-    """One Mittag-Leffler renewal waiting time for a rate-`rate` process.
-
-    Pr{T > t} = E_nu(-rate * t**nu): the nu-stable subordinator read at
-    the first epoch E/rate of the operational Poisson clock, E unit
-    exponential, so T = (E/rate)**(1/nu) * S_nu.
-    """
-    if not 0 < nu <= 1:
-        raise ValueError("nu must lie in (0, 1]")
-    if not rate > 0:
-        raise ValueError("rate must be > 0")
-    gen = _as_generator(rng)
-    first = gen.standard_exponential() / rate
-    if nu == 1.0:
-        return float(first)
-    s, _ = _stable_unit(nu, 1, gen)
-    return float(first ** (1.0 / nu) * s[0])
-
-
-def sample_time_fractional(params: ProcessParams, t: float, rng) -> int:
-    """One draw of the time-fractional process N_nu(t) (alpha = 1)."""
-    if params.alpha != 1.0:
-        raise ValueError("time-fractional sampler requires alpha = 1")
-    return _one_count(params.lam, 1.0, params.nu, t, rng)
-
-
-def sample_space_time(params: ProcessParams, t: float, rng) -> int:
-    """One draw of the space-time fractional process N_{alpha,nu}(t).
-
-    Space-fractional process run on an inverse-nu-stable time change;
-    reproduces the PGF E_nu(-lam**alpha * (1-u)**alpha * t**nu).
-    """
-    return _one_count(params.lam, params.alpha, params.nu, t, rng)
+        mu = lam * clock
+    return _poisson_counts(mu, n, gen), redraws
 
 
 _PROCESSES = ("space", "time", "space-time", "composed")

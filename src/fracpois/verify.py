@@ -1,13 +1,14 @@
 """Monte Carlo and analytic verification harness.
 
 Chi-square goodness of fit of sampled counts against the closed-form
-PMFs, the min-of-uniforms representation checks of the generating
-functions, the governing-equation residual test, and two independent
-references: an extended-precision oracle for the PMF (deliberately
-sharing no series code with :mod:`fracpois.special_fn`), and the renewal
-construction of the time-fractional process (epochs of Mittag-Leffler
-waiting times), against which the mixed-Poisson counts of
-:mod:`fracpois.sample` are tested.
+PMFs, one min-of-uniforms representation check of the generating function
+for every (alpha, nu), the governing-equation residual test, and two
+independent references: an extended-precision oracle for the PMF
+(deliberately sharing no series code with :mod:`fracpois.special_fn`),
+and the renewal construction of the time-fractional process (epochs of
+Mittag-Leffler waiting times, the package's only sampler of them),
+against which the mixed-Poisson counts of :mod:`fracpois.sample` are
+tested.
 """
 
 from __future__ import annotations
@@ -22,14 +23,13 @@ import numpy as np
 from . import dist, frac_ops, sample
 from .dist import ProcessParams
 from .special_fn import (DEFAULT_CONFIG, NonConvergence, SeriesConfig,
-                         _lgamma, _scan_profile, mittag_leffler)
+                         _lgamma, _scan_profile)
 
 __all__ = [
     "GofReport", "OracleConfig", "DegenerateBins", "gof_pmf",
-    "gof_two_sample", "check_min_uniform_space",
-    "check_min_uniform_space_time", "check_ode_residual", "oracle_pmf",
-    "write_fixture", "load_fixture", "check_fixture", "two_stage",
-    "MinUniformResult", "renewal_batch",
+    "gof_two_sample", "check_min_uniform_space", "check_ode_residual",
+    "oracle_pmf", "write_fixture", "load_fixture", "check_fixture",
+    "two_stage", "MinUniformResult", "renewal_batch",
 ]
 
 REJECT_P = 1e-3          # statistical failure threshold (with two-stage rule)
@@ -156,48 +156,31 @@ def gof_two_sample(counts_a, counts_b, kcap: int = 15) -> GofReport:
                      list(zip(labs, obs_a, obs_b)))
 
 
-def _min_uniform_result(counts: np.ndarray, alpha: float, u: float,
-                        analytic: float, gen: np.random.Generator
-                        ) -> MinUniformResult:
-    n = len(counts)
+def check_min_uniform_space(params: ProcessParams, t: float, u: float,
+                            n: int, rng: sample.RngStream) -> MinUniformResult:
+    """Test the PGF G(u, t) as a min-of-uniforms probability.
+
+    G(u, t) = E_nu(-lam**alpha * t**nu * (1-u)**alpha) is the probability
+    that min_{k<=N} X_k**(1/alpha) >= 1-u (taken as 1 when N = 0) for
+    i.i.d. uniforms X_k and a driving count N, time-fractional of rate
+    lam**alpha: Poisson(lam**alpha * t) at nu = 1.  N is drawn by the
+    sampler's mixed-Poisson core and the empirical frequency of the event
+    is compared with ``dist.pgf``.
+    """
+    if not 0 < u < 1:
+        raise ValueError("u must lie in (0, 1)")
+    gen = rng.generator()
+    counts, _ = sample._mixed_poisson_counts(params.lam ** params.alpha, 1.0,
+                                             params.nu, t, n, gen)
+    analytic = dist.pgf(params, t, u).value
     # the min of N uniforms is 1 - V**(1/N) (inversion), so the event
     # min >= c is log V <= N*log1p(-c); at N = 0 it always holds
     with np.errstate(divide="ignore"):
         logv = np.log(gen.random(n))
-    emp = float(np.mean(logv <= counts * math.log1p(-(1.0 - u) ** alpha)))
+    emp = float(np.mean(logv <= counts
+                        * math.log1p(-(1.0 - u) ** params.alpha)))
     sigma = math.sqrt(max(analytic * (1.0 - analytic), 1e-300) / n)
     return MinUniformResult(emp, analytic, (emp - analytic) / sigma)
-
-
-def check_min_uniform_space(alpha: float, lam: float, t: float, u: float,
-                            n: int, rng) -> MinUniformResult:
-    """Test exp(-lam**alpha*t*(1-u)**alpha) as a min-of-uniforms probability.
-
-    Draws N ~ Poisson(lam**alpha * t) and checks the empirical frequency
-    of min_{k<=N} X_k**(1/alpha) >= 1-u (taken as 1 when N = 0) against
-    the PGF value.
-    """
-    if not 0 < u < 1:
-        raise ValueError("u must lie in (0, 1)")
-    gen = sample._as_generator(rng)
-    counts = gen.poisson(lam ** alpha * t, n)
-    analytic = math.exp(-(lam ** alpha) * t * (1.0 - u) ** alpha)
-    return _min_uniform_result(counts, alpha, u, analytic, gen)
-
-
-def check_min_uniform_space_time(alpha: float, nu: float, lam: float,
-                                 t: float, u: float, n: int,
-                                 rng) -> MinUniformResult:
-    """Space-time variant: the driving count is time-fractional of rate
-    lam**alpha and the analytic value is E_nu(-lam**alpha*t**nu*(1-u)**alpha)."""
-    if not 0 < u < 1:
-        raise ValueError("u must lie in (0, 1)")
-    gen = sample._as_generator(rng)
-    counts, _ = sample._mixed_poisson_counts(lam ** alpha, 1.0, nu, t, n,
-                                             gen)
-    analytic = mittag_leffler(
-        nu, -(lam ** alpha) * t ** nu * (1.0 - u) ** alpha).value
-    return _min_uniform_result(counts, alpha, u, analytic, gen)
 
 
 def check_ode_residual(params: ProcessParams, t: float, K: int,

@@ -122,12 +122,8 @@ def test_criterion_07_min_uniform_representations():
                 def run(n, attempt, alpha=alpha, nu=nu, u=u):
                     rng = RngStream(207 + attempt,
                                     int(1000 * alpha + 100 * nu + 10 * u))
-                    if nu == 1.0:
-                        res = verify.check_min_uniform_space(
-                            alpha, 1.0, 1.0, u, n, rng)
-                    else:
-                        res = verify.check_min_uniform_space_time(
-                            alpha, nu, 1.0, 1.0, u, n, rng)
+                    res = verify.check_min_uniform_space(
+                        ProcessParams(1.0, alpha, nu), 1.0, u, n, rng)
                     return abs(res.z_score) < 4.0, res
 
                 ok, res = verify.two_stage(run, 1_000_000)

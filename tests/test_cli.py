@@ -113,6 +113,16 @@ def test_passage_single_time(capsys):
     assert json.loads(out)["rows"][0]["cdf"] == 1.0
 
 
+@pytest.mark.parametrize("k, density", [("1", 1e-200), ("2", 0.0)])
+def test_passage_underflowing_mean(capsys, k, density):
+    """lam * t below the smallest double is a value, not a traceback."""
+    code, out, _ = run_cli(capsys, "passage", "--lambda", "1e-200", "--t",
+                           "1e-200", "--k", k)
+    assert code == 0
+    row, = csv.DictReader(io.StringIO(out))
+    assert float(row["cdf"]) == 0.0 and float(row["density"]) == density
+
+
 def test_usage_error_exit_code_1(capsys):
     code, _, err = run_cli(capsys, "pmf", "--lambda", "1.0", "--t", "1.0")
     assert code == 1  # missing --kmax
@@ -215,7 +225,7 @@ def test_verify_retries_draw_their_own_streams(capsys, monkeypatch):
 def test_min_uniform_draws_one_stream_per_u(capsys, monkeypatch):
     streams = []
 
-    def record(alpha, lam, t, u, n, rng):
+    def record(params, t, u, n, rng):
         streams.append(_first_draws(rng))
         return verify.MinUniformResult(0.5, 0.5, 0.0)
 
@@ -279,6 +289,22 @@ def test_sample_threads_validated(capsys, monkeypatch, env, flag):
     code, out, err = run_cli(capsys, *argv)
     assert code == 1 and out == ""
     assert ("FRACPOIS_THREADS" if flag is None else "--threads") in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["pmf", "--lambda", "1", "--t", "1", "--kmax", "1", "--threads", "2"],
+    ["verify", "--suite", "ode", "--alpha", "0.7", "--lambda", "1", "--t",
+     "1", "--threads", "2"],
+    ["sample", "--process", "space", "--lambda", "1", "--t", "1", "--n",
+     "3", "--seed", "0", "--tol", "1e-9"],
+    ["sample", "--process", "space", "--lambda", "1", "--t", "1", "--n",
+     "3", "--seed", "0", "--max-terms", "5"],
+], ids=["pmf-threads", "verify-threads", "sample-tol", "sample-max-terms"])
+def test_unread_flags_are_usage_errors(capsys, argv):
+    """Each subcommand takes only the flags it reads."""
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert "unrecognized arguments" in err
 
 
 @pytest.mark.parametrize("block", [None, 7])

@@ -211,6 +211,16 @@ def test_first_passage_density_matches_finite_difference():
     assert res.value == pytest.approx(fd, rel=1e-7)
 
 
+@pytest.mark.parametrize("k", [1, 2])
+def test_erlang_passage_underflowing_mean(k):
+    """lam * t underflows to 0: Pr{tau_k < t} <= lam * t, and the density
+    is lam times the Poisson mass at k - 1, within ulp(0)."""
+    cdf, dens = dist.first_passage(ProcessParams(1e-200), 1e-200, k)
+    assert cdf.value == 0.0 and cdf.abs_error_bound >= math.ulp(0.0)
+    assert dens.value == (1e-200 if k == 1 else 0.0)
+    assert dens.abs_error_bound >= math.ulp(0.0)
+
+
 def test_first_passage_requires_nu_one():
     with pytest.raises(ValueError):
         dist.first_passage_cdf(ProcessParams(1.0, 0.5, 0.5), 1.0, 1)

@@ -61,24 +61,26 @@ def test_sample_batch_length_check():
 
 
 def test_poisson_moments():
+    """A scalar mean and an array of means give Poisson counts alike."""
     gen = RngStream(1).generator()
-    mu = 4.0
-    x = np.array([sample.sample_poisson(mu, gen) for _ in range(20_000)])
-    assert x.mean() == pytest.approx(mu, abs=4 * math.sqrt(mu / x.size))
-    assert x.var() == pytest.approx(mu, rel=0.05)
-
-
-def test_poisson_rejects_bad_mean():
-    gen = RngStream(1).generator()
-    with pytest.raises(ValueError):
-        sample.sample_poisson(-1.0, gen)
-    with pytest.raises(ValueError):
-        sample.sample_poisson(math.inf, gen)
+    mu, n = 4.0, 20_000
+    for x in (sample._poisson_counts(mu, n, gen),
+              sample._poisson_counts(np.full(n, mu), n, gen)):
+        assert x.shape == (n,)
+        assert x.mean() == pytest.approx(mu, abs=4 * math.sqrt(mu / n))
+        assert x.var() == pytest.approx(mu, rel=0.05)
 
 
 def test_poisson_huge_mean_clamps():
+    """Means of 4e18 or more are capped, and only those: the others are
+    drawn as numpy draws them."""
     gen = RngStream(1).generator()
-    assert sample.sample_poisson(1e200, gen) == 1 << 62
+    assert (sample._poisson_counts(1e200, 3, gen) == 1 << 62).all()
+    mu = np.array([2.0, 4e18, 1e200, 3.0, math.inf])
+    x = sample._poisson_counts(mu, mu.size, RngStream(2).generator())
+    assert (x[[1, 2, 4]] == 1 << 62).all()
+    assert np.array_equal(x[[0, 3]],
+                          RngStream(2).generator().poisson([2.0, 3.0]))
 
 
 def test_stable_laplace_transform():
@@ -109,12 +111,6 @@ def test_stable_rejects_bad_gamma():
         sample._stable_unit(1.0, 10, gen)
 
 
-def test_stable_scaling_in_t():
-    v = sample.sample_stable_subordinator(0.5, 4.0, RngStream(3))
-    w = sample.sample_stable_subordinator(0.5, 1.0, RngStream(3))
-    assert v == pytest.approx(16.0 * w, rel=1e-12)  # t**(1/gamma) scaling
-
-
 def test_ml_waiting_time_survival():
     """Pr{T > t} must match E_nu(-lam * t**nu)."""
     gen = RngStream(17).generator()
@@ -126,16 +122,6 @@ def test_ml_waiting_time_survival():
         target = mittag_leffler(nu, -lam * t ** nu).value
         se = math.sqrt(target * (1 - target) / n)
         assert abs(emp - target) < 4 * se
-
-
-def test_scalar_ml_waiting_time_survival():
-    gen = RngStream(19).generator()
-    n = 20_000
-    w = np.array([sample.sample_ml_waiting_time(0.6, 1.3, gen)
-                  for _ in range(n)])
-    emp = float((w > 1.0).mean())
-    target = mittag_leffler(0.6, -1.3).value
-    assert abs(emp - target) < 4 * math.sqrt(target * (1 - target) / n)
 
 
 def test_ml_waiting_time_exponential_case():
@@ -242,17 +228,6 @@ def test_batch_argument_validation():
                      RngStream(0))
     with pytest.raises(ValueError):
         sample_batch("time", params, 1.0, 10, RngStream(0))
-
-
-def test_scalar_samplers_validate():
-    with pytest.raises(ValueError):
-        sample.sample_space_fractional(ProcessParams(1.0, 0.5, 0.5), 1.0,
-                                       RngStream(0))
-    with pytest.raises(ValueError):
-        sample.sample_time_fractional(ProcessParams(1.0, 0.5), 1.0,
-                                      RngStream(0))
-    with pytest.raises(ValueError):
-        sample.sample_ml_waiting_time(1.5, 1.0, RngStream(0))
 
 
 def test_composed_matches_direct_order():

@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 from scipy.stats import chi2
 
-from fracpois import dist, verify
+from fracpois import dist, sample, verify
 from fracpois.dist import ProcessParams
 from fracpois.sample import RngStream, SampleBatch, sample_batch
 from fracpois.special_fn import mittag_leffler
 from fracpois.verify import (DegenerateBins, OracleConfig, check_fixture,
-                             check_min_uniform_space,
-                             check_min_uniform_space_time, check_ode_residual,
+                             check_min_uniform_space, check_ode_residual,
                              gof_pmf, gof_two_sample, load_fixture,
                              oracle_pmf, two_stage, write_fixture)
 
@@ -64,21 +63,42 @@ def test_merge_bins_degenerate():
         verify._merge_bins([1.0, 1.0], [0.5, 0.5], ["0", "1"])
 
 
-def test_min_uniform_space_z_small():
-    res = check_min_uniform_space(0.5, 1.0, 1.0, 0.5, 200_000, RngStream(113))
+@pytest.mark.parametrize("params, seed, exact", [
+    (ProcessParams(1.0, 0.5), 113, math.exp(-math.sqrt(0.5))),
+    # E_{1/2}(-z) = exp(z**2) * erfc(z)
+    (ProcessParams(1.0, 0.7, 0.5), 127,
+     math.exp(0.5 ** 1.4) * math.erfc(0.5 ** 0.7)),
+], ids=["space", "space-time"])
+def test_min_uniform_space_z_small(params, seed, exact):
+    res = check_min_uniform_space(params, 1.0, 0.5, 200_000, RngStream(seed))
     assert abs(res.z_score) < 4.0
-    assert res.analytic == pytest.approx(math.exp(-math.sqrt(0.5)), rel=1e-12)
+    assert res.analytic == pytest.approx(exact, rel=1e-12)
 
 
-def test_min_uniform_space_time_z_small():
-    res = check_min_uniform_space_time(0.7, 0.5, 1.0, 1.0, 0.5, 200_000,
-                                       RngStream(127))
-    assert abs(res.z_score) < 4.0
+def test_min_uniform_space_counts_are_plain_poisson(monkeypatch):
+    """At nu = 1 the driving counts are numpy's Poisson(lam**alpha * t)
+    draws from the check's stream, from its scalar-mean sampler."""
+    poisson_counts, seen = sample._poisson_counts, []
+
+    def spy(mu, n, gen):
+        counts = poisson_counts(mu, n, gen)
+        seen.append((mu, counts))
+        return counts
+
+    monkeypatch.setattr(sample, "_poisson_counts", spy)
+    lam, alpha, t, n = 2.0, 0.7, 1.5, 10_000
+    check_min_uniform_space(ProcessParams(lam, alpha), t, 0.3, n,
+                            RngStream(131))
+    (mu, counts), = seen
+    assert np.ndim(mu) == 0
+    assert np.array_equal(
+        counts, RngStream(131).generator().poisson(lam ** alpha * t, n))
 
 
 def test_min_uniform_u_domain():
     with pytest.raises(ValueError):
-        check_min_uniform_space(0.5, 1.0, 1.0, 1.5, 1000, RngStream(0))
+        check_min_uniform_space(ProcessParams(1.0, 0.5), 1.0, 1.5, 1000,
+                                RngStream(0))
 
 
 def test_ode_residual_small_on_true_pmf():
