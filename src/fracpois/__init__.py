@@ -6,7 +6,7 @@ from .dist import (PmfRow, ProcessParams, cdf, first_passage_cdf,
                    pmf_time_fractional_direct)
 from .sample import RngStream, SampleBatch, sample_batch
 from .special_fn import (EvalResult, NonConvergence, SeriesConfig,
-                         gamma_ratio_ff, mittag_leffler, wright_psi11_kernel)
+                         mittag_leffler)
 
 __version__ = "0.1.0"
 
@@ -14,6 +14,6 @@ __all__ = [
     "ProcessParams", "PmfRow", "pmf", "pmf_row",
     "pmf_time_fractional_direct", "pgf", "cdf", "first_passage_cdf",
     "first_passage_density", "RngStream", "SampleBatch", "sample_batch",
-    "SeriesConfig", "EvalResult", "NonConvergence", "gamma_ratio_ff",
-    "mittag_leffler", "wright_psi11_kernel", "__version__",
+    "SeriesConfig", "EvalResult", "NonConvergence", "mittag_leffler",
+    "__version__",
 ]

@@ -336,6 +336,8 @@ def cmd_verify(args) -> int:
     except NonConvergence as exc:
         print(f"fracpois: non-convergence: {exc}", file=sys.stderr)
         return EXIT_NONCONVERGENCE
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     _emit(rows, meta, args.format, args.out)
     return EXIT_OK if passed else EXIT_STATFAIL
 

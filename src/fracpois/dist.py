@@ -1,15 +1,15 @@
 """Closed-form laws of the space-, time- and space-time fractional
 Poisson processes: PMF, PGF, CDF and first-passage distributions.
 
-The general PMF is
-
-    p_k(t) = ((-1)**k / k!) * sum_r (-lam**alpha * t**nu)**r / Gamma(nu*r+1)
-                                   * ffact(alpha*r, k),
-
-which reduces to the classical Poisson law at alpha = nu = 1.  Reductions
-at alpha = 1 or nu = 1 are routed to closed forms (exp / Poisson / Erlang)
-wherever one exists; everything else goes through the certified series
-evaluators in :mod:`fracpois.special_fn`.
+Every PGF is G(u, t) = E_nu(-lam**alpha * t**nu * (1-u)**alpha) = Q(S(u)),
+with Q the PGF of the time-fractional law (alpha = 1) at rate lam**alpha
+and S(u) = 1 - (1-u)**alpha the PGF of the Sibuya law, whose masses
+s_j = -c_j(alpha) (``frac_ops.frac_binom_coeffs``) are all positive
+(Steutel & van Harn, Ann. Probab. 7, 1979; Devroye, Stat. Probab. Lett.
+18, 1993).  So a PMF row is the alpha = 1 row q (Poisson at nu = 1, else
+the certified series of :mod:`fracpois.special_fn`) and, at alpha < 1,
+p_k = sum_{m<=k} q_m * [u**k] S(u)**m: a positive sum, nothing cancels.
+Elsewhere closed forms (exp / Poisson / Erlang) are used where they exist.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import mpmath as mp
 import numpy as np
 
+from .frac_ops import frac_binom_coeffs
 from .special_fn import (_EPS, DEFAULT_CONFIG, EvalResult, NonConvergence,
                          SeriesConfig, _exp_error_bound, _lgamma,
                          _scan_profile, _sum_series, _to_double,
@@ -72,7 +73,26 @@ def _poisson_row(mu: float, k: int) -> PmfRow:
 
 def pmf_row(params: ProcessParams, t: float, kmax: int,
             cfg: SeriesConfig | None = None) -> list[PmfRow]:
-    """PMF values for k = 0..kmax at time t, each with an error bound."""
+    """PMF values for k = 0..kmax at time t, each with an error bound.
+
+    At alpha < 1 the alpha = 1 row q is composed with the Sibuya law by
+    Horner's rule in S, P = q_m + S * P for m = kmax..0, level m keeping
+    the kmax - m + 1 entries that can still reach k <= kmax.  Entry 0 of
+    each level is q_m itself (S has no constant term), so p_0 = q_0 with
+    q_0's bound.  A negative q_m is raised to 0, towards the true mass, so
+    its bound still holds; then every weight is positive and the error of
+    p_k has three parts:
+
+    * the bounds of q, carried through the same Horner pass;
+    * rounding: s_j is within 3j roundings (its product recurrence) and
+      entry k' of a level sums at most k' positive products, so a term's
+      path to entry k, through entries k' < k'' < ... <= k, meets at most
+      k*(k+1)/2 + 3k roundings; four more form the bound;
+    * underflow: each product may lose ulp(0)/2 outright; the
+      k*(k+1)*(k+2)/6 products reaching entry k in each pass are carried
+      with weights below 1 ([u**k] (1-u)**-alpha <= 1), and one more
+      ulp(0) covers forming the bound.
+    """
     if t < 0:
         raise ValueError("t must be >= 0")
     if kmax < 0:
@@ -81,13 +101,29 @@ def pmf_row(params: ProcessParams, t: float, kmax: int,
     if t == 0.0:
         return [PmfRow(k, 1.0 if k == 0 else 0.0, 0.0)
                 for k in range(kmax + 1)]
-    if params.alpha == 1.0 and params.nu == 1.0:
-        return [_poisson_row(params.lam * t, k) for k in range(kmax + 1)]
-    rows = wright_psi11_weighted_rows(params.alpha, kmax,
-                                      _series_argument(params, t),
-                                      params.nu, cfg)
-    return [PmfRow(k, r.value, r.abs_error_bound)
-            for k, r in enumerate(rows)]
+    w = _series_argument(params, t)
+    if params.nu == 1.0:
+        q = [_poisson_row(-w, m) for m in range(kmax + 1)]
+    else:
+        q = [PmfRow(m, r.value, r.abs_error_bound) for m, r in enumerate(
+            wright_psi11_weighted_rows(kmax, w, params.nu, cfg))]
+    if params.alpha == 1.0:
+        return q
+    sib = -frac_binom_coeffs(params.alpha, kmax)[1:]    # s_1..s_kmax
+    qv = np.maximum([row.p for row in q], 0.0)
+    qb = np.array([row.abs_error_bound for row in q])
+    p, b = qv[kmax:], qb[kmax:]
+    for m in range(kmax - 1, -1, -1):
+        n = kmax - m
+        p = np.r_[qv[m], np.convolve(sib[:n], p)[:n]]
+        b = np.r_[qb[m], np.convolve(sib[:n], b)[:n]]
+    k = np.arange(1.0, kmax + 1)
+    theta = (k * (k + 7) / 2 + 4) * (_EPS / 2)    # roundings * unit roundoff
+    g = theta / (1 - theta)
+    bound = ((b[1:] + g * p[1:]) / (1 - g)
+             + (k * (k + 1) * (k + 2) / 6 + 1) * math.ulp(0.0))
+    return [q[0]] + [PmfRow(j, float(v), float(e)) for j, v, e in
+                     zip(range(1, kmax + 1), p[1:], bound)]
 
 
 def pmf(params: ProcessParams, t: float, k: int,
@@ -102,13 +138,7 @@ def pmf(params: ProcessParams, t: float, k: int,
     if t < 0:
         raise ValueError("t must be >= 0")
     cfg = cfg or DEFAULT_CONFIG
-    if t == 0.0 or (params.alpha == 1.0 and params.nu == 1.0):
-        return pmf_row(params, t, k, cfg)[k]
-    if k == 0:
-        if params.nu == 1.0:
-            arg = _series_argument(params, t)
-            p0 = math.exp(arg)
-            return PmfRow(0, p0, _exp_error_bound(p0, abs(arg)))
+    if k == 0 and t > 0 and params.nu != 1.0:
         res = mittag_leffler(params.nu, _series_argument(params, t), cfg)
         return PmfRow(0, res.value, res.abs_error_bound)
     return pmf_row(params, t, k, cfg)[k]
@@ -160,7 +190,7 @@ def pmf_time_fractional_direct(params: ProcessParams, t: float, k: int,
             yield rise * mp.rgamma(nu_mp * (k + r) + 1)
             rise = rise * xm * (r + k + 1) / (r + 1)
 
-    vals, bounds, terms = _sum_series(bases, 1.0, peaks, profile, cfg)
+    vals, bounds, terms = _sum_series(bases, peaks, profile, cfg)
     res = _to_double(vals[0], bounds[0], terms)
     return PmfRow(k, res.value, res.abs_error_bound)
 

@@ -177,7 +177,9 @@ def _mixed_poisson_counts(lam: float, alpha: float, nu: float, t: float,
     with np.errstate(over="ignore"):
         if gamma is not None:
             s, redraws = _stable_unit(gamma, n, gen)
-            clock = t ** (1.0 / gamma) * s
+            # a numpy scalar power overflows to inf, capped below; the
+            # float power would raise
+            clock = np.float64(t) ** (1.0 / gamma) * s
         elif nu != 1.0:
             s, redraws = _stable_unit(nu, n, gen)
             clock = t ** nu * s ** -nu

@@ -2,12 +2,13 @@
 
 Everything in this module is built on one family of series,
 
-    S_k = sum_{r>=0}  w**r / Gamma(nu*r + 1) * ffact(alpha*r, k),   w <= 0,
+    S_k = sum_{r>=0}  w**r / Gamma(nu*r + 1) * ffact(r, k),   w <= 0,
 
-where ``ffact(z, k) = z*(z-1)*...*(z-k+1)`` is the falling factorial.
-With k = 0 and alpha arbitrary this is the one-parameter Mittag-Leffler
-series; with general k it is the inner kernel of the fractional Poisson
-probability mass functions.
+where ``ffact(r, k) = r*(r-1)*...*(r-k+1)`` is the integer falling
+factorial.  With k = 0 this is the one-parameter Mittag-Leffler series
+E_nu(w); ((-1)**k / k!) * S_k is the time-fractional Poisson mass at k
+with lam * t**nu = -w, the row from which ``dist`` builds every law (at
+alpha < 1 by composing it with the Sibuya law, which cancels nothing).
 
 The series alternate and the intermediate terms can be many orders of
 magnitude larger than the sum.  One engine, ``_sum_series``, sums every
@@ -16,9 +17,9 @@ such series in this package (also the direct time-fractional form in
 the mpmath working precision of the k-independent factors
 w**r / Gamma(nu*r + 1) and places, for each row k, a fixed-point grid
 just below the row's peak term.  Everything else is exact Python-integer
-arithmetic: a double alpha is m / 2**e, so the falling factorial is an
-integer product, and each term is truncated onto its row's grid and
-summed exactly.  The engine stops once the geometric tail is within
+arithmetic: each term is the integer mantissa of its factor times the
+integer falling factorial, truncated onto its row's grid and summed
+exactly.  The engine stops once the geometric tail is within
 rel_tol (tested in integers) and redoes the sum with more digits when the
 cancellation it measures outruns the precision.  Every result carries an
 explicit absolute error certificate: the tail, plus a rounding term
@@ -88,20 +89,6 @@ class EvalResult:
 DEFAULT_CONFIG = SeriesConfig()
 
 
-def gamma_ratio_ff(z: float, k: int) -> float:
-    """Falling factorial z*(z-1)*...*(z-k+1), i.e. Gamma(z+1)/Gamma(z+1-k).
-
-    Computed as a plain product so the gamma poles/zeros cancel
-    algebraically; total for every real z and k >= 0.
-    """
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    p = 1.0
-    for j in range(k):
-        p *= z - j
-    return p
-
-
 def _lgamma(x: np.ndarray) -> np.ndarray:
     """log Gamma of each entry of a 1-D array of positive doubles
     (``math.lgamma`` elementwise)."""
@@ -143,7 +130,7 @@ def _scan_profile(block, rows: int, rmax: int, r_concave: float
     return np.concatenate(blocks), peaks
 
 
-def _kernel_profile(alpha: float, kmax: int, w: float, nu: float,
+def _kernel_profile(kmax: int, w: float, nu: float,
                     max_terms: int) -> tuple[np.ndarray, np.ndarray]:
     """Natural-log magnitudes of the terms of S_kmax, r = 0, 1, ..., and
     the peak log magnitude of each row S_0..S_kmax.
@@ -151,7 +138,7 @@ def _kernel_profile(alpha: float, kmax: int, w: float, nu: float,
     Cheap double-precision scan (``_scan_profile``, up to
     r = min(max_terms, 50_000)) used only to size the working precision,
     locate the hump of the series and place each row's summation grid; not
-    part of any certificate.  Past r = kmax/alpha + 2 every row is concave
+    part of any certificate.  Past r = kmax + 2 every row is concave
     in r, so the scan may stop there once every row has fallen
     _PRESCAN_DROP nats below its peak and 1; the stop rule's test on the
     last row (ratio at most _STOP_RATIO, tail within rel_tol) then holds
@@ -162,14 +149,14 @@ def _kernel_profile(alpha: float, kmax: int, w: float, nu: float,
 
     def block(r):
         lt = r * logw - _lgamma(nu * r + 1.0)
-        # row k adds sum_{j<k} log|alpha*r - j|: a cumsum over j
+        # row k adds sum_{j<k} log|r - j|: a cumsum over j
         rows = lt[:, None] + np.cumsum(np.log(
-            np.abs(alpha * r[:, None] - j[None, :])), axis=1)
+            np.abs(r[:, None] - j[None, :])), axis=1)
         return np.column_stack((lt, rows))
 
     with np.errstate(divide="ignore", invalid="ignore"):
         return _scan_profile(block, kmax + 1, min(max_terms, 50_000),
-                             kmax / alpha + 2)
+                             kmax + 2)
 
 
 def _kernel_bases(w: float, nu: float):
@@ -187,23 +174,20 @@ def _kernel_bases(w: float, nu: float):
         wpow *= wmp
 
 
-def _sum_series(bases, alpha: float, peaks, profile: np.ndarray,
-                cfg: SeriesConfig):
-    """Rows S_k = sum_r base_r * ffact(alpha*r, k), k = 0..len(peaks)-1.
+def _sum_series(bases, peaks, profile: np.ndarray, cfg: SeriesConfig):
+    """Rows S_k = sum_r base_r * ffact(r, k), k = 0..len(peaks)-1.
 
     ``bases`` is called inside the working precision and returns an
     iterator over the k-independent factors base_0, base_1, ... as mpf,
-    each within (3r + 5) roundings of its exact value.  ``alpha`` is a
-    double, so exactly m / 2**e, and the falling factorial of term r is
-    the exact integer FF_k = prod_{j<k} (m*r - j*2**e) times 2**(-e*k);
-    ``alpha`` is unused when there is one row.  ``peaks`` holds each row's
-    peak natural-log term magnitude and ``profile`` the log term
-    magnitudes of the last row, both in doubles: the profile's peak sets
-    the working precision (40 digits above the peak term, prec bits) and
-    the index rpeak past which the sum may stop.
+    each within (3r + 5) roundings of its exact value.  The falling
+    factorial FF_k = r*(r-1)*...*(r-k+1) of term r is an exact integer.
+    ``peaks`` holds each row's peak natural-log term magnitude and
+    ``profile`` the log term magnitudes of the last row, both in doubles:
+    the profile's peak sets the working precision (40 digits above the
+    peak term, prec bits) and the index rpeak past which the sum may stop.
 
     The sums are exact Python integers.  Term (r, k) is the exact product
-    +-man*FF_k*2**(exp - e*k) of base_r = +-man*2**exp and FF_k; its
+    +-man*FF_k*2**exp of base_r = +-man*2**exp and FF_k; its
     magnitude is truncated onto row k's grid, 2**E_k with E_k set
     prec + _GRID_GUARD_BITS bits below the row's peak term, and added to
     the row's sum and sum of |terms| in units of 2**E_k.
@@ -222,8 +206,6 @@ def _sum_series(bases, alpha: float, peaks, profile: np.ndarray,
     exact images of their integers.
     """
     kmax = len(peaks) - 1
-    m, den = alpha.as_integer_ratio()
-    e = den.bit_length() - 1
     tol_num, tol_den = cfg.rel_tol.as_integer_ratio()
     q_num, q_den = _STOP_RATIO.as_integer_ratio()
     rpeak = int(np.argmax(profile))
@@ -233,8 +215,6 @@ def _sum_series(bases, alpha: float, peaks, profile: np.ndarray,
             prec = mp.mp.prec
             grid = [math.floor(p / _LN2) - prec - _GRID_GUARD_BITS
                     for p in peaks]
-            # term (r, k) sits 2**(e*k) below base_r * FF_k on its grid
-            off = [g + e * k for k, g in enumerate(grid)]
             sums = [0] * (kmax + 1)
             abssums = [0] * (kmax + 1)
             lastabs = [0] * (kmax + 1)
@@ -248,10 +228,9 @@ def _sum_series(bases, alpha: float, peaks, profile: np.ndarray,
                         f"series did not converge within {cfg.max_terms} "
                         f"terms (k<={kmax})")
                 neg, ff, exp, _ = next(terms)._mpf_
-                f = m * r
                 ok = r > rpeak
                 for k in range(kmax + 1):
-                    sh = exp - off[k]
+                    sh = exp - grid[k]
                     # truncate the magnitude: >> floors negative numbers
                     at = ff << sh if sh >= 0 else ff >> -sh
                     s = sums[k] = sums[k] - at if neg else sums[k] + at
@@ -265,12 +244,8 @@ def _sum_series(bases, alpha: float, peaks, profile: np.ndarray,
                         if (q_den * at > q_num * prev
                                 or at * at * tol_den > thr * (prev - at)):
                             ok = False
-                    if f < 0:
-                        neg ^= 1
-                        ff *= -f
-                    else:
-                        ff *= f
-                    f -= den
+                    # FF_{k+1} = FF_k * (r - k), zero from k = r on
+                    ff *= r - k
                 streak = streak + 1 if ok else 0
                 if streak >= 3:
                     break
@@ -295,15 +270,12 @@ def _sum_series(bases, alpha: float, peaks, profile: np.ndarray,
              for s, g in zip(sums, grid)], bounds, n)
 
 
-def _kernel_rows(alpha: float, kmax: int, w: float, nu: float,
-                 cfg: SeriesConfig | None):
+def _kernel_rows(kmax: int, w: float, nu: float, cfg: SeriesConfig | None):
     """S_k for k = 0..kmax as (mpf values, mpf bounds, terms_used).
 
     Values are mpf so that callers may rescale (e.g. divide by k!) before
     converting to double.
     """
-    if not 0 < alpha <= 1:
-        raise ValueError("alpha must lie in (0, 1]")
     if not 0 < nu <= 1:
         raise ValueError("time_nu must lie in (0, 1]")
     if kmax < 0:
@@ -313,9 +285,8 @@ def _kernel_rows(alpha: float, kmax: int, w: float, nu: float,
     cfg = cfg or DEFAULT_CONFIG
     if w == 0.0:
         return [mp.mpf(1)] + [mp.mpf(0)] * kmax, [mp.mpf(0)] * (kmax + 1), 1
-    profile, peaks = _kernel_profile(alpha, kmax, w, nu, cfg.max_terms)
-    return _sum_series(lambda: _kernel_bases(w, nu), alpha, peaks, profile,
-                       cfg)
+    profile, peaks = _kernel_profile(kmax, w, nu, cfg.max_terms)
+    return _sum_series(lambda: _kernel_bases(w, nu), peaks, profile, cfg)
 
 
 def _to_double(value, bound, terms: int) -> EvalResult:
@@ -511,7 +482,7 @@ def mittag_leffler(nu: float, x: float, cfg: SeriesConfig | None = None) -> Eval
     if nu == 1.0:
         v = math.exp(x)
         return EvalResult(v, _exp_error_bound(v), 1)
-    profile, peaks = _kernel_profile(1.0, 0, x, nu, cfg.max_terms)
+    profile, peaks = _kernel_profile(0, x, nu, cfg.max_terms)
     if profile.max() / _LN10 > _DOUBLE_HEADROOM_DIGITS:
         limit = math.inf
     else:
@@ -519,31 +490,21 @@ def mittag_leffler(nu: float, x: float, cfg: SeriesConfig | None = None) -> Eval
     res = _ml_integral(nu, -x, cfg, limit)
     if res is not None:
         return res
-    vals, bounds, terms = _sum_series(lambda: _kernel_bases(x, nu), 1.0,
-                                      peaks, profile, cfg)
+    vals, bounds, terms = _sum_series(lambda: _kernel_bases(x, nu), peaks,
+                                      profile, cfg)
     return _to_double(vals[0], bounds[0], terms)
 
 
-def wright_psi11_kernel(alpha: float, k: int, w: float, time_nu: float = 1.0,
-                        cfg: SeriesConfig | None = None) -> EvalResult:
-    """Inner kernel sum_r w**r / Gamma(nu*r+1) * ffact(alpha*r, k).
-
-    The shared series of the space-fractional (nu=1) and space-time
-    fractional probability mass functions.
-    """
-    vals, bounds, terms = _kernel_rows(alpha, k, w, time_nu, cfg)
-    return _to_double(vals[k], bounds[k], terms)
-
-
-def wright_psi11_weighted_rows(alpha: float, kmax: int, w: float,
-                               time_nu: float = 1.0,
-                               cfg: SeriesConfig | None = None) -> list[EvalResult]:
-    """Rows ((-1)**k / k!) * S_k for k = 0..kmax (the PMF weighting).
+def wright_psi11_weighted_rows(kmax: int, w: float, time_nu: float = 1.0,
+                               cfg: SeriesConfig | None = None
+                               ) -> list[EvalResult]:
+    """Rows ((-1)**k / k!) * S_k for k = 0..kmax: the time-fractional
+    Poisson masses with lam * t**nu = -w.
 
     The division by k! happens in extended precision so rows remain
     finite doubles even where k! alone would overflow.
     """
-    vals, bounds, terms = _kernel_rows(alpha, kmax, w, time_nu, cfg)
+    vals, bounds, terms = _kernel_rows(kmax, w, time_nu, cfg)
     out = []
     sign = 1
     fact = mp.mpf(1)

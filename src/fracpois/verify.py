@@ -169,6 +169,8 @@ def check_min_uniform_space(params: ProcessParams, t: float, u: float,
     """
     if not 0 < u < 1:
         raise ValueError("u must lie in (0, 1)")
+    if n < 1:
+        raise ValueError("n must be >= 1")
     gen = rng.generator()
     counts, _ = sample._mixed_poisson_counts(params.lam ** params.alpha, 1.0,
                                              params.nu, t, n, gen)
@@ -193,6 +195,8 @@ def check_ode_residual(params: ProcessParams, t: float, K: int,
         raise ValueError("the governing ODE system applies at nu = 1")
     if K < 1:
         raise ValueError("K must be >= 1")
+    if not t > 0:
+        raise ValueError("t must be > 0")
     cfg = cfg or DEFAULT_CONFIG
     h = 1e-4 * t
     p_mid = np.array([r.p for r in dist.pmf_row(params, t, K, cfg)])

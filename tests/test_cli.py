@@ -137,7 +137,7 @@ def test_usage_error_exit_code_1(capsys):
 
 
 def test_nonconvergence_exit_code_2(capsys):
-    code, _, err = run_cli(capsys, "pmf", "--lambda", "5.0", "--alpha", "0.5",
+    code, _, err = run_cli(capsys, "pmf", "--lambda", "5.0", "--nu", "0.5",
                            "--t", "1.0", "--kmax", "5", "--max-terms", "5")
     assert code == 2
     assert "non-convergence" in err
@@ -305,6 +305,29 @@ def test_unread_flags_are_usage_errors(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 1 and out == ""
     assert "unrecognized arguments" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--suite", "min-uniform", "--lambda", "1", "--t", "1", "--n", "0"],
+    ["--suite", "pmf-mc", "--lambda", "1", "--t", "1", "--n", "100"],
+    ["--suite", "pmf-mc", "--lambda", "1", "--t", "0"],
+    ["--suite", "ode", "--alpha", "0.7", "--lambda", "1", "--t", "0"],
+], ids=["min-uniform-n0", "pmf-mc-n100", "pmf-mc-t0", "ode-t0"])
+def test_verify_bad_input_is_usage_error(capsys, argv):
+    code, out, err = run_cli(capsys, "verify", *argv)
+    assert code == 1 and out == ""
+    assert "error" in err
+
+
+def test_composed_clock_overflow_is_capped(capsys):
+    """t**(1/gamma) overflows: the clock goes to inf and every count to the
+    cap, as for the other clocks."""
+    code, out, _ = run_cli(capsys, "sample", "--process", "composed",
+                           "--lambda", "1", "--alpha", "0.5", "--gamma",
+                           "0.5", "--t", "1e200", "--n", "3", "--seed", "0")
+    assert code == 0
+    counts = [int(r["count"]) for r in csv.DictReader(io.StringIO(out))]
+    assert counts == [sample._COUNT_CAP] * 3
 
 
 @pytest.mark.parametrize("block", [None, 7])

@@ -228,7 +228,7 @@ def test_first_passage_requires_nu_one():
 
 def test_survival_subordination_matches_series():
     params = ProcessParams(1.0, 0.5)
-    for k in (0, 3, 10):
+    for k in (0, 3, 10, 100, 1000):
         sv = dist.survival_subordination(params, 1.0, k)
         assert sv == pytest.approx(1.0 - dist.cdf(params, 1.0, k).value,
                                    abs=1e-10)
@@ -272,7 +272,24 @@ def test_survival_subordination_domain():
 def test_nonconvergence_propagates():
     cfg = SeriesConfig(max_terms=5)
     with pytest.raises(dist.NonConvergence):
-        dist.pmf(ProcessParams(5.0, 0.5), 1.0, 3, cfg)
+        dist.pmf(ProcessParams(5.0, 1.0, 0.5), 1.0, 3, cfg)
+
+
+def test_space_fractional_rows_need_no_gamma(monkeypatch):
+    """At nu = 1 the alpha < 1 rows are Poisson masses composed with the
+    Sibuya law: no mpmath gamma and no alternating series, however long
+    the row or however small its masses."""
+    def fail(*args):
+        raise AssertionError("gamma function called")
+
+    monkeypatch.setattr(mp, "rgamma", fail)
+    monkeypatch.setattr(mp, "gamma", fail)
+    for t, kmax in ((1.0, 1000), (1000.0, 30)):
+        rows = dist.pmf_row(ProcessParams(1.0, 0.5), t, kmax)
+        assert len(rows) == kmax + 1
+        assert all(row.p >= 0 for row in rows)
+        assert sum(row.p for row in rows) <= \
+            1 + sum(row.abs_error_bound for row in rows)
 
 
 # Closed-form branches: |value - exact| <= bound, the exact value from
@@ -340,6 +357,8 @@ def _density_reference(lam, alpha, t, k):
 @settings(max_examples=25, deadline=None)
 @given(alpha=st.floats(0.3, 0.999), nu=st.floats(0.3, 0.999),
        t=st.floats(0.2, 3.0), k=st.integers(0, 30))
+@example(alpha=0.5, nu=1.0, t=3.0, k=30)
+@example(alpha=0.05, nu=0.5, t=1.0, k=30)
 def test_series_rows_bound_holds_against_oracle(alpha, nu, t, k):
     params = ProcessParams(1.0, alpha, nu)
     row = dist.pmf_row(params, t, k)[k]
@@ -369,8 +388,9 @@ def test_first_passage_density_bound_holds(lam, alpha, t, k):
 @pytest.mark.parametrize("params", [ProcessParams(1.0, 0.5, 1.0),
                                     ProcessParams(0.5, 1.0, 0.7)])
 def test_rows_with_exact_zero_terms_match_oracle(params):
-    # alpha*r hits the integers j < k, so whole runs of terms are exactly
-    # zero, and tiny negative terms must truncate towards zero
+    # r in the series (alpha*r in the oracle's) hits the integers j < k, so
+    # whole runs of terms are exactly zero, and tiny negative terms must
+    # truncate towards zero
     rows = dist.pmf_row(params, 1.0, 30)
     for row in rows:
         ref = verify.oracle_pmf(params, 1.0, row.k)

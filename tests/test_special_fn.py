@@ -7,11 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fracpois import special_fn
-from fracpois.dist import ProcessParams
+from fracpois.dist import ProcessParams, pmf_row
 from fracpois.special_fn import (EvalResult, NonConvergence, SeriesConfig,
-                                 gamma_ratio_ff, mittag_leffler,
-                                 wright_psi11_kernel,
-                                 wright_psi11_weighted_rows)
+                                 mittag_leffler, wright_psi11_weighted_rows)
 from fracpois.verify import oracle_pmf
 
 # E_{1/2}(-x) = exp(x^2) * erfc(x); frozen from a 40-digit evaluation
@@ -25,25 +23,6 @@ E_HALF_M100 = 0.005641613782989432903556457006951550719
 E_002_M1 = 0.4971138797066253078026243
 E_005_M12 = 0.447352252610284767134533
 E_005_M1 = 0.4927841512002519796721773
-# frozen 40-digit summation of the k=1 kernel at alpha=0.5, w=-1, nu=1
-KERNEL_HALF_K1 = -0.1839397205857211607977618850807304337
-
-
-def test_gamma_ratio_ff_basic():
-    assert gamma_ratio_ff(3.0, 2) == 6.0
-    assert gamma_ratio_ff(0.5, 0) == 1.0
-    assert gamma_ratio_ff(0.5, 3) == pytest.approx(0.375, abs=0)
-
-
-def test_gamma_ratio_ff_rejects_negative_k():
-    with pytest.raises(ValueError):
-        gamma_ratio_ff(1.0, -1)
-
-
-@given(z=st.floats(-20, 20), k=st.integers(0, 50))
-def test_gamma_ratio_ff_recurrence(z, k):
-    assert gamma_ratio_ff(z, k + 1) == pytest.approx(
-        gamma_ratio_ff(z, k) * (z - k), rel=1e-12, abs=1e-250)
 
 
 def test_mittag_leffler_at_zero_is_exact():
@@ -160,7 +139,7 @@ def test_nonconvergence_when_max_terms_too_small():
 
 
 def test_kernel_reduces_to_exp():
-    res = wright_psi11_kernel(1.0, 0, -2.0)
+    res = wright_psi11_weighted_rows(0, -2.0)[0]
     assert res.value == pytest.approx(math.exp(-2.0), rel=1e-12)
 
 
@@ -170,34 +149,21 @@ def test_double_mode_escalates_instead_of_losing_digits():
     res = mittag_leffler(1.0, -30.0)
     assert res.value == pytest.approx(math.exp(-30.0), rel=1e-12)
     # the same cancellation through the kernel's series
-    res = wright_psi11_kernel(1.0, 0, -30.0)
+    res = wright_psi11_weighted_rows(0, -30.0)[0]
     assert res.value == pytest.approx(math.exp(-30.0), rel=1e-12)
 
 
 def test_series_bound_delivers_rel_tol():
     # terms fall slowly here (ratio near 0.9), so a rule that stops on the
     # last term alone reports a geometric tail of several times rel_tol
-    res = wright_psi11_kernel(1.0, 0, -1.0, 0.05)
+    res = wright_psi11_weighted_rows(0, -1.0, 0.05)[0]
     assert res.abs_error_bound <= 1e-12 * abs(res.value) * (1 + 1e-3)
     assert abs(res.value - E_005_M1) <= res.abs_error_bound
 
 
 def test_kernel_zero_argument():
-    assert wright_psi11_kernel(0.5, 0, 0.0).value == 1.0
-    assert wright_psi11_kernel(0.5, 3, 0.0).value == 0.0
-
-
-def test_kernel_against_frozen_oracle():
-    res = wright_psi11_kernel(0.5, 1, -1.0)
-    assert abs(res.value - KERNEL_HALF_K1) <= res.abs_error_bound + 1e-15
-
-
-def test_weighted_rows_match_scalar_kernel():
-    rows = wright_psi11_weighted_rows(0.5, 4, -1.0)
-    for k, row in enumerate(rows):
-        raw = wright_psi11_kernel(0.5, k, -1.0)
-        expect = (-1) ** k * raw.value / math.factorial(k)
-        assert row.value == pytest.approx(expect, rel=1e-10)
+    assert wright_psi11_weighted_rows(0, 0.0)[0].value == 1.0
+    assert wright_psi11_weighted_rows(3, 0.0)[3].value == 0.0
 
 
 @pytest.mark.parametrize("alpha,k,w,nu", [
@@ -205,22 +171,26 @@ def test_weighted_rows_match_scalar_kernel():
     (1.0, 2, -5.0, 0.3),
 ])
 def test_error_certificate_is_conservative(alpha, k, w, nu):
-    """Refining the evaluation must stay inside the reported bound."""
-    coarse = wright_psi11_kernel(alpha, k, w, nu, SeriesConfig(rel_tol=1e-8))
-    fine = wright_psi11_kernel(alpha, k, w, nu,
-                               SeriesConfig(rel_tol=1e-14, max_terms=20_000))
-    assert abs(coarse.value - fine.value) <= \
+    """Refining the evaluation must stay inside the reported bound.  The
+    law (lam, alpha, nu) at t = 1 with lam**alpha = -w: at nu < 1 its
+    alpha = 1 row is the series at w, composed with the Sibuya law at
+    alpha < 1."""
+    params = ProcessParams((-w) ** (1 / alpha), alpha, nu)
+    coarse = pmf_row(params, 1.0, k, SeriesConfig(rel_tol=1e-8))[k]
+    fine = pmf_row(params, 1.0, k,
+                   SeriesConfig(rel_tol=1e-14, max_terms=20_000))[k]
+    assert abs(coarse.p - fine.p) <= \
         coarse.abs_error_bound + fine.abs_error_bound
 
 
-@pytest.mark.parametrize("alpha,kmax,w,nu", [
-    (0.7, 30, -5.0, 0.3), (1.0, 10, -3.0, 0.5), (0.5, 30, -1.0, 1.0),
+@pytest.mark.parametrize("kmax,w,nu", [
+    (30, -5.0, 0.3), (10, -3.0, 0.5), (30, -1.0, 1.0),
 ])
-def test_series_rounding_certificate(monkeypatch, alpha, kmax, w, nu):
+def test_series_rounding_certificate(monkeypatch, kmax, w, nu):
     """At rel_tol=1e-60 rounding dominates the bound: a rerun 60 digits
     more precise must land within it on every row."""
     cfg = SeriesConfig(rel_tol=1e-60)
-    vals, bounds, _ = special_fn._kernel_rows(alpha, kmax, w, nu, cfg)
+    vals, bounds, _ = special_fn._kernel_rows(kmax, w, nu, cfg)
     profile_of = special_fn._kernel_profile
 
     def shifted(*args):
@@ -230,20 +200,20 @@ def test_series_rounding_certificate(monkeypatch, alpha, kmax, w, nu):
         return profile + 60 * math.log(10.0), peaks
 
     monkeypatch.setattr(special_fn, "_kernel_profile", shifted)
-    refs, _, _ = special_fn._kernel_rows(alpha, kmax, w, nu, cfg)
+    refs, _, _ = special_fn._kernel_rows(kmax, w, nu, cfg)
     with mp.workdps(400):
         for v, b, ref in zip(vals, bounds, refs):
             assert abs(v - ref) <= b
 
 
-def _full_profile(alpha, kmax, w, nu, rmax):
+def _full_profile(kmax, w, nu, rmax):
     """Every row's log term magnitudes over r = 0..rmax, without stopping."""
     r = np.arange(rmax + 1, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
         lt = r * math.log(abs(w)) - special_fn._lgamma(nu * r + 1.0)
         lt[~np.isfinite(lt)] = -np.inf
         rows = lt[:, None] + np.cumsum(np.log(np.abs(
-            alpha * r[:, None] - np.arange(kmax)[None, :])), axis=1)
+            r[:, None] - np.arange(kmax)[None, :])), axis=1)
     rows = np.column_stack([lt, rows])
     return rows[:, -1], rows.max(axis=0)
 
@@ -252,12 +222,14 @@ def _full_profile(alpha, kmax, w, nu, rmax):
 @pytest.mark.parametrize("nu", [0.05, 0.3, 0.5, 0.7, 1.0])
 def test_truncated_profile_matches_full_scan(alpha, nu):
     """The prescan may stop early only where the rest of the scan would
-    change no peak, no precision and no predicted series length."""
-    for w in (-100.0, -8.0, -1.0, -1e-3):
+    change no peak, no precision and no predicted series length.  The
+    arguments are those of the rows of the laws (lam, alpha, nu) at t = 1,
+    w = -lam**alpha."""
+    for lam in (100.0, 8.0, 1.0, 1e-3):
+        w = -lam ** alpha
         for kmax in (0, 1, 10, 30, 100):
-            profile, peaks = special_fn._kernel_profile(alpha, kmax, w, nu,
-                                                        10_000)
-            full, full_peaks = _full_profile(alpha, kmax, w, nu, 10_000)
+            profile, peaks = special_fn._kernel_profile(kmax, w, nu, 10_000)
+            full, full_peaks = _full_profile(kmax, w, nu, 10_000)
             assert np.array_equal(peaks, full_peaks)
             assert np.array_equal(profile, full[:profile.size])
             assert np.argmax(profile) == np.argmax(full)
