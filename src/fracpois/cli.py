@@ -1,6 +1,7 @@
 """Command-line front end: evaluation, sampling and verification.
 
-Exit codes: 0 success, 1 usage error, 2 numerical non-convergence,
+Exit codes: 0 success, 1 usage error (a bad flag, or a value that the
+library rejects with ValueError), 2 numerical non-convergence,
 3 statistical test failure.  Output is CSV (header row, LF endings) or a
 single JSON object with "meta" and "rows"; floats are printed in their
 shortest round-trip form.
@@ -149,17 +150,11 @@ def build_parser() -> _Parser:
 
 
 def _params(args) -> ProcessParams:
-    try:
-        return ProcessParams(args.lam, args.alpha, args.nu)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    return ProcessParams(args.lam, args.alpha, args.nu)
 
 
 def _cfg(args) -> SeriesConfig:
-    try:
-        return SeriesConfig(rel_tol=args.tol, max_terms=args.max_terms)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    return SeriesConfig(rel_tol=args.tol, max_terms=args.max_terms)
 
 
 def _meta(args, **extra):
@@ -191,8 +186,6 @@ def cmd_pmf(args) -> int:
 
 def cmd_pgf(args) -> int:
     params, cfg = _params(args), _cfg(args)
-    if abs(args.u) > 1:
-        raise UsageError("--u must satisfy |u| <= 1")
     try:
         res = dist.pgf(params, args.t, args.u, cfg)
     except NonConvergence as exc:
@@ -219,23 +212,13 @@ def _threads(args) -> int:
     return threads
 
 
-def _stream(seed: int, stream_id: int = 0) -> RngStream:
-    try:
-        return RngStream(seed, stream_id)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-
-
 def cmd_sample(args) -> int:
     params = _params(args)
     if args.n < 1:
         raise UsageError("--n must be >= 1")
-    rng, threads = _stream(args.seed, args.stream_id), _threads(args)
-    try:
-        batch = sample.sample_batch(args.process, params, args.t, args.n,
-                                    rng, gamma=args.gamma, threads=threads)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    rng, threads = RngStream(args.seed, args.stream_id), _threads(args)
+    batch = sample.sample_batch(args.process, params, args.t, args.n, rng,
+                                gamma=args.gamma, threads=threads)
     _emit_counts(batch.counts, _meta(args, process=args.process, n=args.n,
                                      seed=args.seed,
                                      stream_id=args.stream_id,
@@ -327,7 +310,7 @@ def _suite_oracle(args, params, cfg):
 
 def cmd_verify(args) -> int:
     params, cfg = _params(args), _cfg(args)
-    _stream(args.seed)      # --seed is checked for every suite
+    RngStream(args.seed)    # --seed is checked for every suite
     suites = {"pmf-mc": _suite_pmf_mc, "min-uniform": _suite_min_uniform,
               "subordination": _suite_subordination, "ode": _suite_ode,
               "oracle": _suite_oracle}
@@ -336,8 +319,6 @@ def cmd_verify(args) -> int:
     except NonConvergence as exc:
         print(f"fracpois: non-convergence: {exc}", file=sys.stderr)
         return EXIT_NONCONVERGENCE
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
     _emit(rows, meta, args.format, args.out)
     return EXIT_OK if passed else EXIT_STATFAIL
 
@@ -378,7 +359,8 @@ def main(argv=None) -> int:
         handler = {"pmf": cmd_pmf, "pgf": cmd_pgf, "sample": cmd_sample,
                    "verify": cmd_verify, "passage": cmd_passage}[args.command]
         return handler(args)
-    except UsageError as exc:
+    except (UsageError, ValueError) as exc:
+        # the library raises ValueError for arguments outside its domain
         print(f"fracpois: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

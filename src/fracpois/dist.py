@@ -3,13 +3,16 @@ Poisson processes: PMF, PGF, CDF and first-passage distributions.
 
 Every PGF is G(u, t) = E_nu(-lam**alpha * t**nu * (1-u)**alpha) = Q(S(u)),
 with Q the PGF of the time-fractional law (alpha = 1) at rate lam**alpha
-and S(u) = 1 - (1-u)**alpha the PGF of the Sibuya law, whose masses
-s_j = -c_j(alpha) (``frac_ops.frac_binom_coeffs``) are all positive
-(Steutel & van Harn, Ann. Probab. 7, 1979; Devroye, Stat. Probab. Lett.
-18, 1993).  So a PMF row is the alpha = 1 row q (Poisson at nu = 1, else
-the certified series of :mod:`fracpois.special_fn`) and, at alpha < 1,
-p_k = sum_{m<=k} q_m * [u**k] S(u)**m: a positive sum, nothing cancels.
-Elsewhere closed forms (exp / Poisson / Erlang) are used where they exist.
+and S(u) = 1 - (1-u)**alpha the PGF of the Sibuya law, whose masses are
+all positive (Steutel & van Harn, Ann. Probab. 7, 1979; Devroye, Stat.
+Probab. Lett. 18, 1993).  So a PMF row is the alpha = 1 row q (Poisson at
+nu = 1, else the certified series of :mod:`fracpois.special_fn`) and, at
+alpha < 1, p_k = sum_{m<=k} q_m * [u**k] S(u)**m: a positive sum, nothing
+cancels.  The Sibuya powers [u**n] S(u)**m follow one positive first-order
+recurrence in n, so a row of K masses costs O(K**2), and the survival
+Pr{N(t) > k} = ``first_passage_cdf(params, t, k + 1)`` carries its bound
+for any alpha at nu = 1.  Elsewhere closed forms (exp / Poisson / Erlang)
+are used where they exist.
 """
 
 from __future__ import annotations
@@ -21,7 +24,6 @@ from dataclasses import dataclass
 import mpmath as mp
 import numpy as np
 
-from .frac_ops import frac_binom_coeffs
 from .special_fn import (_EPS, DEFAULT_CONFIG, EvalResult, NonConvergence,
                          SeriesConfig, _exp_error_bound, _lgamma,
                          _scan_profile, _sum_series, _to_double,
@@ -30,21 +32,21 @@ from .special_fn import (_EPS, DEFAULT_CONFIG, EvalResult, NonConvergence,
 __all__ = [
     "ProcessParams", "PmfRow", "pmf", "pmf_row", "pmf_time_fractional_direct",
     "pgf", "pgf_partial_sum", "cdf", "first_passage", "first_passage_cdf",
-    "first_passage_density", "survival_subordination", "NonConvergence",
+    "first_passage_density", "NonConvergence",
 ]
 
 
 @dataclass(frozen=True)
 class ProcessParams:
-    """Rate lam > 0, space order alpha in (0,1], time order nu in (0,1]."""
+    """Finite rate lam > 0, space order alpha and time order nu in (0, 1]."""
 
     lam: float
     alpha: float = 1.0
     nu: float = 1.0
 
     def __post_init__(self):
-        if not self.lam > 0:
-            raise ValueError("lam must be > 0")
+        if not 0 < self.lam < math.inf:
+            raise ValueError("lam must be finite and > 0")
         if not 0 < self.alpha <= 1:
             raise ValueError("alpha must lie in (0, 1]")
         if not 0 < self.nu <= 1:
@@ -56,6 +58,11 @@ class PmfRow:
     k: int
     p: float
     abs_error_bound: float
+
+
+def _check_time(t: float) -> None:
+    if not 0 <= t < math.inf:
+        raise ValueError("t must be finite and >= 0")
 
 
 def _series_argument(params: ProcessParams, t: float) -> float:
@@ -75,26 +82,39 @@ def pmf_row(params: ProcessParams, t: float, kmax: int,
             cfg: SeriesConfig | None = None) -> list[PmfRow]:
     """PMF values for k = 0..kmax at time t, each with an error bound.
 
-    At alpha < 1 the alpha = 1 row q is composed with the Sibuya law by
-    Horner's rule in S, P = q_m + S * P for m = kmax..0, level m keeping
-    the kmax - m + 1 entries that can still reach k <= kmax.  Entry 0 of
-    each level is q_m itself (S has no constant term), so p_0 = q_0 with
-    q_0's bound.  A negative q_m is raised to 0, towards the true mass, so
-    its bound still holds; then every weight is positive and the error of
-    p_k has three parts:
+    At alpha < 1 the alpha = 1 row q is composed with the Sibuya law,
+    p_n = sum_m q_m * c_n[m] with c_n[m] = [u**n] S(u)**m.  The columns c_n
+    follow from (1-u) * (S**m)' = alpha*m * (S**(m-1) - S**m):
 
-    * the bounds of q, carried through the same Horner pass;
-    * rounding: s_j is within 3j roundings (its product recurrence) and
-      entry k' of a level sums at most k' positive products, so a term's
-      path to entry k, through entries k' < k'' < ... <= k, meets at most
-      k*(k+1)/2 + 3k roundings; four more form the bound;
-    * underflow: each product may lose ulp(0)/2 outright; the
-      k*(k+1)*(k+2)/6 products reaching entry k in each pass are carried
-      with weights below 1 ([u**k] (1-u)**-alpha <= 1), and one more
-      ulp(0) covers forming the bound.
+        c_{n+1}[m] = ((n-m + (1-alpha)*m) * c_n[m]
+                      + alpha*m * c_n[m-1]) / (n+1),   m <= n,
+
+    and c_{n+1}[n+1] = alpha * c_n[n], starting from c_0 = [1, 0, ...];
+    each column costs O(n), so the row costs O(kmax**2).  c_n[m] = 0 for
+    m > n and n - alpha*m >= (1-alpha)*m > 0 otherwise, so every factor is
+    positive.  p_0 = q_0 with q_0's bound (c_0 is exact).  A negative q_m
+    is raised to 0, towards the true mass, so its bound still holds; then
+    nothing cancels and the error of p_k (k >= 1) has three parts:
+
+    * the bounds e of q, carried as b_k = sum_m e_m * c_k[m];
+    * rounding: n-m is exact; 1-alpha, its product with m, the sum, the
+      product with c_n[m], the addition and the division take six
+      roundings a column (alpha*m and its product take two, on the other
+      branch), so c_k is within 6k roundings of its exact value, and the
+      k products and k-1 additions of p_k add k; with five more for
+      forming the bound, theta = (7k + 5) * 2**-53 and g = theta/(1-theta)
+      give |p_k - exact| <= (b_k + g*p_k) / (1-g);
+    * underflow: a product or a division may also lose ulp(0)/2
+      outright (sums lose nothing).  Forming an entry of column n+1 loses
+      at most (2/(n+1) + 1) * ulp(0)/2 <= ulp(0), and the map from column
+      n to n+1 has row sums n/(n+1) < 1, so it never amplifies what the
+      earlier columns lost: c_k is off by at most (k-1) * ulp(0).  The
+      weights q sum to at most 1 and the k products of the dot product
+      lose k * ulp(0)/2, so p_k and b_k each lose under 1.5k * ulp(0).
+      The bound adds (7k + 2) * ulp(0), one per rounding counted above
+      and two for forming the bound, which covers both.
     """
-    if t < 0:
-        raise ValueError("t must be >= 0")
+    _check_time(t)
     if kmax < 0:
         raise ValueError("kmax must be >= 0")
     cfg = cfg or DEFAULT_CONFIG
@@ -107,23 +127,28 @@ def pmf_row(params: ProcessParams, t: float, kmax: int,
     else:
         q = [PmfRow(m, r.value, r.abs_error_bound) for m, r in enumerate(
             wright_psi11_weighted_rows(kmax, w, params.nu, cfg))]
-    if params.alpha == 1.0:
+    alpha = params.alpha
+    if alpha == 1.0:
         return q
-    sib = -frac_binom_coeffs(params.alpha, kmax)[1:]    # s_1..s_kmax
-    qv = np.maximum([row.p for row in q], 0.0)
-    qb = np.array([row.abs_error_bound for row in q])
-    p, b = qv[kmax:], qb[kmax:]
-    for m in range(kmax - 1, -1, -1):
-        n = kmax - m
-        p = np.r_[qv[m], np.convolve(sib[:n], p)[:n]]
-        b = np.r_[qb[m], np.convolve(sib[:n], b)[:n]]
-    k = np.arange(1.0, kmax + 1)
-    theta = (k * (k + 7) / 2 + 4) * (_EPS / 2)    # roundings * unit roundoff
+    qb = np.array([[max(row.p, 0.0), row.abs_error_bound] for row in q]).T
+    m = np.arange(kmax + 1.0)
+    am, bm = alpha * m, (1.0 - alpha) * m
+    c = np.zeros(kmax + 1)
+    c[0] = 1.0
+    pb = np.empty((2, kmax))        # p_k and b_k, k = 1..kmax
+    for n in range(kmax):
+        c[n + 1] = alpha * c[n]
+        c[1:n + 1] = ((n - m[1:n + 1] + bm[1:n + 1]) * c[1:n + 1]
+                      + am[1:n + 1] * c[:n]) / (n + 1)
+        c[0] = 0.0      # [u**n] S**0 = 0 for n >= 1
+        pb[:, n] = qb[:, 1:n + 2] @ c[1:n + 2]
+    p, b = pb
+    k = m[1:]
+    theta = (7 * k + 5) * (_EPS / 2)    # roundings * unit roundoff
     g = theta / (1 - theta)
-    bound = ((b[1:] + g * p[1:]) / (1 - g)
-             + (k * (k + 1) * (k + 2) / 6 + 1) * math.ulp(0.0))
+    bound = (b + g * p) / (1 - g) + (7 * k + 2) * math.ulp(0.0)
     return [q[0]] + [PmfRow(j, float(v), float(e)) for j, v, e in
-                     zip(range(1, kmax + 1), p[1:], bound)]
+                     zip(range(1, kmax + 1), p, bound)]
 
 
 def pmf(params: ProcessParams, t: float, k: int,
@@ -135,8 +160,7 @@ def pmf(params: ProcessParams, t: float, k: int,
     """
     if k < 0:
         raise ValueError("k must be >= 0")
-    if t < 0:
-        raise ValueError("t must be >= 0")
+    _check_time(t)
     cfg = cfg or DEFAULT_CONFIG
     if k == 0 and t > 0 and params.nu != 1.0:
         res = mittag_leffler(params.nu, _series_argument(params, t), cfg)
@@ -162,8 +186,7 @@ def pmf_time_fractional_direct(params: ProcessParams, t: float, k: int,
         raise ValueError("direct time-fractional form requires alpha = 1")
     if k < 0:
         raise ValueError("k must be >= 0")
-    if t < 0:
-        raise ValueError("t must be >= 0")
+    _check_time(t)
     cfg = cfg or DEFAULT_CONFIG
     if t == 0.0:
         return PmfRow(k, 1.0 if k == 0 else 0.0, 0.0)
@@ -202,10 +225,9 @@ def pgf(params: ProcessParams, t: float, u: float,
     Equals E_nu(-lam**alpha * (1-u)**alpha * t**nu); at nu = 1 it is the
     discrete-stable exponential exp(-lam**alpha * t * (1-u)**alpha).
     """
-    if abs(u) > 1:
+    if not abs(u) <= 1:
         raise ValueError("u must satisfy |u| <= 1")
-    if t < 0:
-        raise ValueError("t must be >= 0")
+    _check_time(t)
     cfg = cfg or DEFAULT_CONFIG
     if t == 0.0 or u == 1.0:
         return EvalResult(1.0, 0.0, 0)
@@ -325,14 +347,15 @@ def first_passage(params: ProcessParams, t: float, k: int,
     Both come from one ``pmf_row(params, t, k-1)``.  At alpha = 1 they are
     the Erlang distribution function (``_erlang_cdf``) and density, lam
     times the Poisson(lam*t) mass at k-1.  The density is None where it is
-    not defined: k = 0 or t = 0.
+    not defined: k = 0 or t = 0.  With k + 1 for k, the distribution
+    function is the survival Pr{N(t) > k}, bounded for any alpha; its row
+    costs O(k**2) (about a second at k = 10**4).
     """
     if params.nu != 1.0:
         raise ValueError("first-passage laws require nu = 1")
     if k < 0:
         raise ValueError("k must be >= 0")
-    if t < 0:
-        raise ValueError("t must be >= 0")
+    _check_time(t)
     if k == 0:
         return EvalResult(1.0, 0.0, 0), None
     if t == 0.0:
@@ -377,50 +400,3 @@ def first_passage_density(params: ProcessParams, t: float, k: int,
     if not t > 0:
         raise ValueError("t must be > 0")
     return first_passage(params, t, k, cfg)[1]
-
-
-# ---------------------------------------------------------------------------
-# large-k survival via the Poisson-over-stable mixture (nu = 1, alpha = 1/2)
-
-def survival_subordination(params: ProcessParams, t: float, k: int) -> float:
-    """Pr{N(t) > k} from the subordinated representation, for any k.
-
-    The space-fractional count is Poisson with random mean lam * S(t),
-    S the alpha-stable subordinator, so Pr{N(t) > k} = Pr{G <= lam*S} with
-    G ~ Gamma(k+1) independent of S.  At alpha = 1/2 (the Levy case)
-    Pr{S(t) >= x} = erf(t / (2*sqrt(x))), hence
-
-        Pr{N(t) > k} = E[erf(c / sqrt(G))],   c = t*sqrt(lam)/2,
-
-    an integral of a positive integrand with no cancellation, well
-    conditioned for arbitrarily large k, unlike the alternating series.
-
-    It is summed in doubles by the trapezoidal rule in v = log G about the
-    mode log(k+1), where the Gamma(k+1) density is proportional to
-    exp(-(k+1)*(expm1(x) - x)), x = v - log(k+1): formed this way its
-    argument loses no digits to the cancellation of (k+1)*v, e**v and
-    log k!.  The step is min(0.1, 1/(4*sqrt(k+1))), a quarter of the
-    density's width; the integrand is analytic in the strip |Im v| < pi/2,
-    so the rule's error is far below double rounding.  The rule's sum of
-    the density weights, 1 to within that error, normalises the result,
-    so no constant of the density enters.  Requires nu = 1 and
-    alpha = 1/2.
-    """
-    if params.nu != 1.0 or params.alpha != 0.5:
-        raise ValueError("subordination route requires nu = 1, alpha = 1/2")
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    n = k + 1.0
-    h = min(0.1, 0.25 / math.sqrt(n))
-    # the log weight -n*(expm1(x) - x) is below -50 outside [lo, hi]:
-    # expm1(x) - x is >= x**2/2 for x >= 0; for x < 0 it is >= |x| - 1,
-    # and >= x**2/3 while |x| <= 1 (so for n >= 150)
-    hi = math.sqrt(100.0 / n)
-    lo = -(50.0 / n + 1.0 if n < 150.0 else math.sqrt(150.0 / n))
-    x = h * np.arange(math.floor(lo / h), math.ceil(hi / h) + 1)
-    weight = np.exp(-n * (np.expm1(x) - x))
-    z = t * math.sqrt(params.lam) / (2.0 * math.sqrt(n)) * np.exp(-0.5 * x)
-    erf = np.fromiter(map(math.erf, z.tolist()), float, z.size)
-    return float(erf @ weight / weight.sum())

@@ -195,7 +195,8 @@ def _sum_series(bases, peaks, profile: np.ndarray, cfg: SeriesConfig):
     The sum stops after three consecutive terms, in every row, that fall
     by a ratio q <= _STOP_RATIO and whose geometric tail last*q/(1-q) is
     within rel_tol of |partial sum| + rounding; both tests are made in
-    integers.
+    integers.  So NonConvergence is raised before any mpmath work when
+    rpeak + 3 exceeds cfg.max_terms.
     Each row's bound is that tail plus its rounding: (3R + 2) * 2**-prec
     times its sum of |terms| for the bases (R terms summed), and one grid
     unit per term for the truncation.  When some row cancels more digits
@@ -209,6 +210,11 @@ def _sum_series(bases, peaks, profile: np.ndarray, cfg: SeriesConfig):
     tol_num, tol_den = cfg.rel_tol.as_integer_ratio()
     q_num, q_den = _STOP_RATIO.as_integer_ratio()
     rpeak = int(np.argmax(profile))
+    if rpeak + 3 > cfg.max_terms:
+        # the stop rule needs three terms past the peak
+        raise NonConvergence(
+            f"series needs more than {cfg.max_terms} terms: its terms "
+            f"peak at r >= {rpeak} (k<={kmax})")
     dps = max(32, int(profile[rpeak] / _LN10) + 40)
     for _ in range(3):
         with mp.workdps(dps):

@@ -275,6 +275,16 @@ def oracle_pmf(params: ProcessParams, t: float, k: int,
     are concave in r, so the scan stops there once past the peak and
     _PRESCAN_DROP nats below both the peak and 1, with the argmax and
     maximum of the full scan.
+
+    The precision is sized for an absolute accuracy of about
+    10**-(precision_digits+10).  The sum then measures the digits it lost
+    to cancellation, log10 of its largest |term| over |sum|, and is redone
+    with enough digits for that loss (twice the digits when it resolved
+    none), and with its stop tolerance relative to |sum| alone, until
+    precision_digits + 5 digits of the value are resolved: the
+    result is accurate to about 10**-precision_digits relative, however
+    small the mass.  NonConvergence is raised after four such
+    escalations.
     """
     ocfg = ocfg or OracleConfig()
     if k < 0:
@@ -301,58 +311,77 @@ def oracle_pmf(params: ProcessParams, t: float, k: int,
               int(lt[rpeak] / math.log(10)) + ocfg.precision_digits + 10)
 
     cache = _gamma_cache if _gamma_cache is not None else {}
+    digits = ocfg.precision_digits
+    floor = mp.mpf(10) ** (-digits - 5)
+    for _ in range(5):
+        with mp.workdps(dps):
+            s, big = _oracle_sum(params, t, k, dps, rpeak, floor, ocfg,
+                                 cache)
+            lost = mp.log10(big / abs(s)) if s else dps
+            if dps - lost >= digits + 5 and floor <= abs(s):
+                return (-1) ** k / mp.factorial(k) * s
+        # with under three digits resolved, |s| is noise: double instead
+        dps = int(lost) + digits + 15 if dps - lost >= 3 else 2 * dps
+        floor = 0
+    raise NonConvergence(
+        f"oracle sum cancels more than {dps} digits (k={k}, t={t})")
 
-    with mp.workdps(dps):
-        # gamma arguments built in working precision: forming alpha*r in
-        # doubles injects incoherent per-term argument noise that the
-        # alternating sum amplifies well past the target accuracy
-        a_mp, nu_mp = mp.mpf(alpha), mp.mpf(nu)
 
-        def gam(key, x):
-            v = cache.get(key)
-            if v is None:
-                v = mp.gamma(x)
-                cache[key] = v
-            return v
+def _oracle_sum(params, t, k, dps, rpeak, floor, ocfg, cache):
+    """The oracle's alternating sum in the working precision, and its
+    largest |term|; it stops on a tail within 10**-(precision_digits+5) of
+    |partial sum| + floor."""
+    alpha, nu = params.alpha, params.nu
+    # gamma arguments built in working precision: forming alpha*r in
+    # doubles injects incoherent per-term argument noise that the
+    # alternating sum amplifies well past the target accuracy
+    a_mp, nu_mp = mp.mpf(alpha), mp.mpf(nu)
 
-        def rgam(key, x):
-            v = cache.get(key)
-            if v is None:
-                v = mp.rgamma(x)
-                cache[key] = v
-            return v
+    def gam(key, x):
+        v = cache.get(key)
+        if v is None:
+            v = mp.gamma(x)
+            cache[key] = v
+        return v
 
-        w = mp.mpf(params.lam) ** alpha * mp.mpf(t) ** nu * -1
-        s = mp.mpf(0)
-        wpow = mp.mpf(1)
-        last = mp.inf
-        small_streak = 0
-        r = 0
-        tol = mp.mpf(10) ** (-ocfg.precision_digits - 5)
-        while True:
-            if r > ocfg.max_terms:
-                raise NonConvergence("oracle series exceeded max_terms")
-            term = (wpow
-                    * rgam(("n", nu, r, dps), nu_mp * r + 1)
-                    * gam(("g", alpha, r, dps), a_mp * r + 1)
-                    * rgam(("r", alpha, r, k, dps), a_mp * r + 1 - k))
-            s += term
-            at = abs(term)
-            # exact zeros (falling-factorial roots, r < k at alpha = 1)
-            # carry no tail information and must not feed the stop rule
-            if at > 0:
-                # geometric tail at*q/(1-q), q = at/last, within tol
-                if (r > rpeak and r > k and at < last
-                        and at * at <= tol * (abs(s) + tol) * (last - at)):
-                    small_streak += 1
-                    if small_streak >= 3:
-                        break
-                else:
-                    small_streak = 0
-                last = at
-            wpow *= w
-            r += 1
-        return (-1) ** k / mp.factorial(k) * s
+    def rgam(key, x):
+        v = cache.get(key)
+        if v is None:
+            v = mp.rgamma(x)
+            cache[key] = v
+        return v
+
+    w = mp.mpf(params.lam) ** alpha * mp.mpf(t) ** nu * -1
+    s = big = mp.mpf(0)
+    wpow = mp.mpf(1)
+    last = mp.inf
+    small_streak = 0
+    r = 0
+    tol = mp.mpf(10) ** (-ocfg.precision_digits - 5)
+    while True:
+        if r > ocfg.max_terms:
+            raise NonConvergence("oracle series exceeded max_terms")
+        term = (wpow
+                * rgam(("n", nu, r, dps), nu_mp * r + 1)
+                * gam(("g", alpha, r, dps), a_mp * r + 1)
+                * rgam(("r", alpha, r, k, dps), a_mp * r + 1 - k))
+        s += term
+        at = abs(term)
+        big = max(big, at)
+        # exact zeros (falling-factorial roots, r < k at alpha = 1)
+        # carry no tail information and must not feed the stop rule
+        if at > 0:
+            # geometric tail at*q/(1-q), q = at/last, within tol
+            if (r > rpeak and r > k and at < last
+                    and at * at <= tol * (abs(s) + floor) * (last - at)):
+                small_streak += 1
+                if small_streak >= 3:
+                    return s, big
+            else:
+                small_streak = 0
+            last = at
+        wpow *= w
+        r += 1
 
 
 _FIXTURE_GRID_NOTE = "alpha nu lambda t k value"

@@ -1,3 +1,4 @@
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -41,3 +42,28 @@ def profile_scans(monkeypatch):
         return seen["scan"], seen["full"]
 
     return scans
+
+
+def _panjer_row(lam, alpha, t, kmax, dps=60):
+    """Masses k = 0..kmax of the space-fractional law (lam, alpha, nu = 1)
+    at time t, by Panjer's recursion for Poisson(lam**alpha * t) sums of
+    Sibuya(alpha) jumps at dps digits: p_n = (a/n) * sum_j j*s_j*p_{n-j},
+    every term positive."""
+    with mp.workdps(dps):
+        a, al = mp.mpf(lam) ** alpha * mp.mpf(t), mp.mpf(alpha)
+        s, c = [mp.mpf(0)], al
+        for j in range(1, kmax + 1):
+            s.append(c)
+            c = c * (j - al) / (j + 1)
+        p = [mp.exp(-a)]
+        for n in range(1, kmax + 1):
+            p.append(a / n * mp.fsum(j * s[j] * p[n - j]
+                                     for j in range(1, n + 1)))
+        return p
+
+
+@pytest.fixture
+def panjer_row():
+    """``panjer_row(lam, alpha, t, kmax)``: a 60-digit reference row of the
+    space-fractional law that shares no code with ``dist``."""
+    return _panjer_row

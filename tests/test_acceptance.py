@@ -149,7 +149,7 @@ def test_criterion_08_erlang_first_passage():
 def test_criterion_09_heavy_tail_slope():
     params = ProcessParams(1.0, 0.5)
     ks = np.array([100, 1000, 10_000], dtype=float)
-    sv = np.array([dist.survival_subordination(params, 1.0, int(k))
+    sv = np.array([dist.first_passage_cdf(params, 1.0, int(k) + 1).value
                    for k in ks])
     slope = np.polyfit(np.log(ks), np.log(sv), 1)[0]
     _report(9, "heavy-tail survival slope", abs(slope + 0.5) < 0.1,

@@ -319,6 +319,25 @@ def test_verify_bad_input_is_usage_error(capsys, argv):
     assert "error" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["pmf", "--lambda", "1", "--t", "-1", "--kmax", "2"],
+    ["pgf", "--lambda", "1", "--t", "-1", "--u", "0.5"],
+    ["pgf", "--lambda", "1", "--nu", "0.5", "--t", "nan", "--u", "0.5"],
+    ["pmf", "--lambda", "1", "--t", "nan", "--kmax", "2"],
+    ["pmf", "--lambda", "inf", "--t", "1", "--kmax", "2"],
+    ["pmf", "--lambda", "1", "--alpha", "0.5", "--t", "inf", "--kmax", "2"],
+    ["passage", "--lambda", "1", "--alpha", "0.5", "--k", "2", "--t", "nan"],
+    ["pgf", "--lambda", "1", "--t", "1", "--u", "nan"],
+], ids=["pmf-t-neg", "pgf-t-neg", "pgf-t-nan-nu", "pmf-t-nan", "pmf-lam-inf",
+        "pmf-t-inf", "passage-t-nan", "pgf-u-nan"])
+def test_bad_numbers_are_usage_errors(capsys, argv):
+    """Values outside the domain end in exit 1, not in a traceback or in
+    a table of nan."""
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert "error" in err
+
+
 def test_composed_clock_overflow_is_capped(capsys):
     """t**(1/gamma) overflows: the clock goes to inf and every count to the
     cap, as for the other clocks."""
@@ -382,7 +401,7 @@ for argv in (["pmf", *law, "--kmax", "5"], ["pgf", *law, "--u", "0.3"],
               "--tmax", "2", "--steps", "3"],
              ["verify", "--suite", "pmf-mc", *law, "--n", "20000"]):
     assert cli.main(argv) == 0, argv
-print(dist.survival_subordination(dist.ProcessParams(1.0, 0.5), 1.0, 10))
+print(dist.first_passage_cdf(dist.ProcessParams(1.0, 0.5), 1.0, 11).value)
 """)
     sv = float(out.splitlines()[-1])
     assert sv == pytest.approx(0.1746649939382278, rel=1e-13)

@@ -226,14 +226,6 @@ def test_first_passage_requires_nu_one():
         dist.first_passage_cdf(ProcessParams(1.0, 0.5, 0.5), 1.0, 1)
 
 
-def test_survival_subordination_matches_series():
-    params = ProcessParams(1.0, 0.5)
-    for k in (0, 3, 10, 100, 1000):
-        sv = dist.survival_subordination(params, 1.0, k)
-        assert sv == pytest.approx(1.0 - dist.cdf(params, 1.0, k).value,
-                                   abs=1e-10)
-
-
 def _erf_integral(lam, t, k):
     """E[erf(t*sqrt(lam) / (2*sqrt(G)))], G ~ Gamma(k+1), by 30-digit
     quadrature split about the mode of G."""
@@ -254,19 +246,49 @@ def _erf_integral(lam, t, k):
                                        (10, 0.5, 7.0), (100, 3.0, 0.2),
                                        (1000, 1.0, 1.0), (10_000, 0.5, 7.0)])
 def test_survival_subordination_matches_erf_integral(k, lam, t):
-    sv = dist.survival_subordination(ProcessParams(lam, 0.5), t, k)
+    """Pr{N(t) > k} = Pr{tau_{k+1} < t} at alpha = 1/2 within its bound of
+    the subordination integral E[erf(c / sqrt(G))]."""
+    sv = dist.first_passage_cdf(ProcessParams(lam, 0.5), t, k + 1)
     ref = _erf_integral(lam, t, k)
-    assert abs(sv - ref) <= 1e-13 * ref
+    assert abs(mp.mpf(sv.value) - ref) <= sv.abs_error_bound
 
 
-def test_survival_subordination_domain():
-    with pytest.raises(ValueError):
-        dist.survival_subordination(ProcessParams(1.0, 0.7), 1.0, 5)
-    with pytest.raises(ValueError):
-        dist.survival_subordination(ProcessParams(1.0, 0.5, 0.5), 1.0, 5)
-    with pytest.raises(ValueError):
-        dist.survival_subordination(ProcessParams(1.0, 0.5), -1.0, 5)
-    assert dist.survival_subordination(ProcessParams(1.0, 0.5), 0.0, 5) == 0
+@pytest.mark.parametrize("lam, alpha, t, kmax", [
+    (1.0, 0.5, 1.0, 60), (1.0, 0.5, 745.0, 40), (1.0, 0.5, 760.0, 40),
+    (1.0, 0.3, 720.0, 200), (2.0, 0.05, 3.0, 300), (1.0, 0.999, 2.0, 80),
+    (5.0, 0.7, 10.0, 100)])
+def test_space_fractional_rows_bound_holds_against_panjer(panjer_row, lam,
+                                                          alpha, t, kmax):
+    """Every mass of the row within its own bound, with no slack, of a
+    60-digit Panjer recursion; at t = 745 and 760 the masses are
+    subnormal or underflow to 0."""
+    rows = dist.pmf_row(ProcessParams(lam, alpha), t, kmax)
+    for row, ref in zip(rows, panjer_row(lam, alpha, t, kmax)):
+        assert abs(mp.mpf(row.p) - ref) <= row.abs_error_bound
+
+
+def test_series_fails_fast_past_max_terms(monkeypatch):
+    """A series whose terms peak past max_terms raises NonConvergence
+    before any mpmath work."""
+    def fail(*args):
+        raise AssertionError("gamma function called")
+
+    monkeypatch.setattr(mp, "rgamma", fail)
+    with pytest.raises(dist.NonConvergence):
+        dist.pmf_row(ProcessParams(1.0, 1.0, 0.5), 1e4, 2)
+
+
+def test_non_finite_inputs_rejected():
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            ProcessParams(bad)
+        with pytest.raises(ValueError):
+            dist.pgf(ProcessParams(1.0), 1.0, bad)
+        for call in (dist.pmf_row, dist.pmf, dist.first_passage_cdf):
+            with pytest.raises(ValueError):
+                call(ProcessParams(1.0, 0.5), bad, 2)
+        with pytest.raises(ValueError):
+            dist.pgf(ProcessParams(1.0, 1.0, 0.5), bad, 0.5)
 
 
 def test_nonconvergence_propagates():

@@ -132,6 +132,14 @@ def test_oracle_matches_series_pmf():
             assert abs(got.p - ref) <= got.abs_error_bound + 1e-15
 
 
+def test_oracle_resolves_tiny_masses(panjer_row):
+    """A mass of 1.2e-79 below terms of 1e95: the oracle measures the
+    digits the sum cancels and redoes it with that many more."""
+    ref = panjer_row(1.0, 0.5, 200.0, 5)[5]
+    got = oracle_pmf(ProcessParams(1.0, 0.5), 200.0, 5)
+    assert abs(got - ref) <= 1e-30 * ref
+
+
 def test_oracle_poisson_case():
     v = float(oracle_pmf(ProcessParams(2.0), 1.0, 3))
     assert v == pytest.approx(math.exp(-2.0) * 8 / 6, rel=1e-13)
