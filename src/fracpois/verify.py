@@ -312,25 +312,26 @@ def oracle_pmf(params: ProcessParams, t: float, k: int,
 
     cache = _gamma_cache if _gamma_cache is not None else {}
     digits = ocfg.precision_digits
-    floor = mp.mpf(10) ** (-digits - 5)
+    relative = False
     for _ in range(5):
         with mp.workdps(dps):
-            s, big = _oracle_sum(params, t, k, dps, rpeak, floor, ocfg,
+            s, big = _oracle_sum(params, t, k, dps, rpeak, relative, ocfg,
                                  cache)
             lost = mp.log10(big / abs(s)) if s else dps
-            if dps - lost >= digits + 5 and floor <= abs(s):
+            if dps - lost >= digits + 5 and (
+                    relative or abs(s) >= mp.mpf(10) ** (-digits - 5)):
                 return (-1) ** k / mp.factorial(k) * s
         # with under three digits resolved, |s| is noise: double instead
         dps = int(lost) + digits + 15 if dps - lost >= 3 else 2 * dps
-        floor = 0
+        relative = True
     raise NonConvergence(
         f"oracle sum cancels more than {dps} digits (k={k}, t={t})")
 
 
-def _oracle_sum(params, t, k, dps, rpeak, floor, ocfg, cache):
+def _oracle_sum(params, t, k, dps, rpeak, relative, ocfg, cache):
     """The oracle's alternating sum in the working precision, and its
-    largest |term|; it stops on a tail within 10**-(precision_digits+5) of
-    |partial sum| + floor."""
+    largest |term|; it stops on a tail within tol = 10**-(precision_digits
+    + 5) of |partial sum|, plus tol unless ``relative``."""
     alpha, nu = params.alpha, params.nu
     # gamma arguments built in working precision: forming alpha*r in
     # doubles injects incoherent per-term argument noise that the
@@ -358,6 +359,7 @@ def _oracle_sum(params, t, k, dps, rpeak, floor, ocfg, cache):
     small_streak = 0
     r = 0
     tol = mp.mpf(10) ** (-ocfg.precision_digits - 5)
+    floor = 0 if relative else tol
     while True:
         if r > ocfg.max_terms:
             raise NonConvergence("oracle series exceeded max_terms")
