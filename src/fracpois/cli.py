@@ -2,7 +2,9 @@
 
 Exit codes: 0 success, 1 usage error (a bad flag, or a value that the
 library rejects with ValueError), 2 numerical non-convergence,
-3 statistical test failure.  Output is CSV (header row, LF endings) or a
+3 statistical test failure.  The library checks its own inputs; ``main``
+is the one place where its errors become exit codes 1 and 2, and nothing
+is written on either.  Output is CSV (header row, LF endings) or a
 single JSON object with "meta" and "rows"; floats are printed in their
 shortest round-trip form.
 """
@@ -11,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
@@ -40,7 +41,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _fmt(value):
     if isinstance(value, float):
-        return repr(value)
+        return repr(float(value))    # numpy floats repr as np.float64(...)
     return str(value)
 
 
@@ -126,7 +127,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--seed", type=int, required=True)
     sp.add_argument("--stream-id", type=int, default=0)
     sp.add_argument("--gamma", type=float, default=None)
-    sp.add_argument("--threads", type=int, default=None)
+    sp.add_argument("--threads", type=int, default=1)
 
     sp = sub.add_parser("verify", help="run a verification suite")
     _add_common(sp)
@@ -167,58 +168,25 @@ def _meta(args, **extra):
 
 
 def cmd_pmf(args) -> int:
-    params, cfg = _params(args), _cfg(args)
-    if args.kmax < 0:
-        raise UsageError("--kmax must be >= 0")
-    rows_out = []
-    try:
-        rows = dist.pmf_row(params, args.t, args.kmax, cfg)
-    except NonConvergence as exc:
-        _emit(rows_out, _meta(args, error=str(exc)), args.format, args.out)
-        print(f"fracpois: non-convergence: {exc}", file=sys.stderr)
-        return EXIT_NONCONVERGENCE
-    for r in rows:
-        rows_out.append({"k": r.k, "p": min(max(r.p, 0.0), 1.0),
-                         "error_bound": r.abs_error_bound})
-    _emit(rows_out, _meta(args), args.format, args.out)
+    rows = dist.pmf_row(_params(args), args.t, args.kmax, _cfg(args))
+    _emit([{"k": r.k, "p": min(max(r.p, 0.0), 1.0),
+            "error_bound": r.abs_error_bound} for r in rows],
+          _meta(args), args.format, args.out)
     return EXIT_OK
 
 
 def cmd_pgf(args) -> int:
-    params, cfg = _params(args), _cfg(args)
-    try:
-        res = dist.pgf(params, args.t, args.u, cfg)
-    except NonConvergence as exc:
-        print(f"fracpois: non-convergence: {exc}", file=sys.stderr)
-        return EXIT_NONCONVERGENCE
+    res = dist.pgf(_params(args), args.t, args.u, _cfg(args))
     _emit([{"u": args.u, "value": res.value,
             "error_bound": res.abs_error_bound}],
           _meta(args), args.format, args.out)
     return EXIT_OK
 
 
-def _threads(args) -> int:
-    """Worker threads of ``sample``: --threads, else FRACPOIS_THREADS, else 1."""
-    if args.threads is not None:
-        threads, source = args.threads, "--threads"
-    else:
-        source = "FRACPOIS_THREADS"
-        try:
-            threads = int(os.environ.get(source, "1"))
-        except ValueError as exc:
-            raise UsageError(f"{source} must be an integer") from exc
-    if threads < 1:
-        raise UsageError(f"{source} must be >= 1")
-    return threads
-
-
 def cmd_sample(args) -> int:
-    params = _params(args)
-    if args.n < 1:
-        raise UsageError("--n must be >= 1")
-    rng, threads = RngStream(args.seed, args.stream_id), _threads(args)
-    batch = sample.sample_batch(args.process, params, args.t, args.n, rng,
-                                gamma=args.gamma, threads=threads)
+    batch = sample.sample_batch(args.process, _params(args), args.t, args.n,
+                                RngStream(args.seed, args.stream_id),
+                                gamma=args.gamma, threads=args.threads)
     _emit_counts(batch.counts, _meta(args, process=args.process, n=args.n,
                                      seed=args.seed,
                                      stream_id=args.stream_id,
@@ -258,7 +226,8 @@ def _suite_min_uniform(args, params, cfg):
     for draw, u in enumerate((0.2, 0.5, 0.8)):
         def run(n, attempt, draw=draw, u=u):
             res = verify.check_min_uniform_space(
-                params, args.t, u, n, _verify_stream(args, draw, attempt))
+                params, args.t, u, n, _verify_stream(args, draw, attempt),
+                cfg)
             return abs(res.z_score) < 4.0, res
 
         ok, res = verify.two_stage(run, args.n)
@@ -314,40 +283,32 @@ def cmd_verify(args) -> int:
     suites = {"pmf-mc": _suite_pmf_mc, "min-uniform": _suite_min_uniform,
               "subordination": _suite_subordination, "ode": _suite_ode,
               "oracle": _suite_oracle}
-    try:
-        passed, rows, meta = suites[args.suite](args, params, cfg)
-    except NonConvergence as exc:
-        print(f"fracpois: non-convergence: {exc}", file=sys.stderr)
-        return EXIT_NONCONVERGENCE
+    passed, rows, meta = suites[args.suite](args, params, cfg)
     _emit(rows, meta, args.format, args.out)
     return EXIT_OK if passed else EXIT_STATFAIL
 
 
 def cmd_passage(args) -> int:
     params, cfg = _params(args), _cfg(args)
-    if args.k < 0:
-        raise UsageError("--k must be >= 0")
-    if params.nu != 1.0:
-        raise UsageError("first-passage laws require --nu 1")
-    if args.t is None and args.steps < 1:
+    if args.t is not None:
+        times = [args.t]
+    elif args.steps < 1:
         raise UsageError("--steps must be >= 1")
-    times = ([args.t] if args.t is not None
-             else list(np.linspace(args.tmax / args.steps, args.tmax,
-                                   args.steps)))
-    lowest = min(times)
-    if lowest < 0 or (lowest == 0 and args.k >= 1):
+    elif not 0 < args.tmax < np.inf:
+        raise UsageError("--tmax must be finite and > 0")
+    else:
+        times = list(np.linspace(args.tmax / args.steps, args.tmax,
+                                 args.steps))
+    # at t = 0 the library returns cdf 0 and no density for k >= 1
+    if min(times) == 0 and args.k >= 1:
         raise UsageError("passage times must be > 0 (>= 0 at --k 0)")
     rows = []
-    try:
-        for t in times:
-            c, d = dist.first_passage(params, t, args.k, cfg)
-            row = {"t": float(t), "cdf": c.value}
-            if d is not None:
-                row["density"] = d.value
-            rows.append(row)
-    except NonConvergence as exc:
-        print(f"fracpois: non-convergence: {exc}", file=sys.stderr)
-        return EXIT_NONCONVERGENCE
+    for t in times:
+        c, d = dist.first_passage(params, t, args.k, cfg)
+        row = {"t": float(t), "cdf": c.value}
+        if d is not None:
+            row["density"] = d.value
+        rows.append(row)
     _emit(rows, _meta(args, k=args.k), args.format, args.out)
     return EXIT_OK
 
@@ -363,6 +324,9 @@ def main(argv=None) -> int:
         # the library raises ValueError for arguments outside its domain
         print(f"fracpois: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except NonConvergence as exc:
+        print(f"fracpois: non-convergence: {exc}", file=sys.stderr)
+        return EXIT_NONCONVERGENCE
 
 
 if __name__ == "__main__":

@@ -60,9 +60,11 @@ class PmfRow:
     abs_error_bound: float
 
 
-def _check_time(t: float) -> None:
-    if not 0 <= t < math.inf:
-        raise ValueError("t must be finite and >= 0")
+def _check_time(t: float, strict: bool = False) -> None:
+    """The one time check: every law is defined for t > 0, and t = 0 is its
+    initial condition, which a ``strict`` caller does not take."""
+    if not 0 <= t < math.inf or (strict and t == 0):
+        raise ValueError(f"t must be finite and {'>' if strict else '>='} 0")
 
 
 def _series_argument(params: ProcessParams, t: float) -> float:
@@ -397,6 +399,5 @@ def first_passage_density(params: ProcessParams, t: float, k: int,
     """Density of tau_k at t > 0 for k >= 1 (nu = 1); see ``first_passage``."""
     if k < 1:
         raise ValueError("k must be >= 1 for the density")
-    if not t > 0:
-        raise ValueError("t must be > 0")
+    _check_time(t, strict=True)
     return first_passage(params, t, k, cfg)[1]

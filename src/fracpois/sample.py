@@ -32,7 +32,7 @@ import numpy as np
 # the first draw
 import numpy.random  # noqa: F401
 
-from .dist import ProcessParams
+from .dist import ProcessParams, _check_time
 
 __all__ = ["RngStream", "SampleBatch", "sample_batch"]
 
@@ -208,8 +208,9 @@ def sample_batch(process: str, params: ProcessParams, t: float, n: int,
                          f"{_PROCESSES}")
     if n < 1:
         raise ValueError("n must be >= 1")
-    if not t > 0:
-        raise ValueError("t must be > 0")
+    _check_time(t, strict=True)
+    if threads < 1:
+        raise ValueError("threads must be >= 1")
     if process == "composed":
         if gamma is None:
             raise ValueError("the composed process requires gamma")

@@ -86,9 +86,12 @@ def _merge_bins(observed, expected, labels, min_expected=5.0):
             lo = None
     if lo is not None:
         if obs:
+            # an empty leftover keeps the label, so that a tail bin that
+            # nothing reached does not relabel every table
             obs[-1] += acc_o
             exp[-1] += acc_e
-            labs[-1] = f"{labs[-1].split('-')[0]}-{lo}" if acc_e else labs[-1]
+            if acc_o or acc_e:
+                labs[-1] = f"{labs[-1].split('-')[0]}-{lab}"
         else:
             obs.append(acc_o)
             exp.append(acc_e)
@@ -157,7 +160,9 @@ def gof_two_sample(counts_a, counts_b, kcap: int = 15) -> GofReport:
 
 
 def check_min_uniform_space(params: ProcessParams, t: float, u: float,
-                            n: int, rng: sample.RngStream) -> MinUniformResult:
+                            n: int, rng: sample.RngStream,
+                            cfg: SeriesConfig | None = None
+                            ) -> MinUniformResult:
     """Test the PGF G(u, t) as a min-of-uniforms probability.
 
     G(u, t) = E_nu(-lam**alpha * t**nu * (1-u)**alpha) is the probability
@@ -165,8 +170,9 @@ def check_min_uniform_space(params: ProcessParams, t: float, u: float,
     i.i.d. uniforms X_k and a driving count N, time-fractional of rate
     lam**alpha: Poisson(lam**alpha * t) at nu = 1.  N is drawn by the
     sampler's mixed-Poisson core and the empirical frequency of the event
-    is compared with ``dist.pgf``.
+    is compared with ``dist.pgf`` under ``cfg``.
     """
+    dist._check_time(t)
     if not 0 < u < 1:
         raise ValueError("u must lie in (0, 1)")
     if n < 1:
@@ -174,7 +180,7 @@ def check_min_uniform_space(params: ProcessParams, t: float, u: float,
     gen = rng.generator()
     counts, _ = sample._mixed_poisson_counts(params.lam ** params.alpha, 1.0,
                                              params.nu, t, n, gen)
-    analytic = dist.pgf(params, t, u).value
+    analytic = dist.pgf(params, t, u, cfg).value
     # the min of N uniforms is 1 - V**(1/N) (inversion), so the event
     # min >= c is log V <= N*log1p(-c); at N = 0 it always holds
     with np.errstate(divide="ignore"):
@@ -195,8 +201,7 @@ def check_ode_residual(params: ProcessParams, t: float, K: int,
         raise ValueError("the governing ODE system applies at nu = 1")
     if K < 1:
         raise ValueError("K must be >= 1")
-    if not t > 0:
-        raise ValueError("t must be > 0")
+    dist._check_time(t, strict=True)
     cfg = cfg or DEFAULT_CONFIG
     h = 1e-4 * t
     p_mid = np.array([r.p for r in dist.pmf_row(params, t, K, cfg)])
@@ -236,8 +241,7 @@ def renewal_batch(params: ProcessParams, t: float, n: int,
     """
     if params.alpha != 1.0:
         raise ValueError("the renewal construction requires alpha = 1")
-    if not t > 0:
-        raise ValueError("t must be > 0")
+    dist._check_time(t, strict=True)
     gen = rng.generator()
     counts = np.zeros(n, dtype=np.int64)
     elapsed = np.zeros(n)
@@ -289,6 +293,7 @@ def oracle_pmf(params: ProcessParams, t: float, k: int,
     ocfg = ocfg or OracleConfig()
     if k < 0:
         raise ValueError("k must be >= 0")
+    dist._check_time(t)
     if t == 0.0:
         return mp.mpf(1 if k == 0 else 0)
     alpha, nu = params.alpha, params.nu

@@ -6,6 +6,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import warnings
 from types import SimpleNamespace
 
 import pytest
@@ -137,10 +138,37 @@ def test_usage_error_exit_code_1(capsys):
 
 
 def test_nonconvergence_exit_code_2(capsys):
-    code, _, err = run_cli(capsys, "pmf", "--lambda", "5.0", "--nu", "0.5",
-                           "--t", "1.0", "--kmax", "5", "--max-terms", "5")
-    assert code == 2
+    for fmt in ("csv", "json"):
+        code, out, err = run_cli(capsys, "pmf", "--lambda", "5.0", "--nu",
+                                 "0.5", "--t", "1.0", "--kmax", "5",
+                                 "--max-terms", "5", "--format", fmt)
+        assert code == 2 and out == ""
+        assert "non-convergence" in err
+
+
+def test_min_uniform_honours_max_terms(capsys):
+    """The suite's analytic value is bound by --tol/--max-terms like pgf."""
+    code, out, err = run_cli(capsys, "verify", "--suite", "min-uniform",
+                             "--nu", "0.5", "--lambda", "5", "--t", "1",
+                             "--n", "1000", "--max-terms", "1")
+    assert code == 2 and out == ""
     assert "non-convergence" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--suite", "pmf-mc", "--process", "space", "--alpha", "0.7"],
+    ["--suite", "subordination", "--alpha", "0.8", "--gamma", "0.5"],
+], ids=["pmf-mc", "subordination"])
+def test_verify_csv_floats_parse(capsys, argv):
+    code, out, _ = run_cli(capsys, "verify", *argv, "--lambda", "1", "--t",
+                           "1", "--seed", "1", "--n", "20000")
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert rows
+    for row in rows:
+        for key, value in row.items():
+            if key != "bin":
+                float(value)
 
 
 def test_statfail_exit_code_3(capsys):
@@ -225,7 +253,7 @@ def test_verify_retries_draw_their_own_streams(capsys, monkeypatch):
 def test_min_uniform_draws_one_stream_per_u(capsys, monkeypatch):
     streams = []
 
-    def record(params, t, u, n, rng):
+    def record(params, t, u, n, rng, cfg):
         streams.append(_first_draws(rng))
         return verify.MinUniformResult(0.5, 0.5, 0.0)
 
@@ -275,20 +303,12 @@ def test_verify_seed_range(capsys):
     assert "must lie in [0, 2**64)" in err
 
 
-@pytest.mark.parametrize("env, flag", [("abc", None), ("0", None),
-                                       (None, "-2")])
-def test_sample_threads_validated(capsys, monkeypatch, env, flag):
-    if env is None:
-        monkeypatch.delenv("FRACPOIS_THREADS", raising=False)
-    else:
-        monkeypatch.setenv("FRACPOIS_THREADS", env)
-    argv = ["sample", "--process", "space", "--lambda", "1", "--t", "1",
-            "--n", "3", "--seed", "0"]
-    if flag is not None:
-        argv += ["--threads", flag]
-    code, out, err = run_cli(capsys, *argv)
+def test_sample_threads_validated(capsys):
+    code, out, err = run_cli(capsys, "sample", "--process", "space",
+                             "--lambda", "1", "--t", "1", "--n", "3",
+                             "--seed", "0", "--threads", "-2")
     assert code == 1 and out == ""
-    assert ("FRACPOIS_THREADS" if flag is None else "--threads") in err
+    assert "threads must be >= 1" in err
 
 
 @pytest.mark.parametrize("argv", [
@@ -319,23 +339,37 @@ def test_verify_bad_input_is_usage_error(capsys, argv):
     assert "error" in err
 
 
-@pytest.mark.parametrize("argv", [
-    ["pmf", "--lambda", "1", "--t", "-1", "--kmax", "2"],
-    ["pgf", "--lambda", "1", "--t", "-1", "--u", "0.5"],
-    ["pgf", "--lambda", "1", "--nu", "0.5", "--t", "nan", "--u", "0.5"],
-    ["pmf", "--lambda", "1", "--t", "nan", "--kmax", "2"],
-    ["pmf", "--lambda", "inf", "--t", "1", "--kmax", "2"],
-    ["pmf", "--lambda", "1", "--alpha", "0.5", "--t", "inf", "--kmax", "2"],
-    ["passage", "--lambda", "1", "--alpha", "0.5", "--k", "2", "--t", "nan"],
-    ["pgf", "--lambda", "1", "--t", "1", "--u", "nan"],
+@pytest.mark.parametrize("argv, message", [
+    (["pmf", "--lambda", "1", "--t", "-1", "--kmax", "2"], "t must"),
+    (["pgf", "--lambda", "1", "--t", "-1", "--u", "0.5"], "t must"),
+    (["pgf", "--lambda", "1", "--nu", "0.5", "--t", "nan", "--u", "0.5"],
+     "t must be finite"),
+    (["pmf", "--lambda", "1", "--t", "nan", "--kmax", "2"],
+     "t must be finite"),
+    (["pmf", "--lambda", "inf", "--t", "1", "--kmax", "2"],
+     "lam must be finite"),
+    (["pmf", "--lambda", "1", "--alpha", "0.5", "--t", "inf", "--kmax", "2"],
+     "t must be finite"),
+    (["passage", "--lambda", "1", "--alpha", "0.5", "--k", "2", "--t", "nan"],
+     "t must be finite"),
+    (["pgf", "--lambda", "1", "--t", "1", "--u", "nan"], "u must"),
+    (["sample", "--process", "time", "--lambda", "1", "--nu", "0.5", "--t",
+      "inf", "--n", "3", "--seed", "0"], "t must be finite"),
+    (["verify", "--suite", "min-uniform", "--lambda", "1", "--t", "nan",
+      "--n", "1000"], "t must be finite"),
+    (["passage", "--lambda", "1", "--alpha", "0.5", "--k", "2", "--tmax",
+      "inf"], "--tmax must be finite"),
 ], ids=["pmf-t-neg", "pgf-t-neg", "pgf-t-nan-nu", "pmf-t-nan", "pmf-lam-inf",
-        "pmf-t-inf", "passage-t-nan", "pgf-u-nan"])
-def test_bad_numbers_are_usage_errors(capsys, argv):
-    """Values outside the domain end in exit 1, not in a traceback or in
-    a table of nan."""
-    code, out, err = run_cli(capsys, *argv)
+        "pmf-t-inf", "passage-t-nan", "pgf-u-nan", "sample-t-inf",
+        "min-uniform-t-nan", "passage-tmax-inf"])
+def test_bad_numbers_are_usage_errors(capsys, argv, message):
+    """Values outside the domain end in exit 1 with the library's or the
+    CLI's message, not in a traceback, a warning or a table of nan."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, *argv)
     assert code == 1 and out == ""
-    assert "error" in err
+    assert message in err and "RuntimeWarning" not in err
 
 
 def test_composed_clock_overflow_is_capped(capsys):
@@ -377,7 +411,6 @@ SRC = str(pathlib.Path(__file__).resolve().parents[1] / "src")
 
 def _run_python(code):
     env = dict(os.environ, PYTHONPATH=SRC)
-    env.pop("FRACPOIS_THREADS", None)
     return subprocess.run([sys.executable, "-c", code], env=env, check=True,
                           capture_output=True, text=True, timeout=120).stdout
 

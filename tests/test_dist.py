@@ -284,7 +284,8 @@ def test_non_finite_inputs_rejected():
             ProcessParams(bad)
         with pytest.raises(ValueError):
             dist.pgf(ProcessParams(1.0), 1.0, bad)
-        for call in (dist.pmf_row, dist.pmf, dist.first_passage_cdf):
+        for call in (dist.pmf_row, dist.pmf, dist.first_passage_cdf,
+                     dist.first_passage_density):
             with pytest.raises(ValueError):
                 call(ProcessParams(1.0, 0.5), bad, 2)
         with pytest.raises(ValueError):

@@ -219,8 +219,11 @@ def test_batch_argument_validation():
     params = ProcessParams(1.0, 0.5)
     with pytest.raises(ValueError):
         sample_batch("bogus", params, 1.0, 10, RngStream(0))
-    with pytest.raises(ValueError):
-        sample_batch("space", params, 0.0, 10, RngStream(0))
+    for t in (0.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="t must be finite and > 0"):
+            sample_batch("space", params, t, 10, RngStream(0))
+    with pytest.raises(ValueError, match="threads must be >= 1"):
+        sample_batch("space", params, 1.0, 10, RngStream(0), threads=0)
     with pytest.raises(ValueError):
         sample_batch("composed", params, 1.0, 10, RngStream(0))  # no gamma
     with pytest.raises(ValueError):

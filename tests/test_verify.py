@@ -63,6 +63,20 @@ def test_merge_bins_degenerate():
         verify._merge_bins([1.0, 1.0], [0.5, 0.5], ["0", "1"])
 
 
+def test_merge_bins_tail_label():
+    """A leftover tail merged into the last bin extends its label to the
+    tail's last bin, also when only its observed count is non-zero."""
+    obs, exp, labs = verify._merge_bins([10, 10, 10, 1, 1, 1],
+                                        [100, 100, 100, 2, 1, 1],
+                                        ["0", "1", "2", "3", "4", ">4"])
+    assert labs == ["0", "1", "2->4"]
+    assert list(obs) == [10, 10, 13] and list(exp) == [100, 100, 104]
+    assert verify._merge_bins([10, 10, 1], [100, 100, 0],
+                              ["0", "1", ">1"])[2] == ["0", "1->1"]
+    assert verify._merge_bins([10, 10, 0], [100, 100, 0],
+                              ["0", "1", ">1"])[2] == ["0", "1"]
+
+
 @pytest.mark.parametrize("params, seed, exact", [
     (ProcessParams(1.0, 0.5), 113, math.exp(-math.sqrt(0.5))),
     # E_{1/2}(-z) = exp(z**2) * erfc(z)
@@ -148,6 +162,25 @@ def test_oracle_poisson_case():
 def test_oracle_t_zero():
     assert oracle_pmf(ProcessParams(1.0, 0.5), 0.0, 0) == 1
     assert oracle_pmf(ProcessParams(1.0, 0.5), 0.0, 4) == 0
+
+
+def test_time_outside_domain_rejected():
+    """Every time-taking check rejects a non-finite or negative t; the
+    renewal loop would never end at t = inf, and the oracle's sum is
+    complex at t < 0."""
+    params = ProcessParams(1.0, 1.0, 0.5)
+    with pytest.raises(ValueError, match="t must be finite"):
+        oracle_pmf(ProcessParams(1.0, 0.5, 0.5), -1.0, 2)
+    for t in (math.inf, math.nan, 0.0):
+        with pytest.raises(ValueError, match="t must be finite and > 0"):
+            verify.renewal_batch(params, t, 2, RngStream(0))
+        with pytest.raises(ValueError, match="t must be finite and > 0"):
+            check_ode_residual(ProcessParams(1.0, 0.6), t, 10)
+    for t in (math.inf, math.nan, -1.0):
+        with pytest.raises(ValueError, match="t must be finite and >= 0"):
+            check_min_uniform_space(params, t, 0.5, 100, RngStream(0))
+    assert check_min_uniform_space(params, 0.0, 0.5, 100,
+                                   RngStream(0)).analytic == 1.0
 
 
 def test_oracle_small_order_near_unit_argument():
