@@ -67,8 +67,66 @@ def _check_time(t: float, strict: bool = False) -> None:
         raise ValueError(f"t must be finite and {'>' if strict else '>='} 0")
 
 
-def _series_argument(params: ProcessParams, t: float) -> float:
-    return -(params.lam ** params.alpha) * t ** params.nu
+def _series_argument(params: ProcessParams, t: float) -> tuple[float, float]:
+    """w = -lam**alpha * t**nu in doubles, and rho >= |log(w/exact)|.
+
+    Each power is within one ulp unless it is exact (exponent 1 or base 1),
+    and the product is within half an ulp unless a factor is 1.  rho
+    counts eps for each inexact step and one eps more, which covers the
+    second order and the rounding of the bounds rho widens; it is 0 where
+    w is exact.
+    """
+    a, b = params.lam ** params.alpha, t ** params.nu
+    steps = ((params.alpha != 1.0 and params.lam != 1.0)
+             + (params.nu != 1.0 and t != 1.0) + (a != 1.0 and b != 1.0))
+    return -(a * b), (steps + 1) * _EPS if steps else 0.0
+
+
+def _row_sum(rows: list[PmfRow], weights=1.0, rel=0.0) -> EvalResult:
+    """sum_j w_j * p_j in row order, w_j >= 0 within rel_j * w_j of exact
+    (both may be scalars), with the bound sum_j w_j*(e_j + rel_j*(|p_j| +
+    e_j)) for the rows' bounds e_j plus g * sum_j w_j*|p_j| for the rounding
+    of the products and the sum (Higham 2002, sec. 3.1), over 1 - g; g =
+    gamma_{n+12} also covers the bound's n + 8 roundings and one scaling by
+    the caller.  3n * ulp(0) covers underflow."""
+    p, e = np.array([(r.p, r.abs_error_bound) for r in rows]).T
+    wp, we = np.multiply(weights, p), np.multiply(weights, e)
+    g = (p.size + 12) * _EPS / (2 - (p.size + 12) * _EPS)
+    err = np.sum(we + np.multiply(rel, np.abs(wp) + we)) + g * np.abs(wp).sum()
+    # cumsum adds in row order; np.sum adds pairwise
+    return EvalResult(float(np.cumsum(wp)[-1]), float(err / (1 - g))
+                      + 3 * p.size * math.ulp(0.0), p.size)
+
+
+def _argument_widened(rows: list[PmfRow], rho: float, x: float, nu: float,
+                      beyond: float) -> list[PmfRow]:
+    """Time-fractional masses q_k, k = K0..K, computed at x*e**s, |s| <= rho,
+    with their bounds widened to hold at x = lam * t**nu.
+
+    ``beyond`` bounds Pr{N >= K+1}.  With f_j(s) = q_j(x*e**s) and
+    S_j = Pr{N >= j}, x dq_k/dx = k q_k - (k+1) q_{k+1} gives
+    f_k' = k f_k - (k+1) f_{k+1}, so q_k moves by rho * (k q_k +
+    (k+1) q_{k+1}) to first order, each q taken as its row's |p| + bound.
+    Past the last row, q_{K+1} <= beyond and q_{K+1} <= x**(K+1) /
+    Gamma((K+1)*nu + 1), the first term of its series (q_j = E[exp(-x*Y)
+    (x*Y)**j] / j! with E[Y**j] = j! / Gamma(j*nu + 1), Y of the
+    Mittag-Leffler law); the factor 2 covers the rounding of that estimate.
+    f_k'' = k**2 f_k - (k+1)(2k+1) f_{k+1} + (k+1)(k+2) f_{k+2} is at most
+    2(k+1)**2 S_k in size, and S_k, which grows with x at rate k q_k,
+    stays within S_k(x)/(1 - rho*k) over the interval: with rho*k <= 1/2
+    the second order adds at most 2 (rho*(k+1))**2 S_k, S_k taken as the
+    sum of the rows from k on plus ``beyond``.
+    """
+    j = rows[-1].k + 1
+    lead = j * math.log(x) - math.lgamma(j * nu + 1.0) if x > 0 else -math.inf
+    q = np.array([abs(r.p) + r.abs_error_bound for r in rows]
+                 + [min(beyond, 2.0 * math.exp(min(lead, 0.0)))])
+    survival = np.minimum(1.0, beyond + np.cumsum(q[-2::-1])[::-1])
+    k = np.arange(rows[0].k, j + 1.0)
+    kq = k * q
+    widen = rho * (kq[:-1] + kq[1:]) + 2 * (rho * k[1:]) ** 2 * survival
+    return [PmfRow(r.k, r.p, r.abs_error_bound + float(d))
+            for r, d in zip(rows, widen)]
 
 
 def _poisson_row(mu: float, k: int) -> PmfRow:
@@ -84,6 +142,8 @@ def pmf_row(params: ProcessParams, t: float, kmax: int,
             cfg: SeriesConfig | None = None) -> list[PmfRow]:
     """PMF values for k = 0..kmax at time t, each with an error bound.
 
+    At nu < 1 the bounds of q also count the rounding of the series
+    argument (``_argument_widened``).
     At alpha < 1 the alpha = 1 row q is composed with the Sibuya law,
     p_n = sum_m q_m * c_n[m] with c_n[m] = [u**n] S(u)**m.  The columns c_n
     follow from (1-u) * (S**m)' = alpha*m * (S**(m-1) - S**m):
@@ -123,12 +183,16 @@ def pmf_row(params: ProcessParams, t: float, kmax: int,
     if t == 0.0:
         return [PmfRow(k, 1.0 if k == 0 else 0.0, 0.0)
                 for k in range(kmax + 1)]
-    w = _series_argument(params, t)
+    w, rho = _series_argument(params, t)
     if params.nu == 1.0:
         q = [_poisson_row(-w, m) for m in range(kmax + 1)]
     else:
         q = [PmfRow(m, r.value, r.abs_error_bound) for m, r in enumerate(
             wright_psi11_weighted_rows(kmax, w, params.nu, cfg))]
+        if rho:
+            s = _row_sum(q)
+            q = _argument_widened(q, rho, -w, params.nu, 1.0 - s.value
+                                  + s.abs_error_bound + _EPS)
     alpha = params.alpha
     if alpha == 1.0:
         return q
@@ -165,7 +229,7 @@ def pmf(params: ProcessParams, t: float, k: int,
     _check_time(t)
     cfg = cfg or DEFAULT_CONFIG
     if k == 0 and t > 0 and params.nu != 1.0:
-        res = mittag_leffler(params.nu, _series_argument(params, t), cfg)
+        res = mittag_leffler(params.nu, _series_argument(params, t)[0], cfg)
         return PmfRow(0, res.value, res.abs_error_bound)
     return pmf_row(params, t, k, cfg)[k]
 
@@ -182,7 +246,8 @@ def pmf_time_fractional_direct(params: ProcessParams, t: float, k: int,
     ratio of successive terms falls), so the profile is scanned in
     doubling blocks (``special_fn._scan_profile``) up to
     r = min(max_terms, 50_000), stopping once past the peak and
-    _PRESCAN_DROP nats below both the peak and 1.
+    _PRESCAN_DROP nats below both the peak and 1.  The bound also counts
+    the rounding of x (``_argument_widened``).
     """
     if params.alpha != 1.0:
         raise ValueError("direct time-fractional form requires alpha = 1")
@@ -195,7 +260,8 @@ def pmf_time_fractional_direct(params: ProcessParams, t: float, k: int,
     nu = params.nu
     if nu == 1.0:
         return _poisson_row(params.lam * t, k)
-    x = params.lam * t ** nu
+    w, rho = _series_argument(params, t)
+    x = -w
     logx, lgk = math.log(x), math.lgamma(k + 1)
 
     def block(r):
@@ -217,7 +283,8 @@ def pmf_time_fractional_direct(params: ProcessParams, t: float, k: int,
 
     vals, bounds, terms = _sum_series(bases, peaks, profile, cfg)
     res = _to_double(vals[0], bounds[0], terms)
-    return PmfRow(k, res.value, res.abs_error_bound)
+    row = PmfRow(k, res.value, res.abs_error_bound)
+    return _argument_widened([row], rho, x, nu, 1.0)[0] if rho else row
 
 
 def pgf(params: ProcessParams, t: float, u: float,
@@ -245,8 +312,8 @@ def pgf_partial_sum(params: ProcessParams, t: float, u: float, kmax: int,
                     cfg: SeriesConfig | None = None) -> EvalResult:
     """sum_{k<=kmax} p_k(t) * u**k with a certified error bound.
 
-    Terms whose geometric weight u**k cannot exceed 1e-12 * (1-u) in
-    total are bounded analytically (p_k <= 1) instead of evaluated.
+    A row sum (``_row_sum``) with weights u**k, each within one ulp; past
+    the kcut where the weights sum below cfg.rel_tol, p_k <= 1 bounds them.
     """
     if not 0 <= u < 1:
         raise ValueError("u must lie in [0, 1)")
@@ -254,30 +321,19 @@ def pgf_partial_sum(params: ProcessParams, t: float, u: float, kmax: int,
     if u == 0.0:
         row = pmf(params, t, 0, cfg)
         return EvalResult(row.p, row.abs_error_bound, 1)
-    kcut = kmax
-    if u < 1.0:
-        # beyond kstop the remaining weight sums below 1e-12
-        kstop = int(math.ceil(math.log(1e-12 * (1.0 - u)) / math.log(u)))
-        kcut = min(kmax, max(kstop, 0))
-    rows = pmf_row(params, t, kcut, cfg)
-    total = 0.0
-    bound = 0.0
-    for row in rows:
-        total += row.p * u ** row.k
-        bound += row.abs_error_bound * u ** row.k
-    if kcut < kmax:
-        bound += u ** (kcut + 1) / (1.0 - u)
-    return EvalResult(total, bound, kcut + 1)
+    kcut = min(kmax, max(0, math.ceil(math.log(cfg.rel_tol * (1 - u), u))))
+    res = _row_sum(pmf_row(params, t, kcut, cfg),
+                   [u ** k for k in range(kcut + 1)], _EPS)
+    tail = u ** (kcut + 1) / (1.0 - u) if kcut < kmax else 0.0
+    return EvalResult(res.value, res.abs_error_bound + tail, kcut + 1)
 
 
 def cdf(params: ProcessParams, t: float, k: int,
         cfg: SeriesConfig | None = None) -> EvalResult:
-    """Pr{N(t) <= k} as a partial sum of the PMF."""
+    """Pr{N(t) <= k}: the row sum p_0 + ... + p_k (``_row_sum``)."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    rows = pmf_row(params, t, k, cfg)
-    return EvalResult(sum(r.p for r in rows),
-                      sum(r.abs_error_bound for r in rows), k + 1)
+    return _row_sum(pmf_row(params, t, k, cfg))
 
 
 def _erlang_cdf(mu: float, k: int, cfg: SeriesConfig) -> EvalResult:
@@ -344,14 +400,13 @@ def first_passage(params: ProcessParams, t: float, k: int,
     where D_n = sum_{i<=n} c_i(alpha) = prod_{i<=n} (1 - alpha/i) is the
     n-th partial sum of the coefficients of (1-B)**alpha
     (``frac_ops.frac_binom_coeffs``).  Every D_n lies in (0, 1], so the sum
-    has positive weights and nothing cancels: the bound is lam**alpha times
-    the D-weighted row bounds plus the rounding of the products and the sum.
-    Both come from one ``pmf_row(params, t, k-1)``.  At alpha = 1 they are
-    the Erlang distribution function (``_erlang_cdf``) and density, lam
-    times the Poisson(lam*t) mass at k-1.  The density is None where it is
-    not defined: k = 0 or t = 0.  With k + 1 for k, the distribution
-    function is the survival Pr{N(t) > k}, bounded for any alpha; its row
-    costs O(k**2) (about a second at k = 10**4).
+    has positive weights and nothing cancels.  Both laws are row sums
+    (``_row_sum``) over one ``pmf_row(params, t, k-1)``.  At alpha = 1
+    they are the Erlang distribution function (``_erlang_cdf``) and
+    density, lam times the Poisson(lam*t) mass at k-1.  The density is None
+    where it is not defined: k = 0 or t = 0.  With k + 1 for k, the
+    distribution function is the survival Pr{N(t) > k}, bounded for any
+    alpha; its row costs O(k**2) (about a second at k = 10**4).
     """
     if params.nu != 1.0:
         raise ValueError("first-passage laws require nu = 1")
@@ -371,21 +426,16 @@ def first_passage(params: ProcessParams, t: float, k: int,
                        0)
 
     rows = pmf_row(params, t, k - 1, cfg)
-    p = np.array([row.p for row in rows])
-    bounds = np.array([row.abs_error_bound for row in rows])
-    # rounding: the k-term sum and the subtraction from 1
-    passed = EvalResult(1.0 - sum(row.p for row in rows), float(bounds.sum())
-                        + (k + 1) * _EPS * (1.0 + float(np.abs(p).sum())), k)
-    a = lam ** alpha
+    below = _row_sum(rows)
     # D_n = c_0 + ... + c_n = prod_{i<=n} (1 - alpha/i): positive factors,
     # so each D_n is within 3*n*eps of its exact value
     d = np.cumprod(np.r_[1.0, 1.0 - alpha / np.arange(1, k)])[::-1]
-    dens = a * float(d @ p)
-    # rounding: D, the products, the sum and lam**alpha
-    bound = a * (float(d @ bounds)
-                 + (3 * k + 6) * _EPS * float(d @ np.abs(p))) \
-        + k * math.ulp(0.0)
-    return passed, EvalResult(dens, bound, k)
+    res = _row_sum(rows, d, 3 * _EPS * np.arange(k - 1.0, -1.0, -1.0))
+    # 1 - sum rounds once; lam**alpha (within one ulp) and dens twice
+    v, dens = 1.0 - below.value, lam ** alpha * res.value
+    return (EvalResult(v, below.abs_error_bound + _EPS * abs(v), k),
+            EvalResult(dens, lam ** alpha * res.abs_error_bound
+                       + 2 * _EPS * dens + math.ulp(0.0), k))
 
 
 def first_passage_cdf(params: ProcessParams, t: float, k: int,

@@ -333,7 +333,7 @@ def _ml_line_bound(s: float, nu: float, kappa: float, phi: float) -> float:
 
 
 def _ml_integral(nu: float, s: float, cfg: SeriesConfig,
-                 limit: float = math.inf) -> EvalResult | None:
+                 limit: float) -> EvalResult | None:
     """E_nu(-s) for 0 < nu < 1 and s > 0 from its positive-kernel integral
 
         E_nu(-s) = sin(nu*pi)/(nu*pi) * int_0^inf exp(-(s*y)**p)/D(y) dy,

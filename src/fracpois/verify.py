@@ -34,6 +34,10 @@ __all__ = [
 
 REJECT_P = 1e-3          # statistical failure threshold (with two-stage rule)
 DEFAULT_FIXTURE = "oracle_pmf.txt"
+GOF_KCAP = 30            # gof_pmf bins 0..GOF_KCAP and a tail bin
+TWO_SAMPLE_KCAP = 15     # gof_two_sample bins 0..TWO_SAMPLE_KCAP and a tail
+FIXTURE_SLACK = 1e-15    # check_fixture's allowance beyond the row bound
+SECOND_STAGE_FACTOR = 10  # two_stage re-runs once at this many times n
 
 
 class DegenerateBins(ValueError):
@@ -107,13 +111,14 @@ def _chi2_sf(stat: float, dof: int) -> float:
     return float(mp.gammainc(dof / 2, stat / 2, regularized=True))
 
 
-def gof_pmf(batch: sample.SampleBatch, cfg: SeriesConfig | None = None,
-            kcap: int = 30) -> GofReport:
+def gof_pmf(batch: sample.SampleBatch,
+            cfg: SeriesConfig | None = None) -> GofReport:
     """Chi-square test of a sampled batch against the PMF of its law.
 
-    Counts k = 0..kcap get individual bins; everything above goes into a
-    single tail bin with expected mass 1 - cdf(kcap).
+    Counts k = 0..GOF_KCAP get individual bins; everything above goes into
+    a single tail bin with expected mass 1 - cdf(GOF_KCAP).
     """
+    kcap = GOF_KCAP
     cfg = cfg or DEFAULT_CONFIG
     n = batch.n
     if n < 10_000:
@@ -133,12 +138,13 @@ def gof_pmf(batch: sample.SampleBatch, cfg: SeriesConfig | None = None,
                      list(zip(labs, obs, exp)))
 
 
-def gof_two_sample(counts_a, counts_b, kcap: int = 15) -> GofReport:
+def gof_two_sample(counts_a, counts_b) -> GofReport:
     """Two-sample chi-square homogeneity test on binned counts.
 
-    Bins {0, ..., kcap, > kcap}; adjacent bins merged until the pooled
-    count is at least 10 in each.
+    Bins {0, ..., TWO_SAMPLE_KCAP, > TWO_SAMPLE_KCAP}; adjacent bins merged
+    until the pooled count is at least 10 in each.
     """
+    kcap = TWO_SAMPLE_KCAP
     counts_a = np.asarray(counts_a)
     counts_b = np.asarray(counts_b)
     na, nb = len(counts_a), len(counts_b)
@@ -435,11 +441,10 @@ def load_fixture(path=None):
     return rows
 
 
-def check_fixture(path=None, cfg: SeriesConfig | None = None,
-                  slack: float = 1e-15):
+def check_fixture(path=None, cfg: SeriesConfig | None = None):
     """Compare dist.pmf against every fixture row.
 
-    The slack absorbs the double rounding of both the parsed fixture
+    FIXTURE_SLACK absorbs the double rounding of both the parsed fixture
     value and the computed PMF on top of the certified series bound.
     Returns (all_ok, failures) where each failure is (row, value, bound).
     """
@@ -453,14 +458,15 @@ def check_fixture(path=None, cfg: SeriesConfig | None = None,
         kmax = max(k for k, _ in kvs)
         got = dist.pmf_row(ProcessParams(lam, a, nu), t, kmax, cfg)
         for k, v in kvs:
-            if abs(got[k].p - v) > got[k].abs_error_bound + slack:
+            if abs(got[k].p - v) > got[k].abs_error_bound + FIXTURE_SLACK:
                 failures.append(((a, nu, lam, t, k, v), got[k].p,
                                  got[k].abs_error_bound))
     return not failures, failures
 
 
-def two_stage(run, n: int, factor: int = 10):
-    """Statistical two-stage rule: one re-run at factor*n before failing.
+def two_stage(run, n: int):
+    """Statistical two-stage rule: one re-run at SECOND_STAGE_FACTOR * n
+    before failing.
 
     ``run(n, attempt)`` returns (passed, payload); the second attempt is
     made only when the first fails.
@@ -468,4 +474,4 @@ def two_stage(run, n: int, factor: int = 10):
     passed, payload = run(n, 0)
     if passed:
         return True, payload
-    return run(factor * n, 1)
+    return run(SECOND_STAGE_FACTOR * n, 1)

@@ -351,8 +351,8 @@ def test_exp_branch_bounds_hold(lam, alpha, t, u, k):
         assert abs(mp.mpf(dens.value) - exact) <= dens.abs_error_bound
 
 
-# Series paths against references that share no code with them:
-# |value - reference| <= abs_error_bound + 1e-15.
+# Series paths against references that share no code with them, with no
+# slack: |value - reference| <= abs_error_bound.
 
 def _density_reference(lam, alpha, t, k):
     """tau_k density at 60 digits, summed term by term from
@@ -386,7 +386,7 @@ def test_series_rows_bound_holds_against_oracle(alpha, nu, t, k):
     params = ProcessParams(1.0, alpha, nu)
     row = dist.pmf_row(params, t, k)[k]
     ref = verify.oracle_pmf(params, t, k)
-    assert abs(mp.mpf(row.p) - ref) <= row.abs_error_bound + 1e-15
+    assert abs(mp.mpf(row.p) - ref) <= row.abs_error_bound
 
 
 @settings(max_examples=25, deadline=None)
@@ -396,7 +396,43 @@ def test_direct_form_bound_holds_against_oracle(nu, t, k):
     params = ProcessParams(1.0, 1.0, nu)
     row = dist.pmf_time_fractional_direct(params, t, k)
     ref = verify.oracle_pmf(params, t, k)
-    assert abs(mp.mpf(row.p) - ref) <= row.abs_error_bound + 1e-15
+    assert abs(mp.mpf(row.p) - ref) <= row.abs_error_bound
+
+
+@pytest.mark.parametrize("k", [21, 24, 27])
+def test_time_fractional_bounds_hold_with_rounded_argument(k):
+    # lam * t**nu rounds to a double before any series sees it; the rows
+    # must bound the masses at the exact argument
+    params = ProcessParams(0.9, 1.0, 0.97)
+    ref = verify.oracle_pmf(params, 4.3, k)
+    for row in (dist.pmf_row(params, 4.3, 30)[k],
+                dist.pmf_time_fractional_direct(params, 4.3, k)):
+        assert abs(mp.mpf(row.p) - ref) <= row.abs_error_bound
+
+
+def test_last_row_bound_holds_with_rounded_argument():
+    # the mass after the last row is bounded, not computed
+    params = ProcessParams(0.5, 1.0, 0.7)
+    rows = dist.pmf_row(params, 3.7, 30, SeriesConfig(rel_tol=1e-20))
+    for row in rows[-3:]:
+        ref = verify.oracle_pmf(params, 3.7, row.k)
+        assert abs(mp.mpf(row.p) - ref) <= row.abs_error_bound
+
+
+def _sum_reference(params, t, kmax, u):
+    return mp.fsum(verify.oracle_pmf(params, t, k) * mp.mpf(u) ** k
+                   for k in range(kmax + 1))
+
+
+@pytest.mark.parametrize("name, params, args, ref", [
+    ("cdf", ProcessParams(1.0, 1.0, 0.3), (30,), (30, 1)),
+    ("pgf_partial_sum", ProcessParams(1.0, 1.0, 0.5), (0.5, 40), (40, 0.5)),
+], ids=["cdf", "pgf_partial_sum"])
+def test_row_sum_bounds_hold_against_oracle(name, params, args, ref):
+    # each row lies within its bound; the rounding of the sum must count too
+    res = getattr(dist, name)(params, 1.0, *args)
+    assert abs(mp.mpf(res.value) - _sum_reference(params, 1.0, *ref)) \
+        <= res.abs_error_bound
 
 
 @settings(max_examples=25, deadline=None)
@@ -405,7 +441,7 @@ def test_direct_form_bound_holds_against_oracle(nu, t, k):
 def test_first_passage_density_bound_holds(lam, alpha, t, k):
     res = dist.first_passage_density(ProcessParams(lam, alpha), t, k)
     ref = _density_reference(lam, alpha, t, k)
-    assert abs(mp.mpf(res.value) - ref) <= res.abs_error_bound + 1e-15
+    assert abs(mp.mpf(res.value) - ref) <= res.abs_error_bound
 
 
 @pytest.mark.parametrize("params", [ProcessParams(1.0, 0.5, 1.0),
@@ -435,4 +471,4 @@ def test_erlang_passage_cdf_bound_holds(x, k):
     res = dist.first_passage_cdf(ProcessParams(1.0), x, k)
     with mp.workdps(40):
         ref = mp.gammainc(k, 0, x, regularized=True)
-        assert abs(mp.mpf(res.value) - ref) <= res.abs_error_bound + 1e-15
+        assert abs(mp.mpf(res.value) - ref) <= res.abs_error_bound
