@@ -144,6 +144,7 @@ def pmf_row(params: ProcessParams, t: float, kmax: int,
 
     At nu < 1 the bounds of q also count the rounding of the series
     argument (``_argument_widened``).
+
     At alpha < 1 the alpha = 1 row q is composed with the Sibuya law,
     p_n = sum_m q_m * c_n[m] with c_n[m] = [u**n] S(u)**m.  The columns c_n
     follow from (1-u) * (S**m)' = alpha*m * (S**(m-1) - S**m):
