@@ -25,9 +25,10 @@ import mpmath as mp
 import numpy as np
 
 from .special_fn import (_EPS, DEFAULT_CONFIG, EvalResult, NonConvergence,
-                         SeriesConfig, _exp_error_bound, _lgamma,
-                         _scan_profile, _sum_series, _to_double,
-                         mittag_leffler, wright_psi11_weighted_rows)
+                         SeriesConfig, _argument, _argument_double,
+                         _exp_error_bound, _lgamma, _scan_profile,
+                         _sum_series, _to_double, mittag_leffler,
+                         wright_psi11_weighted_rows)
 
 __all__ = [
     "ProcessParams", "PmfRow", "pmf", "pmf_row", "pmf_time_fractional_direct",
@@ -67,19 +68,13 @@ def _check_time(t: float, strict: bool = False) -> None:
         raise ValueError(f"t must be finite and {'>' if strict else '>='} 0")
 
 
-def _series_argument(params: ProcessParams, t: float) -> tuple[float, float]:
-    """w = -lam**alpha * t**nu in doubles, and rho >= |log(w/exact)|.
-
-    Each power is within one ulp unless it is exact (exponent 1 or base 1),
-    and the product is within half an ulp unless a factor is 1.  rho
-    counts eps for each inexact step and one eps more, which covers the
-    second order and the rounding of the bounds rho widens; it is 0 where
-    w is exact.
-    """
-    a, b = params.lam ** params.alpha, t ** params.nu
-    steps = ((params.alpha != 1.0 and params.lam != 1.0)
-             + (params.nu != 1.0 and t != 1.0) + (a != 1.0 and b != 1.0))
-    return -(a * b), (steps + 1) * _EPS if steps else 0.0
+def _series_argument(params: ProcessParams, t: float):
+    """The exact factors ((lam, alpha), (t, nu)) of the series argument
+    x = lam**alpha * t**nu, which the series form in their working
+    precision, and x in doubles (``special_fn._argument_double``), a
+    ValueError where it overflows."""
+    factors = ((params.lam, params.alpha), (t, params.nu))
+    return factors, -_argument_double(factors)
 
 
 def _row_sum(rows: list[PmfRow], weights=1.0, rel=0.0) -> EvalResult:
@@ -98,37 +93,6 @@ def _row_sum(rows: list[PmfRow], weights=1.0, rel=0.0) -> EvalResult:
                       + 3 * p.size * math.ulp(0.0), p.size)
 
 
-def _argument_widened(rows: list[PmfRow], rho: float, x: float, nu: float,
-                      beyond: float) -> list[PmfRow]:
-    """Time-fractional masses q_k, k = K0..K, computed at x*e**s, |s| <= rho,
-    with their bounds widened to hold at x = lam * t**nu.
-
-    ``beyond`` bounds Pr{N >= K+1}.  With f_j(s) = q_j(x*e**s) and
-    S_j = Pr{N >= j}, x dq_k/dx = k q_k - (k+1) q_{k+1} gives
-    f_k' = k f_k - (k+1) f_{k+1}, so q_k moves by rho * (k q_k +
-    (k+1) q_{k+1}) to first order, each q taken as its row's |p| + bound.
-    Past the last row, q_{K+1} <= beyond and q_{K+1} <= x**(K+1) /
-    Gamma((K+1)*nu + 1), the first term of its series (q_j = E[exp(-x*Y)
-    (x*Y)**j] / j! with E[Y**j] = j! / Gamma(j*nu + 1), Y of the
-    Mittag-Leffler law); the factor 2 covers the rounding of that estimate.
-    f_k'' = k**2 f_k - (k+1)(2k+1) f_{k+1} + (k+1)(k+2) f_{k+2} is at most
-    2(k+1)**2 S_k in size, and S_k, which grows with x at rate k q_k,
-    stays within S_k(x)/(1 - rho*k) over the interval: with rho*k <= 1/2
-    the second order adds at most 2 (rho*(k+1))**2 S_k, S_k taken as the
-    sum of the rows from k on plus ``beyond``.
-    """
-    j = rows[-1].k + 1
-    lead = j * math.log(x) - math.lgamma(j * nu + 1.0) if x > 0 else -math.inf
-    q = np.array([abs(r.p) + r.abs_error_bound for r in rows]
-                 + [min(beyond, 2.0 * math.exp(min(lead, 0.0)))])
-    survival = np.minimum(1.0, beyond + np.cumsum(q[-2::-1])[::-1])
-    k = np.arange(rows[0].k, j + 1.0)
-    kq = k * q
-    widen = rho * (kq[:-1] + kq[1:]) + 2 * (rho * k[1:]) ** 2 * survival
-    return [PmfRow(r.k, r.p, r.abs_error_bound + float(d))
-            for r, d in zip(rows, widen)]
-
-
 def _poisson_row(mu: float, k: int) -> PmfRow:
     """Poisson(mu) mass at k, bounded through the condition sum of its log."""
     if mu == 0.0:
@@ -142,8 +106,10 @@ def pmf_row(params: ProcessParams, t: float, kmax: int,
             cfg: SeriesConfig | None = None) -> list[PmfRow]:
     """PMF values for k = 0..kmax at time t, each with an error bound.
 
-    At nu < 1 the bounds of q also count the rounding of the series
-    argument (``_argument_widened``).
+    At nu < 1 the series takes the exact factors of its argument
+    lam**alpha * t**nu and forms it in its own working precision, so the
+    bounds of q hold at the exact argument.  (``pmf`` at k = 0 and ``pgf``
+    at nu < 1 still round it to a double for ``mittag_leffler``.)
 
     At alpha < 1 the alpha = 1 row q is composed with the Sibuya law,
     p_n = sum_m q_m * c_n[m] with c_n[m] = [u**n] S(u)**m.  The columns c_n
@@ -184,16 +150,12 @@ def pmf_row(params: ProcessParams, t: float, kmax: int,
     if t == 0.0:
         return [PmfRow(k, 1.0 if k == 0 else 0.0, 0.0)
                 for k in range(kmax + 1)]
-    w, rho = _series_argument(params, t)
+    factors, x = _series_argument(params, t)
     if params.nu == 1.0:
-        q = [_poisson_row(-w, m) for m in range(kmax + 1)]
+        q = [_poisson_row(x, m) for m in range(kmax + 1)]
     else:
         q = [PmfRow(m, r.value, r.abs_error_bound) for m, r in enumerate(
-            wright_psi11_weighted_rows(kmax, w, params.nu, cfg))]
-        if rho:
-            s = _row_sum(q)
-            q = _argument_widened(q, rho, -w, params.nu, 1.0 - s.value
-                                  + s.abs_error_bound + _EPS)
+            wright_psi11_weighted_rows(kmax, factors, params.nu, cfg))]
     alpha = params.alpha
     if alpha == 1.0:
         return q
@@ -230,7 +192,7 @@ def pmf(params: ProcessParams, t: float, k: int,
     _check_time(t)
     cfg = cfg or DEFAULT_CONFIG
     if k == 0 and t > 0 and params.nu != 1.0:
-        res = mittag_leffler(params.nu, _series_argument(params, t)[0], cfg)
+        res = mittag_leffler(params.nu, -_series_argument(params, t)[1], cfg)
         return PmfRow(0, res.value, res.abs_error_bound)
     return pmf_row(params, t, k, cfg)[k]
 
@@ -247,8 +209,10 @@ def pmf_time_fractional_direct(params: ProcessParams, t: float, k: int,
     ratio of successive terms falls), so the profile is scanned in
     doubling blocks (``special_fn._scan_profile``) up to
     r = min(max_terms, 50_000), stopping once past the peak and
-    _PRESCAN_DROP nats below both the peak and 1.  The bound also counts
-    the rounding of x (``_argument_widened``).
+    _PRESCAN_DROP nats below both the peak and 1.  The profile takes x in
+    doubles; the bases take x from its exact factors, formed in the
+    working precision (``special_fn._argument``), so the bound holds at
+    the exact x.
     """
     if params.alpha != 1.0:
         raise ValueError("direct time-fractional form requires alpha = 1")
@@ -259,10 +223,9 @@ def pmf_time_fractional_direct(params: ProcessParams, t: float, k: int,
     if t == 0.0:
         return PmfRow(k, 1.0 if k == 0 else 0.0, 0.0)
     nu = params.nu
+    factors, x = _series_argument(params, t)
     if nu == 1.0:
-        return _poisson_row(params.lam * t, k)
-    w, rho = _series_argument(params, t)
-    x = -w
+        return _poisson_row(x, k)
     logx, lgk = math.log(x), math.lgamma(k + 1)
 
     def block(r):
@@ -275,17 +238,18 @@ def pmf_time_fractional_direct(params: ProcessParams, t: float, k: int,
         # gamma arguments must be built in working precision: forming
         # nu*(k+r) in doubles feeds incoherent argument noise into a
         # heavily cancelling sum.  rise takes three roundings a step, so
-        # base r is within the engine's allowance of 3r + 5 roundings
-        xm, nu_mp = mp.mpf(-x), mp.mpf(nu)
-        rise = mp.mpf(x) ** k      # x**k * (r+k)!/(r!*k!), multiplicatively
+        # base r is within the engine's allowance of 3r + 5 roundings;
+        # the error of -xm (under 2**-61 relatively) adds (k + r) * 2**-61,
+        # within the two roundings spare for any k < 2**60
+        xm, nu_mp = _argument(factors), mp.mpf(nu)
+        rise = (-xm) ** k      # x**k * (r+k)!/(r!*k!), multiplicatively
         for r in itertools.count():
             yield rise * mp.rgamma(nu_mp * (k + r) + 1)
             rise = rise * xm * (r + k + 1) / (r + 1)
 
     vals, bounds, terms = _sum_series(bases, peaks, profile, cfg)
     res = _to_double(vals[0], bounds[0], terms)
-    row = PmfRow(k, res.value, res.abs_error_bound)
-    return _argument_widened([row], rho, x, nu, 1.0)[0] if rho else row
+    return PmfRow(k, res.value, res.abs_error_bound)
 
 
 def pgf(params: ProcessParams, t: float, u: float,
@@ -301,8 +265,8 @@ def pgf(params: ProcessParams, t: float, u: float,
     cfg = cfg or DEFAULT_CONFIG
     if t == 0.0 or u == 1.0:
         return EvalResult(1.0, 0.0, 0)
-    arg = -(params.lam ** params.alpha) * (1.0 - u) ** params.alpha \
-        * t ** params.nu
+    lam, alpha = params.lam, params.alpha
+    arg = _argument_double(((lam, alpha), (1.0 - u, alpha), (t, params.nu)))
     if params.nu == 1.0:
         v = math.exp(arg)
         return EvalResult(v, _exp_error_bound(v, abs(arg)), 0)
@@ -420,7 +384,7 @@ def first_passage(params: ProcessParams, t: float, k: int,
         return EvalResult(0.0, 0.0, 0), None
     lam, alpha = params.lam, params.alpha
     if alpha == 1.0:
-        mu = lam * t
+        mu = _series_argument(params, t)[1]
         row = _poisson_row(mu, k - 1)
         return _erlang_cdf(mu, k, cfg or DEFAULT_CONFIG), \
             EvalResult(lam * row.p, lam * row.abs_error_bound + math.ulp(0.0),

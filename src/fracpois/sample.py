@@ -216,8 +216,8 @@ def sample_batch(process: str, params: ProcessParams, t: float, n: int,
             raise ValueError("the composed process requires gamma")
         if not 0 < gamma < 1:
             raise ValueError("gamma must lie in (0, 1)")
-    else:
-        gamma = None
+    elif gamma is not None:
+        raise ValueError("gamma applies only to the composed process")
     if process == "space" and params.nu != 1.0:
         raise ValueError("the space process requires nu = 1")
     if process == "time" and params.alpha != 1.0:

@@ -7,8 +7,10 @@ Everything in this module is built on one family of series,
 where ``ffact(r, k) = r*(r-1)*...*(r-k+1)`` is the integer falling
 factorial.  With k = 0 this is the one-parameter Mittag-Leffler series
 E_nu(w); ((-1)**k / k!) * S_k is the time-fractional Poisson mass at k
-with lam * t**nu = -w, the row from which ``dist`` builds every law (at
-alpha < 1 by composing it with the Sibuya law, which cancels nothing).
+with lam**alpha * t**nu = -w, the row from which ``dist`` builds every
+law (at alpha < 1 by composing it with the Sibuya law, which cancels
+nothing).  The rows take w as its exact factors and form it in their
+working precision, so their certificates hold at the exact argument.
 
 The series alternate and the intermediate terms can be many orders of
 magnitude larger than the sum.  One engine, ``_sum_series``, sums every
@@ -71,8 +73,8 @@ class SeriesConfig:
     max_terms: int = 10_000
 
     def __post_init__(self):
-        if not self.rel_tol > 0:
-            raise ValueError("rel_tol must be > 0")
+        if not 0 < self.rel_tol < math.inf:
+            raise ValueError("rel_tol must be finite and > 0")
         if self.max_terms < 1:
             raise ValueError("max_terms must be >= 1")
 
@@ -159,15 +161,39 @@ def _kernel_profile(kmax: int, w: float, nu: float,
                              kmax + 2)
 
 
-def _kernel_bases(w: float, nu: float):
-    """w**r / Gamma(nu*r + 1) for r = 0, 1, ..., in the working precision.
+def _argument_double(factors) -> float:
+    """w = -prod(b**e) over ``factors``, pairs (b, e) with b >= 0, in
+    doubles, which only size the sums; a ValueError if it overflows."""
+    w = -math.prod(b ** e for b, e in factors)
+    if not -math.inf < w <= 0:
+        raise ValueError("the series argument -lam**alpha * t**nu must be "
+                         "finite and <= 0")
+    return w
 
-    nu*r + 1 is exact in the least working precision (110 bits) unless
-    nu < ~1e-17, where it lies so close to 1 that its rounding moves
-    rgamma by less than two roundings; so base r is within r + 4
-    roundings: the power's r - 1, rgamma's and the product's.
+
+def _argument(factors):
+    """w of ``factors`` as an mpf, formed 64 bits beyond the working
+    precision and kept unrounded (see ``_kernel_bases``)."""
+    with mp.workprec(mp.mp.prec + 64):
+        return -mp.fprod(mp.mpf(b) ** e for b, e in factors)
+
+
+def _kernel_bases(factors, nu: float):
+    """w**r / Gamma(nu*r + 1) for r = 0, 1, ..., in the working precision
+    (prec bits), with w = ``_argument(factors)``.
+
+    mpmath forms b**e, 0 < e <= 1, as exp(e*log(b)) with the log 10 bits
+    beyond the precision, and |e*log(b)| < 2**10 for a double b: in
+    prec + 64 bits each power and the product err by a few units of
+    2**-(prec+64), so w is within 2**-(prec+61) of its exact value,
+    relatively.  nu*r + 1 is exact in the least working precision (110
+    bits) unless nu < ~1e-17, where it lies so close to 1 that its
+    rounding moves rgamma by less than two roundings; so base r is within
+    r + 4 roundings of its exact value (the power's r - 1, rgamma's and
+    the product's) plus r * 2**-61 for w: well within the engine's
+    allowance of 3r + 5.
     """
-    wmp, num = mp.mpf(w), mp.mpf(nu)
+    wmp, num = _argument(factors), mp.mpf(nu)
     wpow = mp.mpf(1)
     for r in itertools.count():
         yield wpow * mp.rgamma(num * r + 1)
@@ -276,8 +302,9 @@ def _sum_series(bases, peaks, profile: np.ndarray, cfg: SeriesConfig):
              for s, g in zip(sums, grid)], bounds, n)
 
 
-def _kernel_rows(kmax: int, w: float, nu: float, cfg: SeriesConfig | None):
-    """S_k for k = 0..kmax as (mpf values, mpf bounds, terms_used).
+def _kernel_rows(kmax: int, factors, nu: float, cfg: SeriesConfig | None):
+    """S_k for k = 0..kmax at w = -prod(b**e) of ``factors`` as (mpf values,
+    mpf bounds, terms_used).
 
     Values are mpf so that callers may rescale (e.g. divide by k!) before
     converting to double.
@@ -286,13 +313,13 @@ def _kernel_rows(kmax: int, w: float, nu: float, cfg: SeriesConfig | None):
         raise ValueError("time_nu must lie in (0, 1]")
     if kmax < 0:
         raise ValueError("k must be >= 0")
-    if w > 0:
-        raise ValueError("w must be <= 0")
+    w = _argument_double(factors)
     cfg = cfg or DEFAULT_CONFIG
     if w == 0.0:
         return [mp.mpf(1)] + [mp.mpf(0)] * kmax, [mp.mpf(0)] * (kmax + 1), 1
     profile, peaks = _kernel_profile(kmax, w, nu, cfg.max_terms)
-    return _sum_series(lambda: _kernel_bases(w, nu), peaks, profile, cfg)
+    return _sum_series(lambda: _kernel_bases(factors, nu), peaks, profile,
+                       cfg)
 
 
 def _to_double(value, bound, terms: int) -> EvalResult:
@@ -496,21 +523,22 @@ def mittag_leffler(nu: float, x: float, cfg: SeriesConfig | None = None) -> Eval
     res = _ml_integral(nu, -x, cfg, limit)
     if res is not None:
         return res
-    vals, bounds, terms = _sum_series(lambda: _kernel_bases(x, nu), peaks,
-                                      profile, cfg)
+    vals, bounds, terms = _sum_series(
+        lambda: _kernel_bases(((-x, 1.0),), nu), peaks, profile, cfg)
     return _to_double(vals[0], bounds[0], terms)
 
 
-def wright_psi11_weighted_rows(kmax: int, w: float, time_nu: float = 1.0,
+def wright_psi11_weighted_rows(kmax: int, factors, time_nu: float = 1.0,
                                cfg: SeriesConfig | None = None
                                ) -> list[EvalResult]:
     """Rows ((-1)**k / k!) * S_k for k = 0..kmax: the time-fractional
-    Poisson masses with lam * t**nu = -w.
+    Poisson masses with lam**alpha * t**nu = -w, given as its exact
+    ``factors`` ((lam, alpha), (t, nu)).
 
     The division by k! happens in extended precision so rows remain
     finite doubles even where k! alone would overflow.
     """
-    vals, bounds, terms = _kernel_rows(kmax, w, time_nu, cfg)
+    vals, bounds, terms = _kernel_rows(kmax, factors, time_nu, cfg)
     out = []
     sign = 1
     fact = mp.mpf(1)

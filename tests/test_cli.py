@@ -339,6 +339,10 @@ def test_verify_bad_input_is_usage_error(capsys, argv):
     assert "error" in err
 
 
+# lam**alpha * t**nu overflows although lam and t are finite
+OVERFLOW = "lam**alpha * t**nu must be finite"
+
+
 @pytest.mark.parametrize("argv, message", [
     (["pmf", "--lambda", "1", "--t", "-1", "--kmax", "2"], "t must"),
     (["pgf", "--lambda", "1", "--t", "-1", "--u", "0.5"], "t must"),
@@ -359,9 +363,27 @@ def test_verify_bad_input_is_usage_error(capsys, argv):
       "--n", "1000"], "t must be finite"),
     (["passage", "--lambda", "1", "--alpha", "0.5", "--k", "2", "--tmax",
       "inf"], "--tmax must be finite"),
+    (["pmf", "--lambda", "1e300", "--nu", "0.5", "--t", "1e300", "--kmax",
+      "2"], OVERFLOW),
+    (["pmf", "--lambda", "1e300", "--alpha", "0.5", "--t", "1e300",
+      "--kmax", "2"], OVERFLOW),
+    (["pmf", "--lambda", "1e300", "--t", "1e300", "--kmax", "1"], OVERFLOW),
+    (["pgf", "--lambda", "1e300", "--t", "1e300", "--u", "0.5"], OVERFLOW),
+    (["pgf", "--lambda", "1e300", "--nu", "0.5", "--t", "1e300", "--u",
+      "0.5"], OVERFLOW),
+    (["passage", "--lambda", "1e300", "--alpha", "0.5", "--k", "2", "--t",
+      "1e300"], OVERFLOW),
+    (["passage", "--lambda", "1e300", "--k", "2", "--t", "1e300"], OVERFLOW),
+    (["pmf", "--lambda", "1", "--nu", "0.5", "--t", "1", "--kmax", "2",
+      "--tol", "inf"], "rel_tol must be finite"),
+    (["pgf", "--lambda", "1", "--nu", "0.5", "--t", "1", "--u", "0.5",
+      "--tol", "inf"], "rel_tol must be finite"),
 ], ids=["pmf-t-neg", "pgf-t-neg", "pgf-t-nan-nu", "pmf-t-nan", "pmf-lam-inf",
         "pmf-t-inf", "passage-t-nan", "pgf-u-nan", "sample-t-inf",
-        "min-uniform-t-nan", "passage-tmax-inf"])
+        "min-uniform-t-nan", "passage-tmax-inf", "pmf-arg-inf-nu",
+        "pmf-arg-inf-alpha", "pmf-arg-inf", "pgf-arg-inf", "pgf-arg-inf-nu",
+        "passage-arg-inf-alpha", "passage-arg-inf", "pmf-tol-inf",
+        "pgf-tol-inf"])
 def test_bad_numbers_are_usage_errors(capsys, argv, message):
     """Values outside the domain end in exit 1 with the library's or the
     CLI's message, not in a traceback, a warning or a table of nan."""

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fracpois import dist, verify
+from fracpois import dist, special_fn, verify
 from fracpois.dist import ProcessParams
 from fracpois.special_fn import SeriesConfig
 
@@ -378,22 +378,22 @@ def _density_reference(lam, alpha, t, k):
 
 
 @settings(max_examples=25, deadline=None)
-@given(alpha=st.floats(0.3, 0.999), nu=st.floats(0.3, 0.999),
-       t=st.floats(0.2, 3.0), k=st.integers(0, 30))
-@example(alpha=0.5, nu=1.0, t=3.0, k=30)
-@example(alpha=0.05, nu=0.5, t=1.0, k=30)
-def test_series_rows_bound_holds_against_oracle(alpha, nu, t, k):
-    params = ProcessParams(1.0, alpha, nu)
+@given(lam=st.floats(0.5, 5.0), alpha=st.floats(0.3, 0.999),
+       nu=st.floats(0.3, 0.999), t=st.floats(0.2, 3.0), k=st.integers(0, 30))
+@example(lam=1.0, alpha=0.5, nu=1.0, t=3.0, k=30)
+@example(lam=1.0, alpha=0.05, nu=0.5, t=1.0, k=30)
+def test_series_rows_bound_holds_against_oracle(lam, alpha, nu, t, k):
+    params = ProcessParams(lam, alpha, nu)
     row = dist.pmf_row(params, t, k)[k]
     ref = verify.oracle_pmf(params, t, k)
     assert abs(mp.mpf(row.p) - ref) <= row.abs_error_bound
 
 
 @settings(max_examples=25, deadline=None)
-@given(nu=st.floats(0.3, 0.999), t=st.floats(0.2, 3.0),
-       k=st.integers(0, 30))
-def test_direct_form_bound_holds_against_oracle(nu, t, k):
-    params = ProcessParams(1.0, 1.0, nu)
+@given(lam=st.floats(0.5, 5.0), nu=st.floats(0.3, 0.999),
+       t=st.floats(0.2, 3.0), k=st.integers(0, 30))
+def test_direct_form_bound_holds_against_oracle(lam, nu, t, k):
+    params = ProcessParams(lam, 1.0, nu)
     row = dist.pmf_time_fractional_direct(params, t, k)
     ref = verify.oracle_pmf(params, t, k)
     assert abs(mp.mpf(row.p) - ref) <= row.abs_error_bound
@@ -417,6 +417,32 @@ def test_last_row_bound_holds_with_rounded_argument():
     for row in rows[-3:]:
         ref = verify.oracle_pmf(params, 3.7, row.k)
         assert abs(mp.mpf(row.p) - ref) <= row.abs_error_bound
+
+
+def test_series_bounds_hold_at_exact_argument(monkeypatch):
+    # at rel_tol = 1e-60 the bounds are far below the rounding of
+    # lam * t**nu to a double: the series must sum at the exact argument
+    params, t = ProcessParams(0.9, 1.0, 0.97), 4.3
+    cfg = SeriesConfig(rel_tol=1e-60)
+    ocfg = verify.OracleConfig(precision_digits=90)
+    vals, bounds, _ = special_fn._kernel_rows(30, ((0.9, 1.0), (t, 0.97)),
+                                              0.97, cfg)
+    sums = []
+
+    def recorded(*args):
+        sums.append(special_fn._sum_series(*args))
+        return sums[-1]
+
+    monkeypatch.setattr(dist, "_sum_series", recorded)
+    dist.pmf_time_fractional_direct(params, t, 27, cfg)
+    direct, direct_bound = sums[0][0][0], sums[0][1][0]
+    with mp.workdps(120):
+        for k in (0, 5, 21, 27, 30):
+            scale = (-1) ** k / mp.factorial(k)
+            ref = verify.oracle_pmf(params, t, k, ocfg)
+            assert abs(vals[k] * scale - ref) <= bounds[k] * abs(scale)
+        ref = verify.oracle_pmf(params, t, 27, ocfg)
+        assert abs(direct - ref) <= direct_bound
 
 
 def _sum_reference(params, t, kmax, u):

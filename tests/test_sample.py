@@ -193,7 +193,8 @@ def test_batch_counts_stable_redraws(monkeypatch, process, params, calls):
 
     monkeypatch.setattr(sample, "_stable_unit", one_more)
     batch = sample_batch(process, params, 1.0, sample._CHUNK + 1,
-                         RngStream(3), gamma=0.5)
+                         RngStream(3),
+                         gamma=0.5 if process == "composed" else None)
     assert len(redraws) == calls
     assert batch.redraws == sum(redraws)
 
@@ -226,6 +227,8 @@ def test_batch_argument_validation():
         sample_batch("space", params, 1.0, 10, RngStream(0), threads=0)
     with pytest.raises(ValueError):
         sample_batch("composed", params, 1.0, 10, RngStream(0))  # no gamma
+    with pytest.raises(ValueError, match="only to the composed process"):
+        sample_batch("space", params, 1.0, 10, RngStream(0), gamma=0.5)
     with pytest.raises(ValueError):
         sample_batch("space", ProcessParams(1.0, 0.5, 0.5), 1.0, 10,
                      RngStream(0))

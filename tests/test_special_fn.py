@@ -139,7 +139,7 @@ def test_nonconvergence_when_max_terms_too_small():
 
 
 def test_kernel_reduces_to_exp():
-    res = wright_psi11_weighted_rows(0, -2.0)[0]
+    res = wright_psi11_weighted_rows(0, ((2.0, 1.0),))[0]
     assert res.value == pytest.approx(math.exp(-2.0), rel=1e-12)
 
 
@@ -149,21 +149,21 @@ def test_double_mode_escalates_instead_of_losing_digits():
     res = mittag_leffler(1.0, -30.0)
     assert res.value == pytest.approx(math.exp(-30.0), rel=1e-12)
     # the same cancellation through the kernel's series
-    res = wright_psi11_weighted_rows(0, -30.0)[0]
+    res = wright_psi11_weighted_rows(0, ((30.0, 1.0),))[0]
     assert res.value == pytest.approx(math.exp(-30.0), rel=1e-12)
 
 
 def test_series_bound_delivers_rel_tol():
     # terms fall slowly here (ratio near 0.9), so a rule that stops on the
     # last term alone reports a geometric tail of several times rel_tol
-    res = wright_psi11_weighted_rows(0, -1.0, 0.05)[0]
+    res = wright_psi11_weighted_rows(0, ((1.0, 1.0),), 0.05)[0]
     assert res.abs_error_bound <= 1e-12 * abs(res.value) * (1 + 1e-3)
     assert abs(res.value - E_005_M1) <= res.abs_error_bound
 
 
 def test_kernel_zero_argument():
-    assert wright_psi11_weighted_rows(0, 0.0)[0].value == 1.0
-    assert wright_psi11_weighted_rows(3, 0.0)[3].value == 0.0
+    assert wright_psi11_weighted_rows(0, ((0.0, 1.0),))[0].value == 1.0
+    assert wright_psi11_weighted_rows(3, ((0.0, 1.0),))[3].value == 0.0
 
 
 @pytest.mark.parametrize("alpha,k,w,nu", [
@@ -190,7 +190,7 @@ def test_series_rounding_certificate(monkeypatch, kmax, w, nu):
     """At rel_tol=1e-60 rounding dominates the bound: a rerun 60 digits
     more precise must land within it on every row."""
     cfg = SeriesConfig(rel_tol=1e-60)
-    vals, bounds, _ = special_fn._kernel_rows(kmax, w, nu, cfg)
+    vals, bounds, _ = special_fn._kernel_rows(kmax, ((-w, 1.0),), nu, cfg)
     profile_of = special_fn._kernel_profile
 
     def shifted(*args):
@@ -200,7 +200,7 @@ def test_series_rounding_certificate(monkeypatch, kmax, w, nu):
         return profile + 60 * math.log(10.0), peaks
 
     monkeypatch.setattr(special_fn, "_kernel_profile", shifted)
-    refs, _, _ = special_fn._kernel_rows(kmax, w, nu, cfg)
+    refs, _, _ = special_fn._kernel_rows(kmax, ((-w, 1.0),), nu, cfg)
     with mp.workdps(400):
         for v, b, ref in zip(vals, bounds, refs):
             assert abs(v - ref) <= b
