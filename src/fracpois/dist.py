@@ -94,9 +94,12 @@ def _row_sum(rows: list[PmfRow], weights=1.0, rel=0.0) -> EvalResult:
 
 
 def _poisson_row(mu: float, k: int) -> PmfRow:
-    """Poisson(mu) mass at k, bounded through the condition sum of its log."""
+    """Poisson(mu) mass at k, bounded through the condition sum of its log.
+
+    Every caller has t > 0, so mu = 0 is a mean that underflowed: the mass
+    at k errs from that of mu = 0 by at most mu < ulp(0)."""
     if mu == 0.0:
-        return PmfRow(k, 1.0 if k == 0 else 0.0, 0.0)
+        return PmfRow(k, 1.0 if k == 0 else 0.0, math.ulp(0.0))
     lg = math.lgamma(k + 1)
     p = math.exp(-mu + k * math.log(mu) - lg)
     return PmfRow(k, p, _exp_error_bound(p, mu + k * abs(math.log(mu)) + lg))
@@ -192,8 +195,10 @@ def pmf(params: ProcessParams, t: float, k: int,
     _check_time(t)
     cfg = cfg or DEFAULT_CONFIG
     if k == 0 and t > 0 and params.nu != 1.0:
-        res = mittag_leffler(params.nu, -_series_argument(params, t)[1], cfg)
-        return PmfRow(0, res.value, res.abs_error_bound)
+        x = _series_argument(params, t)[1]
+        if x > 0:       # else x underflowed: pmf_row bounds its x = 0 row
+            res = mittag_leffler(params.nu, -x, cfg)
+            return PmfRow(0, res.value, res.abs_error_bound)
     return pmf_row(params, t, k, cfg)[k]
 
 
@@ -226,6 +231,9 @@ def pmf_time_fractional_direct(params: ProcessParams, t: float, k: int,
     factors, x = _series_argument(params, t)
     if nu == 1.0:
         return _poisson_row(x, k)
+    if x == 0.0:
+        # x underflowed: p_k errs from the x = 0 row by < 1.2x < ulp(0)
+        return PmfRow(k, 1.0 if k == 0 else 0.0, math.ulp(0.0))
     logx, lgk = math.log(x), math.lgamma(k + 1)
 
     def block(r):

@@ -275,7 +275,29 @@ def test_series_fails_fast_past_max_terms(monkeypatch):
 
     monkeypatch.setattr(mp, "rgamma", fail)
     with pytest.raises(dist.NonConvergence):
-        dist.pmf_row(ProcessParams(1.0, 1.0, 0.5), 1e4, 2)
+        special_fn._kernel_rows(2, ((1.0, 1.0), (1e4, 0.5)), 0.5, None)
+
+
+def test_underflowing_argument_is_bounded():
+    """lam**alpha * t**nu = 1e-450 rounds to 0 in doubles; the x = 0 row
+    must still bound the true masses, here the series sum_r
+    x**k * C(r+k, k) * (-x)**r / Gamma(nu*(k+r) + 1) at 600 digits."""
+    lam = t = 1e-300
+
+    def oracle(nu, k):
+        x = mp.mpf(lam) * mp.mpf(t) ** nu
+        return mp.fsum(x ** k * mp.binomial(r + k, k) * (-x) ** r
+                       / mp.gamma(nu * (k + r) + 1) for r in range(4))
+
+    for nu in (0.5, 1.0):
+        params = ProcessParams(lam, 1.0, nu)
+        rows = dist.pmf_row(params, t, 2) + [
+            dist.pmf(params, t, 0),
+            dist.pmf_time_fractional_direct(params, t, 2)]
+        with mp.workdps(600):
+            for row in rows:
+                assert abs(mp.mpf(row.p) - oracle(nu, row.k)) <= \
+                    row.abs_error_bound
 
 
 def test_non_finite_inputs_rejected():

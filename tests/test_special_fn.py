@@ -129,8 +129,9 @@ def test_mittag_leffler_bounded_cost(nu, x, ref):
 def test_mittag_leffler_domain_errors():
     with pytest.raises(ValueError):
         mittag_leffler(1.5, -1.0)
-    with pytest.raises(ValueError):
-        mittag_leffler(0.5, 1.0)
+    for x in (1.0, -math.inf, math.nan):
+        with pytest.raises(ValueError):
+            mittag_leffler(0.5, x)
 
 
 def test_nonconvergence_when_max_terms_too_small():
@@ -249,3 +250,83 @@ def test_eval_result_reports_term_count():
     res = mittag_leffler(1.0, -1.0, SeriesConfig(max_terms=100))
     assert isinstance(res, EvalResult)
     assert 1 <= res.terms_used <= 100
+
+
+def _talbot(factors, nu, k, dps):
+    """p_k at t = 1 and rate x = prod(b**e) of ``factors``, by mpmath's
+    Talbot inversion of x**k s**(nu-1) / (s**nu + x)**(k+1) at dps
+    digits, x formed at dps digits from its factors."""
+    with mp.workdps(dps):
+        x = mp.fprod(mp.mpf(b) ** e for b, e in factors)
+        num = mp.mpf(nu)
+        return mp.invertlaplace(
+            lambda s: x ** k * s ** (num - 1) / (s ** num + x) ** (k + 1),
+            1, method="talbot")
+
+
+def _fail(*args):
+    raise AssertionError("called")
+
+
+@pytest.mark.parametrize("lam,nu,t,kmax,ks", [
+    (3.0, 0.1, 1.0, 30, (0, 2, 30)), (20.0, 0.3, 1.0, 30, (0, 2, 30)),
+    (1.0, 0.5, 2000.0, 2, (0, 1, 2)),
+])
+def test_contour_reaches_laws_past_the_series(lam, nu, t, kmax, ks):
+    """Rows whose series would not finish within max_terms come from the
+    contour, each entry within its bound of Talbot's inversion and its
+    bound within rel_tol of its value plus the rounding to double."""
+    rows = pmf_row(ProcessParams(lam, 1.0, nu), t, kmax)
+    for k in ks:
+        row = rows[k]
+        assert row.abs_error_bound <= ((1e-12 * (1 + 1e-9) + 2.0 ** -52)
+                                       * row.p + math.ulp(0.0))
+        ref = _talbot(((lam, 1.0), (t, nu)), nu, k, 40)
+        assert abs(mp.mpf(row.p) - ref) <= row.abs_error_bound
+
+
+def test_contour_bounds_hold_at_exact_argument(monkeypatch):
+    """At rel_tol = 1e-20 the bounds lie far below the rounding of 5**0.7
+    to a double: the routed row must be summed at the exact argument."""
+    factors, cfg = ((5.0, 0.7), (1.0, 0.3)), SeriesConfig(rel_tol=1e-20)
+    monkeypatch.setattr(mp, "rgamma", _fail)
+    monkeypatch.setattr(mp, "gamma", _fail)
+    assert len(wright_psi11_weighted_rows(30, factors, 0.3, cfg)) == 31
+    monkeypatch.undo()
+    vals, bounds, _ = special_fn._contour_rows(30, factors, 0.3, cfg, math.inf)
+    with mp.workdps(60):
+        for k in (0, 1, 15, 30):
+            assert bounds[k] <= 1e-20 * abs(vals[k])
+            assert abs(vals[k] - _talbot(factors, 0.3, k, 60)) <= bounds[k]
+
+
+def test_router_sends_costly_series_to_the_contour(monkeypatch):
+    """The (5, 1, .3) row, whose series costs thousands of gamma calls at
+    217 digits, is summed on the contour: no gamma function at all."""
+    monkeypatch.setattr(mp, "rgamma", _fail)
+    monkeypatch.setattr(mp, "gamma", _fail)
+    rows = pmf_row(ProcessParams(5.0, 1.0, 0.3), 1.0, 30)
+    assert all(r.abs_error_bound <= 1e-12 * r.p + 2e-16 * r.p for r in rows)
+
+
+def test_router_keeps_short_series(monkeypatch):
+    """A short series is cheaper than the contour's nodes: the router keeps
+    it without any contour work."""
+    for name in ("_contour_error", "_contour_estimate", "_contour_sum"):
+        monkeypatch.setattr(special_fn, name, _fail)
+    rows = pmf_row(ProcessParams(1.0, 1.0, 0.5), 5.0, 30)
+    assert len(rows) == 31
+
+
+@pytest.mark.parametrize("lam,nu", [(5.0, 0.3), (1.0, 0.7), (0.5, 0.9)])
+def test_contour_error_terms_hold(lam, nu):
+    """Each error term of the rule bounds what it claims: few nodes at 200
+    bits, where the discretisation dominates, and many nodes at 48 bits,
+    where the rounding does."""
+    factors = ((lam, 1.0), (1.0, nu))
+    refs = {k: _talbot(factors, nu, k, 40) for k in (0, 5, 30)}
+    for n, prec in ((12, 200), (20, 200), (60, 48)):
+        lerr = special_fn._contour_error(lam, nu, 30, n)
+        vals, lbound = special_fn._contour_sum(30, factors, nu, n, prec, lerr)
+        for k, ref in refs.items():
+            assert abs(vals[k] - ref) <= mp.exp(lbound[k])
