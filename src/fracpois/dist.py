@@ -6,9 +6,9 @@ with Q the PGF of the time-fractional law (alpha = 1) at rate lam**alpha
 and S(u) = 1 - (1-u)**alpha the PGF of the Sibuya law, whose masses are
 all positive (Steutel & van Harn, Ann. Probab. 7, 1979; Devroye, Stat.
 Probab. Lett. 18, 1993).  So a PMF row is the alpha = 1 row q (Poisson at
-nu = 1, else the certified series of :mod:`fracpois.special_fn`) and, at
-alpha < 1, p_k = sum_{m<=k} q_m * [u**k] S(u)**m: a positive sum, nothing
-cancels.  The Sibuya powers [u**n] S(u)**m follow one positive first-order
+nu = 1, else the certified row of :mod:`fracpois.special_fn`, by series
+or contour) and, at alpha < 1, p_k = sum_{m<=k} q_m * [u**k] S(u)**m: a
+positive sum, nothing cancels.  The Sibuya powers [u**n] S(u)**m follow one positive first-order
 recurrence in n, so a row of K masses costs O(K**2), and the survival
 Pr{N(t) > k} = ``first_passage_cdf(params, t, k + 1)`` carries its bound
 for any alpha at nu = 1.  Elsewhere closed forms (exp / Poisson / Erlang)
@@ -109,7 +109,8 @@ def pmf_row(params: ProcessParams, t: float, kmax: int,
             cfg: SeriesConfig | None = None) -> list[PmfRow]:
     """PMF values for k = 0..kmax at time t, each with an error bound.
 
-    At nu < 1 the series takes the exact factors of its argument
+    At nu < 1 the row q (``special_fn.wright_psi11_weighted_rows``, by
+    series or contour) takes the exact factors of its argument
     lam**alpha * t**nu and forms it in its own working precision, so the
     bounds of q hold at the exact argument.  (``pmf`` at k = 0 and ``pgf``
     at nu < 1 still round it to a double for ``mittag_leffler``.)

@@ -1,38 +1,52 @@
 """Scalar special functions underlying the fractional Poisson laws.
 
-Everything in this module is built on one family of series,
+Every law in ``dist`` is built on the time-fractional row
 
-    S_k = sum_{r>=0}  w**r / Gamma(nu*r + 1) * ffact(r, k),   w <= 0,
+    p_k = ((-1)**k / k!) * S_k,
+    S_k = sum_{r>=0} w**r / Gamma(nu*r + 1) * ffact(r, k),
 
-where ``ffact(r, k) = r*(r-1)*...*(r-k+1)`` is the integer falling
-factorial.  With k = 0 this is the one-parameter Mittag-Leffler series
-E_nu(w); ((-1)**k / k!) * S_k is the time-fractional Poisson mass at k
-with lam**alpha * t**nu = -w, the row from which ``dist`` builds every
-law (at alpha < 1 by composing it with the Sibuya law, which cancels
-nothing).  The rows take w as its exact factors and form it in their
-working precision, so their certificates hold at the exact argument.
+with w = -lam**alpha * t**nu <= 0 and ``ffact(r, k) = r*(r-1)*...*(r-k+1)``
+the integer falling factorial (at alpha < 1 ``dist`` composes it with
+the Sibuya law, which cancels nothing).  With k = 0 this is the
+one-parameter Mittag-Leffler series E_nu(w).  The rows take w as its
+exact factors and form it in their working precision, so their
+certificates hold at the exact argument.  Two engines compute a row,
+and ``wright_psi11_weighted_rows`` routes each row to the one predicted
+to be cheaper:
 
-The series alternate and the intermediate terms can be many orders of
-magnitude larger than the sum.  One engine, ``_sum_series``, sums every
-such series in this package (also the direct time-fractional form in
-``dist``).  A cheap double-precision profile of the term magnitudes sizes
-the mpmath working precision of the k-independent factors
-w**r / Gamma(nu*r + 1) and places, for each row k, a fixed-point grid
-just below the row's peak term.  Everything else is exact Python-integer
-arithmetic: each term is the integer mantissa of its factor times the
-integer falling factorial, truncated onto its row's grid and summed
-exactly.  The engine stops once the geometric tail is within
-rel_tol (tested in integers) and redoes the sum with more digits when the
-cancellation it measures outruns the precision.  Every result carries an
-explicit absolute error certificate: the tail, plus a rounding term
-derived from that arithmetic (the roundings of each factor, and one grid
-unit per term).
+* the series engine (``_kernel_rows``, ``_sum_series``).  The series
+  alternate and the intermediate terms can be many orders of magnitude
+  larger than the sum.  A cheap double-precision profile of the term
+  magnitudes sizes the mpmath working precision of the k-independent
+  factors w**r / Gamma(nu*r + 1) and places, for each row k, a
+  fixed-point grid just below the row's peak term.  Everything else is
+  exact Python-integer arithmetic: each term is the integer mantissa of
+  its factor times the integer falling factorial, truncated onto its
+  row's grid and summed exactly.  The engine stops once the geometric
+  tail is within rel_tol (tested in integers) and redoes the sum with
+  more digits when the cancellation it measures outruns the precision.
+  The bound is the tail plus a rounding term derived from that
+  arithmetic.  ``_sum_series`` also sums the direct time-fractional form
+  in ``dist``.
+* the contour engine (``_contour_rows``), at 0 < nu < 1: the trapezoidal
+  rule on a parabolic Bromwich contour for the Laplace transform
+  x**k s**(nu-1) / (s**nu + x)**(k+1) of p_k, x = -w.  One set of nodes
+  gives the whole row, a complex product per node and entry, at a
+  modest precision and with no gamma function.  Its bound adds the
+  trapezoidal error from the strip of analyticity of the integrand, the
+  nodes cut off and the rounding of the node arithmetic.
 
-Where that profile shows the Mittag-Leffler series cancelling more digits
-than a double holds, or taking more terms than the integral would,
-``mittag_leffler`` switches to a second engine: the positive-kernel
-integral of E_nu on the negative axis, summed in doubles by the
-trapezoidal rule with a certified error bound.
+The router (``_series_cost``, ``_contour_rows``) compares the series'
+predicted length and precision, read off the profile, with the
+contour's node count; rows the series cannot finish within max_terms go
+to the contour, and the series runs wherever the contour declines or
+misses rel_tol.
+
+``mittag_leffler`` chooses in the same way between the series and a
+third engine: the positive-kernel integral of E_nu on the negative axis,
+summed in doubles by the trapezoidal rule with a certified error bound,
+where the profile shows the series cancelling more digits than a double
+holds, or taking more terms than the integral would.
 """
 
 from __future__ import annotations
@@ -546,9 +560,8 @@ def _contour_error(x: float, nu: float, kmax: int, n: int) -> np.ndarray:
     lden = 0.5 * np.log((am + x * ct) ** 2 + (x * st) ** 2)
     head = (mu * (r * r - v0 * v0) - 0.5 * np.log(q0) + np.log(a1) - lden
             + math.log(span / _CONTOUR_CELLS))
-    cells = head[..., None] + (lx - lden)[..., None] * k
-    top = cells.max(axis=1)
-    lcells = top + np.log(np.exp(cells - top[:, None, :]).sum(axis=1))
+    lcells = np.array([_log_sums(hd, lx - ld, kmax)[1]
+                       for hd, ld in zip(head, lden)])
     r = r[:, 0]
     a_end = (mu * (r * r + span * span)) ** nu
     tail = ((mu * (r * r - span * span) - math.log(2 * mu * span)
@@ -567,28 +580,34 @@ def _contour_error(x: float, nu: float, kmax: int, n: int) -> np.ndarray:
     return np.logaddexp(disc, cut)
 
 
+def _log_sums(a: np.ndarray, b: np.ndarray, kmax: int):
+    """For k = 0..kmax, the natural logs of |sum_i Im exp(a_i + k*b_i)| and
+    of sum_i |exp(a_i + k*b_i)|, over 1-D arrays a and b (complex logs of
+    terms), each k scaled by its largest term; in blocks of k that keep
+    each matrix within 2**18 entries."""
+    step = max(1, 2 ** 18 // a.size)
+    im, ab = [], []
+    for lo in range(0, kmax + 1, step):
+        t = a[:, None] + b[:, None] * np.arange(lo, min(kmax + 1, lo + step))
+        top = t.real.max(axis=0)
+        e = np.exp(t - top)
+        with np.errstate(divide="ignore"):
+            im.append(top + np.log(np.abs(e.imag.sum(axis=0))))
+        ab.append(top + np.log(np.abs(e).sum(axis=0)))
+    return np.concatenate(im), np.concatenate(ab)
+
+
 def _contour_estimate(x: float, nu: float, kmax: int, n: int):
     """The n-node rule of ``_contour_rows`` in doubles, to size it only:
-    natural logs of |p_k| and of the rule's sum of |terms|, k = 0..kmax.
-    Terms are kept as complex logs, scaled per k by their largest."""
+    natural logs of |p_k| and of the rule's sum of |terms|, k = 0..kmax."""
     mu, h = math.pi * n / 12, 3.0 / n
     w = 1 + 1j * h * np.arange(n + 1)
     s = mu * w * w
     sn = s ** nu
     lc = s + np.log(2j * sn / (w * (sn + x)))
     lc[0] -= _LN2
-    lt = lc[:, None] + np.log(x / (sn + x))[:, None] * np.arange(kmax + 1.0)
-    top = lt.real.max(axis=0)
-    terms = np.exp(lt - top)
-    scale = top + math.log(h / math.pi)
-    with np.errstate(divide="ignore"):
-        return (scale + np.log(np.abs(terms.imag.sum(axis=0))),
-                scale + np.log(np.abs(terms).sum(axis=0)))
-
-
-def _contour_cost(n: int, kmax: int) -> float:
-    """Predicted cost of an n-node contour row (see ``_series_cost``)."""
-    return (n + 1) * (kmax + 1 + _CONTOUR_NODE) + _CONTOUR_FIXED
+    lp, lt = _log_sums(lc, np.log(x / (sn + x)), kmax)
+    return lp + math.log(h / math.pi), lt + math.log(h / math.pi)
 
 
 def _contour_rows(kmax: int, factors, nu: float, cfg: SeriesConfig,
@@ -611,19 +630,7 @@ def _contour_rows(kmax: int, factors, nu: float, cfg: SeriesConfig,
     n + 1) or None.
 
     The truncation and discretisation errors are bounded by
-    ``_contour_error``.  The rounding: c_j and r_j are formed prec + 32 bits
-    wide, where s, e**s, s**nu, the sum, products and quotients err by at
-    most 4|s| + (8 + |log|s||)/cos(nu*pi/2) + 32 units of 2**-(prec+32)
-    relatively (the sum s**nu + x loses at most the factor
-    cos(nu*pi/2) <= |s**nu + x| / (|s|**nu + x)), and x by 2**-(prec+61)
-    (``_argument``); each is then rounded to prec bits, so within
-    eps = 2**-prec * (1 + 2**-32 * that) of its exact value.  Each product
-    c_j*r_j**k is formed by k products rounded once per component, so it
-    is within expm1((k+1)*eps + k*2**-prec) of its value; the imaginary
-    parts are summed exactly and multiplied by h/pi (three roundings in
-    all).  So entry k errs by that times the rule's sum of |terms| plus
-    4 * 2**-prec * |p_k|.  The bound reported is twice the sum of the
-    three errors, which also covers their evaluation in doubles.
+    ``_contour_error``, the rounding by ``_contour_sum``.
 
     Sizing: n starts at the least count that could meet rel_tol and grows
     until, by ``_contour_error``, the discretisation meets rel_tol/8 of an
@@ -633,9 +640,11 @@ def _contour_rows(kmax: int, factors, nu: float, cfg: SeriesConfig,
     to rel_tol/8 of that estimate.  The result is kept only when every
     entry's bound is within rel_tol of its value; one more round then
     takes the computed values as estimates.  Returns None, before any
-    mpmath work, when the rule's predicted cost (``_contour_cost``) reaches
-    ``limit``, and when the bound still misses rel_tol; raises
-    NonConvergence when n would exceed cfg.max_terms.
+    mpmath work, when the rule's predicted cost, (n + 1) * (kmax + 1 +
+    _CONTOUR_NODE) + _CONTOUR_FIXED products (see ``_series_cost``),
+    reaches ``limit`` or n would exceed cfg.max_terms, and when the bound still
+    misses rel_tol; raises NonConvergence when n would exceed
+    cfg.max_terms and ``limit`` is inf (the series cannot finish).
     """
     x = -_argument_double(factors)
     ltol = math.log(cfg.rel_tol / 8)
@@ -644,12 +653,13 @@ def _contour_rows(kmax: int, factors, nu: float, cfg: SeriesConfig,
     for _ in range(2):
         last = None
         while True:
-            if _contour_cost(n, kmax) >= limit:
-                return None
-            if n > cfg.max_terms:
+            if n > cfg.max_terms and limit == math.inf:
                 raise NonConvergence(
                     f"contour rule needs more than {cfg.max_terms} nodes "
                     f"(k<={kmax}, nu={nu}, x={x:.6g})")
+            if (n > cfg.max_terms or (n + 1) * (kmax + 1 + _CONTOUR_NODE)
+                    + _CONTOUR_FIXED >= limit):
+                return None
             lerr = _contour_error(x, nu, kmax, n)
             lp, lt = _contour_estimate(x, nu, kmax, n)
             sure = (lp > lt - 18) & (lerr < lp - 1)
@@ -669,10 +679,9 @@ def _contour_rows(kmax: int, factors, nu: float, cfg: SeriesConfig,
             last = n, short
             n += step
         digits = np.max(lt - known - ltol) / _LN2 + math.log2(n + 2 * kmax + 8)
-        vals, lbound = _contour_sum(kmax, factors, nu, n, int(digits) + 16,
-                                    lerr)
-        lval = np.array([float(mp.log(abs(v))) if v else -np.inf
-                         for v in vals])
+        vals, lbound = _contour_sum(kmax, factors, nu, n,
+                                    max(64, int(digits) + 16), lerr)
+        lval = _log_mpfs(vals)
         if np.all(lbound <= math.log(cfg.rel_tol) + lval):
             with mp.workprec(53):
                 return vals, [mp.exp(b) for b in lbound], n + 1
@@ -695,17 +704,39 @@ def _log_abs(a: int, b: int, e: int) -> float:
     return math.log(math.hypot(a >> sh, b >> sh)) + (e + sh) * _LN2
 
 
+def _log_mpfs(vals) -> np.ndarray:
+    """Natural logs of |v| for mpf v (-inf at 0)."""
+    return np.array([_log_abs(v.man, 0, v.exp) if v else -np.inf
+                     for v in vals])
+
+
 def _contour_sum(kmax: int, factors, nu: float, n: int, prec: int,
                  lerr: np.ndarray):
     """The n-node rule of ``_contour_rows`` in prec-bit arithmetic: mpf
     values p_k and the natural log of their bounds, given the logs of the
     truncation and discretisation bounds ``lerr``.
 
-    Each c_j*r_j**k is a Gaussian integer times 2**e (``_gaussian``); a
+    c_j and r_j are formed prec + 32 bits wide.  There s (two roundings a
+    component), e**s (which the error of s moves by 2|s| units), s**nu (a
+    log and an exponential), the sum s**nu + x and the products and
+    quotients err by at most 4|s| + (8 + |log|s||)/cos(nu*pi/2) + 32 units
+    of 2**-(prec+32) relatively: the sum loses at most the factor
+    cos(nu*pi/2) <= |s**nu + x| / (|s|**nu + x), and x errs by
+    2**-(prec+61) (``_argument``).  Each is then floored onto a Gaussian
+    integer times 2**e (``_gaussian``), within 2**(1.5-prec) of its modulus,
+    so within eps = 2**-prec * (3 + 2**-32 * that) of its exact value.  A
     product is formed exactly and floored back to prec bits in its larger
-    component, within 2**(1.5-prec) of its modulus.  Row k sums the
-    imaginary parts exactly on the grid 2**g, g 16 bits below the finest
-    unit of its terms, each floored onto it.
+    component, again within 2**(1.5-prec), so c_j*r_j**k is within
+    expm1((k+1)*eps + 3k*2**-prec) of its value.  Every term keeps prec
+    bits in its larger component, so a term with unit 2**e exceeds
+    2**(e+prec-1).  Row k sums the imaginary parts on the grid 2**g, g 16
+    bits below the coarsest unit of its terms, each floored onto it (n + 1
+    units of 2**g, below (n + 1) * 2**-(prec+15) of the sum of |terms|),
+    and multiplies by h/pi
+    (three roundings: pi, the quotient, the product).  So entry k errs by
+    at most its sum of |terms| times the first two, plus 4 * 2**-prec *
+    |p_k|.  The bound is twice the sum of that and ``lerr``, which also
+    covers the evaluation of the bound in doubles.
     """
     mu, h = math.pi * n / 12, 3.0 / n
     cs, rs = [], []
@@ -742,17 +773,15 @@ def _contour_sum(kmax: int, factors, nu: float, n: int, prec: int,
         vals.append(mp.make_mpf(libmp.mpf_mul(libmp.from_man_exp(total, g),
                                               f, prec, libmp.round_nearest)))
     lc, lr = (np.array([_log_abs(*z) for z in zs]) for zs in (cs, rs))
+    labs = _log_sums(lc, lr, kmax)[1] + math.log(h / math.pi)
     k = np.arange(kmax + 1.0)
-    lt = lc[:, None] + lr[:, None] * k
-    top = lt.max(axis=0)
-    labs = top + np.log(np.exp(lt - top).sum(axis=0)) + math.log(h / math.pi)
     unit = 2.0 ** -prec
     worst = (40 * mu + (8 + abs(math.log(mu)) + _LN10)
              / math.cos(nu * math.pi / 2) + 32)
     eps = unit * (3 + 2.0 ** -32 * worst)
     lround = labs + np.log(np.expm1((k + 1) * eps + 3 * k * unit)
                            + (n + 1) * 2.0 ** -15 * unit)
-    lval = np.array([float(mp.log(abs(v))) if v else -np.inf for v in vals])
+    lval = _log_mpfs(vals)
     return vals, _LN2 + np.logaddexp(np.logaddexp(lerr, lround),
                                      lval + math.log(4 * unit))
 
