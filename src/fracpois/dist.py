@@ -8,11 +8,11 @@ all positive (Steutel & van Harn, Ann. Probab. 7, 1979; Devroye, Stat.
 Probab. Lett. 18, 1993).  So a PMF row is the alpha = 1 row q (Poisson at
 nu = 1, else the certified row of :mod:`fracpois.special_fn`, by series
 or contour) and, at alpha < 1, p_k = sum_{m<=k} q_m * [u**k] S(u)**m: a
-positive sum, nothing cancels.  The Sibuya powers [u**n] S(u)**m follow one positive first-order
-recurrence in n, so a row of K masses costs O(K**2), and the survival
-Pr{N(t) > k} = ``first_passage_cdf(params, t, k + 1)`` carries its bound
-for any alpha at nu = 1.  Elsewhere closed forms (exp / Poisson / Erlang)
-are used where they exist.
+positive sum, nothing cancels.  The Sibuya powers [u**n] S(u)**m follow
+one positive first-order recurrence in n, so a row of K masses costs
+O(K**2), and the survival Pr{N(t) > k} = ``first_passage_cdf(params, t,
+k + 1)`` carries its bound for any alpha at nu = 1.  Elsewhere closed
+forms (exp / Poisson / Erlang) are used where they exist.
 """
 
 from __future__ import annotations

@@ -528,10 +528,11 @@ def _contour_error(x: float, nu: float, kmax: int, n: int) -> np.ndarray:
 
     A = |s|**nu.  With theta = nu*arg(s), |theta| < nu*pi,
     |s**nu + x|**2 = (A + x*cos(theta))**2 + (x*sin(theta))**2, which falls
-    as |theta| grows; on a cell [v0, v1] of an edge r the least value of A
-    and |arg s| are taken at v1 and the least |s**nu + x| is minimised over
-    A in [A(v0), A(v1)], so the cell's greatest |g_k| is bounded from the
-    cell's ends.  Past the cells |s**nu + x| >= (A + x)*cos(nu*pi/2) and
+    as |theta| grows.  On a cell [v0, v1] of an edge r (v >= 0; |g_k| is
+    even in v) the exponential and 1/|w| are largest at v0, A and |theta|
+    at v1, and |s**nu + x| is at least its least value over A in
+    [A(v0), A(v1)] at theta(v1); the cell's integral is at most its width
+    times these.  Past the cells |s**nu + x| >= (A + x)*cos(nu*pi/2) and
     the Gaussian tail bounds the rest.  That gives M_r, a bound on the
     integral of |g_k| along the edge r.
 
@@ -642,8 +643,8 @@ def _contour_rows(kmax: int, factors, nu: float, cfg: SeriesConfig,
     takes the computed values as estimates.  Returns None, before any
     mpmath work, when the rule's predicted cost, (n + 1) * (kmax + 1 +
     _CONTOUR_NODE) + _CONTOUR_FIXED products (see ``_series_cost``),
-    reaches ``limit`` or n would exceed cfg.max_terms, and when the bound still
-    misses rel_tol; raises NonConvergence when n would exceed
+    reaches ``limit`` or n would exceed cfg.max_terms, and when the bound
+    still misses rel_tol; raises NonConvergence when n would exceed
     cfg.max_terms and ``limit`` is inf (the series cannot finish).
     """
     x = -_argument_double(factors)
@@ -732,11 +733,11 @@ def _contour_sum(kmax: int, factors, nu: float, n: int, prec: int,
     2**(e+prec-1).  Row k sums the imaginary parts on the grid 2**g, g 16
     bits below the coarsest unit of its terms, each floored onto it (n + 1
     units of 2**g, below (n + 1) * 2**-(prec+15) of the sum of |terms|),
-    and multiplies by h/pi
-    (three roundings: pi, the quotient, the product).  So entry k errs by
-    at most its sum of |terms| times the first two, plus 4 * 2**-prec *
-    |p_k|.  The bound is twice the sum of that and ``lerr``, which also
-    covers the evaluation of the bound in doubles.
+    and multiplies by h/pi (three roundings: pi, the quotient, the
+    product).  So entry k errs by at most its sum of |terms| times the
+    first two, plus 4 * 2**-prec * |p_k|.  The bound is twice the sum of
+    that and ``lerr``, which also covers the evaluation of the bound in
+    doubles.
     """
     mu, h = math.pi * n / 12, 3.0 / n
     cs, rs = [], []
