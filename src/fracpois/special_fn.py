@@ -633,12 +633,15 @@ def _contour_rows(kmax: int, factors, nu: float, cfg: SeriesConfig,
     The truncation and discretisation errors are bounded by
     ``_contour_error``, the rounding by ``_contour_sum``.
 
-    Sizing: n starts at the least count that could meet rel_tol and grows
-    until, by ``_contour_error``, the discretisation meets rel_tol/8 of an
-    estimate of each |p_k| from ``_contour_estimate``, accepted where the
-    double sum cancels fewer than 8 digits and the bound at n is below it.
-    The precision is sized from the ratio of each entry's sum of |terms|
-    to rel_tol/8 of that estimate.  The result is kept only when every
+    Sizing: each |p_k| is estimated by the rule in doubles
+    (``_contour_estimate``) at m nodes, m = 33 and up by a quarter each
+    round, each estimate kept once the double sum cancels fewer than 8
+    digits and the bound at m (``_contour_error``) is below it; a small m
+    resolves the largest entries, whose sums cancel about e**mu, and a
+    larger m the smallest.  n starts at the least count that could meet
+    rel_tol and grows until the bound at n meets rel_tol/8 of every
+    estimate.  The precision is sized from the ratio of each entry's sum
+    of |terms| to rel_tol/8 of its estimate.  The result is kept only when every
     entry's bound is within rel_tol of its value; one more round then
     takes the computed values as estimates.  Returns None, before any
     mpmath work, when the rule's predicted cost, (n + 1) * (kmax + 1 +
@@ -651,34 +654,48 @@ def _contour_rows(kmax: int, factors, nu: float, cfg: SeriesConfig,
     ltol = math.log(cfg.rel_tol / 8)
     known = np.full(kmax + 1, -np.inf)
     n = max(8, math.ceil(3 / math.pi * (6 - math.log(cfg.rel_tol))))
+    m = min(n, 33)
+    sized = {}
+
+    def size(n):
+        """The bound and the estimate at n nodes, or None where the rule
+        costs ``limit`` or more."""
+        if n > cfg.max_terms and limit == math.inf:
+            raise NonConvergence(
+                f"contour rule needs more than {cfg.max_terms} nodes "
+                f"(k<={kmax}, nu={nu}, x={x:.6g})")
+        if (n > cfg.max_terms or (n + 1) * (kmax + 1 + _CONTOUR_NODE)
+                + _CONTOUR_FIXED >= limit):
+            return None
+        if n not in sized:
+            sized[n] = (_contour_error(x, nu, kmax, n),
+                        *_contour_estimate(x, nu, kmax, n))
+        return sized[n]
+
     for _ in range(2):
-        last = None
-        while True:
-            if n > cfg.max_terms and limit == math.inf:
-                raise NonConvergence(
-                    f"contour rule needs more than {cfg.max_terms} nodes "
-                    f"(k<={kmax}, nu={nu}, x={x:.6g})")
-            if (n > cfg.max_terms or (n + 1) * (kmax + 1 + _CONTOUR_NODE)
-                    + _CONTOUR_FIXED >= limit):
+        while not np.all(known > -np.inf):
+            got = size(m)
+            if got is None:
                 return None
-            lerr = _contour_error(x, nu, kmax, n)
-            lp, lt = _contour_estimate(x, nu, kmax, n)
+            lerr, lp, lt = got
             sure = (lp > lt - 18) & (lerr < lp - 1)
             known[sure] = lp[sure]
-            short = np.max(lerr - ltol - np.where(known > -np.inf, known,
-                                                  lt - 18))
-            if short <= 0 and np.all(known > -np.inf):
-                break
+            m += m // 4
+        last = None
+        while True:
+            got = size(n)
+            if got is None:
+                return None
+            lerr, _, lt = got
+            short = np.max(lerr - ltol - known)
             if short <= 0:
-                step = n // 4
-            else:
-                # the shortfall falls by about pi/3 a node; take the rate
-                # measured over the last step where there is one
-                rate = 1.0 if last is None else min(2.0, max(
-                    0.3, (last[1] - short) / (n - last[0])))
-                step = max(2, math.ceil(short / rate))
+                break
+            # the shortfall falls by about pi/3 a node; take the rate
+            # measured over the last step where there is one
+            rate = 1.0 if last is None else min(2.0, max(
+                0.3, (last[1] - short) / (n - last[0])))
             last = n, short
-            n += step
+            n += max(2, math.ceil(short / rate))
         digits = np.max(lt - known - ltol) / _LN2 + math.log2(n + 2 * kmax + 8)
         vals, lbound = _contour_sum(kmax, factors, nu, n,
                                     max(64, int(digits) + 16), lerr)

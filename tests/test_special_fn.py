@@ -300,6 +300,18 @@ def test_contour_bounds_hold_at_exact_argument(monkeypatch):
             assert abs(vals[k] - _talbot(factors, 0.3, k, 60)) <= bounds[k]
 
 
+def test_contour_sizes_tight_tolerances():
+    """At rel_tol = 1e-40 the rule's sums cancel e**mu ~ 1e10 of the largest
+    entries, past what a double estimate resolves; the row must still be
+    sized and certified, here where the series cannot run at all."""
+    factors, cfg = ((20.0, 1.0), (1.0, 0.3)), SeriesConfig(rel_tol=1e-40)
+    vals, bounds, _ = special_fn._contour_rows(5, factors, 0.3, cfg, math.inf)
+    with mp.workdps(60):
+        for k in (0, 5):
+            assert bounds[k] <= 1e-40 * abs(vals[k])
+            assert abs(vals[k] - _talbot(factors, 0.3, k, 60)) <= bounds[k]
+
+
 def test_router_sends_costly_series_to_the_contour(monkeypatch):
     """The (5, 1, .3) row, whose series costs thousands of gamma calls at
     217 digits, is summed on the contour: no gamma function at all."""
