@@ -634,8 +634,8 @@ def _contour_rows(kmax: int, factors, nu: float, cfg: SeriesConfig,
     ``_contour_error``, the rounding by ``_contour_sum``.
 
     Sizing: each |p_k| is estimated by the rule in doubles
-    (``_contour_estimate``) at m nodes, m = 33 and up by a quarter each
-    round, each estimate kept once the double sum cancels fewer than 8
+    (``_contour_estimate``) at m nodes, m = 33 and doubled each round,
+    each estimate kept once the double sum cancels fewer than 8
     digits and the bound at m (``_contour_error``) is below it; a small m
     resolves the largest entries, whose sums cancel about e**mu, and a
     larger m the smallest.  n starts at the least count that could meet
@@ -680,7 +680,7 @@ def _contour_rows(kmax: int, factors, nu: float, cfg: SeriesConfig,
             lerr, lp, lt = got
             sure = (lp > lt - 18) & (lerr < lp - 1)
             known[sure] = lp[sure]
-            m += m // 4
+            m *= 2
         last = None
         while True:
             got = size(n)
