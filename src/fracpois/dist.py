@@ -27,7 +27,7 @@ import numpy as np
 from .special_fn import (_EPS, DEFAULT_CONFIG, EvalResult, NonConvergence,
                          SeriesConfig, _argument, _argument_double,
                          _exp_error_bound, _lgamma, _scan_profile,
-                         _sum_series, _to_double, mittag_leffler,
+                         _sum_series, _to_double,
                          wright_psi11_weighted_rows)
 
 __all__ = [
@@ -112,8 +112,7 @@ def pmf_row(params: ProcessParams, t: float, kmax: int,
     At nu < 1 the row q (``special_fn.wright_psi11_weighted_rows``, by
     series or contour) takes the exact factors of its argument
     lam**alpha * t**nu and forms it in its own working precision, so the
-    bounds of q hold at the exact argument.  (``pmf`` at k = 0 and ``pgf``
-    at nu < 1 still round it to a double for ``mittag_leffler``.)
+    bounds of q hold at the exact argument.
 
     At alpha < 1 the alpha = 1 row q is composed with the Sibuya law,
     p_n = sum_m q_m * c_n[m] with c_n[m] = [u**n] S(u)**m.  The columns c_n
@@ -193,13 +192,6 @@ def pmf(params: ProcessParams, t: float, k: int,
     """
     if k < 0:
         raise ValueError("k must be >= 0")
-    _check_time(t)
-    cfg = cfg or DEFAULT_CONFIG
-    if k == 0 and t > 0 and params.nu != 1.0:
-        x = _series_argument(params, t)[1]
-        if x > 0:       # else x underflowed: pmf_row bounds its x = 0 row
-            res = mittag_leffler(params.nu, -x, cfg)
-            return PmfRow(0, res.value, res.abs_error_bound)
     return pmf_row(params, t, k, cfg)[k]
 
 
@@ -266,7 +258,9 @@ def pgf(params: ProcessParams, t: float, u: float,
     """Probability generating function E[u**N(t)] for |u| <= 1.
 
     Equals E_nu(-lam**alpha * (1-u)**alpha * t**nu); at nu = 1 it is the
-    discrete-stable exponential exp(-lam**alpha * t * (1-u)**alpha).
+    discrete-stable exponential exp(-lam**alpha * t * (1-u)**alpha).  At
+    nu < 1 it is p_0 of the time-fractional row, which takes the three
+    factors exactly, so its bound holds at the exact argument.
     """
     if not abs(u) <= 1:
         raise ValueError("u must satisfy |u| <= 1")
@@ -275,11 +269,12 @@ def pgf(params: ProcessParams, t: float, u: float,
     if t == 0.0 or u == 1.0:
         return EvalResult(1.0, 0.0, 0)
     lam, alpha = params.lam, params.alpha
-    arg = _argument_double(((lam, alpha), (1.0 - u, alpha), (t, params.nu)))
+    factors = ((lam, alpha), (1.0 - u, alpha), (t, params.nu))
     if params.nu == 1.0:
+        arg = _argument_double(factors)
         v = math.exp(arg)
         return EvalResult(v, _exp_error_bound(v, abs(arg)), 0)
-    return mittag_leffler(params.nu, arg, cfg)
+    return wright_psi11_weighted_rows(0, factors, params.nu, cfg)[0]
 
 
 def pgf_partial_sum(params: ProcessParams, t: float, u: float, kmax: int,

@@ -40,13 +40,7 @@ The router (``_series_cost``, ``_contour_rows``) compares the series'
 predicted length and precision, read off the profile, with the
 contour's node count; rows the series cannot finish within max_terms go
 to the contour, and the series runs wherever the contour declines or
-misses rel_tol.
-
-``mittag_leffler`` chooses in the same way between the series and a
-third engine: the positive-kernel integral of E_nu on the negative axis,
-summed in doubles by the trapezoidal rule with a certified error bound,
-where the profile shows the series cancelling more digits than a double
-holds, or taking more terms than the integral would.
+misses rel_tol.  ``mittag_leffler`` at nu < 1 is row 0 of this row.
 """
 
 from __future__ import annotations
@@ -62,8 +56,6 @@ from mpmath import libmp
 _LN10 = math.log(10.0)
 _LN2 = math.log(2.0)
 
-# log10 headroom usable by a double accumulator (2**52 ~ 15.65 digits)
-_DOUBLE_HEADROOM_DIGITS = 52 * math.log10(2.0)
 _EPS = 2.0 ** -52           # machine epsilon of a double
 # the series stop rule: past the peak, terms must fall by this ratio or less
 _STOP_RATIO = 0.9
@@ -185,8 +177,13 @@ def _kernel_profile(kmax: int, w: float, nu: float,
 
 def _argument_double(factors) -> float:
     """w = -prod(b**e) over ``factors``, pairs (b, e) with b >= 0, in
-    doubles, which only size the sums; a ValueError if it overflows."""
+    doubles, which size the sums (and are the Poisson mean at nu = 1); a
+    ValueError if it overflows.  A product that underflows part-way while
+    every base is positive is formed again as exp(sum e*log(b)), so that
+    w is 0 only where the exact product is below the subnormal range."""
     w = -math.prod(b ** e for b, e in factors)
+    if w == 0.0 and all(b > 0 for b, _ in factors):
+        w = -math.exp(math.fsum(e * math.log(b) for b, e in factors))
     if not -math.inf < w <= 0:
         raise ValueError("the series argument -lam**alpha * t**nu must be "
                          "finite and <= 0")
@@ -374,134 +371,6 @@ def _exp_error_bound(value: float, cond: float = 0.0) -> float:
     return value * (math.expm1(8 * _EPS * cond) + 4 * _EPS) + math.ulp(0.0)
 
 
-def _ml_line_bound(s: float, nu: float, kappa: float, phi: float) -> float:
-    """Bound on int_0^inf exp(-kappa*(s*r)**(1/nu)) / Q(r) dr, where
-    Q(r) = r**2 - 2*r*cos(phi) + 1 (see ``_ml_integral``).
-
-    Below a cut R the exponential is at most 1 and above it at most its
-    value at R; 1/Q integrates in closed form on both pieces.  The least of
-    these bounds over a few cuts is returned, or the cut-free bound
-    (pi - phi) / sin(phi) if that is smaller.
-    """
-    c, sn = math.cos(phi), math.sin(phi)
-    with np.errstate(over="ignore"):        # cuts beyond 1e308 at tiny s
-        cuts = (2.0 ** np.arange(-4, 8) / kappa) ** nu / s
-        at = np.arctan((cuts - c) / sn)
-    decay = np.exp(-kappa * (s * cuts) ** (1.0 / nu))
-    split = at + math.atan(c / sn) + decay * (0.5 * math.pi - at)
-    return min(float(split.min()), math.pi - phi) / sn
-
-
-def _ml_integral(nu: float, s: float, cfg: SeriesConfig,
-                 limit: float) -> EvalResult | None:
-    """E_nu(-s) for 0 < nu < 1 and s > 0 from its positive-kernel integral
-
-        E_nu(-s) = sin(nu*pi)/(nu*pi) * int_0^inf exp(-(s*y)**p)/D(y) dy,
-        p = 1/nu,  D(y) = y**2 + 2*y*cos(nu*pi) + 1
-                        = (y - cos th)**2 + sin(th)**2,
-
-    with th = (1 - nu)*pi (the completely monotone kernel of Gorenflo,
-    Loutchko & Luchko, FCAA 5, 2002, after r = y**(1/nu)).
-
-    In v = log y the integrand F(v) = y*exp(-(s*y)**p)/D(y) is analytic
-    apart from simple poles at v = +-i*th and decays along every line
-    |Im v| = a < nu*pi/2.  So the trapezoidal rule h*sum_k F(k*h) errs by
-    at most 2*M/(exp(2*pi*a/h) - 1), M bounding the integral of |F| along
-    Im v = +-a, once the residues of poles inside the strip are removed
-    exactly (Trefethen & Weideman, SIAM Rev. 56, 2014, Thm 5.1).  Nodes
-    below k_lo*h are summed in closed form from 1/D(y) = sum_m U_m(cos th)
-    y**m (Chebyshev U); nodes from k_hi*h on are bounded by an
-    incomplete-gamma tail.  The integrand is positive, so nothing cancels;
-    rounding is bounded node by node.
-
-    Each error source gets a share of rel_tol * L, where
-    L = 1/(1 + Gamma(1-nu)*s) <= E_nu(-s) (T. Simon, Integral Transforms
-    Spec. Funct. 26, 2015).  Returns None, before any evaluation, when
-    the rule would need ``limit`` terms or more, and also when the
-    certified bound still misses rel_tol; raises NonConvergence when it
-    would need more than cfg.max_terms terms.
-    """
-    p = 1.0 / nu
-    th = math.pi * (1.0 - nu)
-    th_small = math.pi * min(nu, 1.0 - nu)       # sin(th) = sin(th_small)
-    sin_t = math.sin(th_small)
-    cos_t = math.sin(math.pi * (nu - 0.5))       # cos(th), exact argument
-    scale = sin_t / (nu * math.pi)
-    # absolute error budget of the bare integral: rel_tol * L / scale
-    tau = cfg.rel_tol / (1.0 + math.gamma(1.0 - nu) * s) / scale
-    d_right = sin_t * sin_t if cos_t > 0 else 1.0    # min of D on y >= 0
-    # below t = exp(log_t), exp(-(s*y)**p) = 1 within tau/8 of the sum
-    log_t = min(math.log(0.5), (math.log(tau / 32 * (1 + p))
-                                - p * math.log(s)) / (1 + p))
-    # strip half-width: wide, but with its edge kept off the pole
-    a = 0.9 * nu * math.pi / 2
-    if abs(a - th) < 0.05 * a:
-        a = 0.7 * nu * math.pi / 2
-    m = _ml_line_bound(s, nu, math.cos(p * a), abs(a - th))
-    h = 2 * math.pi * a / math.log1p(4 * m / tau)
-    # right cut: the tail bound below is at most tau/8 once (s*y)**p >= x;
-    # the fixed point is approached from below, so the cut sits at x + 1
-    x = 1.0
-    for _ in range(6):
-        x = max(1.0, math.log(h * x ** nu + nu * x ** (nu - 1))
-                - math.log(s) - math.log(d_right * tau / 8))
-    k_lo = math.floor(log_t / h)
-    k_hi = math.ceil((nu * math.log(x + 1) - math.log(s)) / h)
-    t = math.exp(k_lo * h)
-    n_left = max(1, math.ceil(math.log(tau / 16 * (1 - t)) / math.log(t)) - 1)
-    terms = k_hi - k_lo + n_left
-    if terms >= limit:
-        return None
-    if terms > cfg.max_terms:
-        raise NonConvergence(
-            f"Mittag-Leffler integral needs {terms} terms, more than "
-            f"{cfg.max_terms} (nu={nu}, x={-s:.6g})")
-
-    v = h * np.arange(k_lo, k_hi)
-    y = np.exp(v)
-    ay = (s * y) ** p
-    u = y - cos_t
-    d = u * u + sin_t * sin_t
-    f = y * np.exp(-ay) / d
-    body = h * float(f.sum())
-    j = np.arange(1, n_left + 1)
-    cheb = np.sin(j * th_small) / sin_t          # U_{j-1}(cos th)
-    if nu < 0.5:
-        cheb[1::2] = -cheb[1::2]
-    left = h * float(np.sum(cheb * t ** j / np.expm1(j * h)))
-    pole = pole_err = 0.0
-    if a > th:
-        # residues at v = +-i*th, weighted by the trapezoidal kernel:
-        # 2*pi*Re(g)/(sin th*(exp(2*pi*th/h) - 1)), g = exp(-w*e^(i*p*th))
-        w = s ** p
-        weight = (2 * math.pi * math.exp(-w * math.cos(p * th))
-                  / (sin_t * math.expm1(2 * math.pi * th / h)))
-        pole = weight * math.cos(w * math.sin(p * th))
-        pole_err = weight * (8 + w * (2 + 2 * p * th) + 2 * math.pi * th / h)
-    value = scale * (body + left - pole)
-
-    quad = 2 * m / math.expm1(2 * math.pi * a / h)
-    y_n = math.exp(k_hi * h)
-    x_n = (s * y_n) ** p
-    d_n = (y_n - cos_t) ** 2 + sin_t ** 2 if y_n >= cos_t else sin_t ** 2
-    # nodes from k_hi on: F <= y*exp(-(s*y)**p)/d_n, decreasing there
-    right = (h * y_n + nu * x_n ** (nu - 1) / s) * math.exp(-x_n) / d_n
-    # nodes below k_lo: exp(-(s*y)**p) taken as 1, Chebyshev series cut
-    cut = (math.exp(p * math.log(s * t)) * t / ((1 - t) ** 2 * (1 + p))
-           + t ** (n_left + 1) / (1 - t))
-    # first-order relative error of each node, in eps: the node k*h, exp,
-    # the power (s*y)**p and its exponential, y - cos th and D
-    rel = ((np.abs(v) + 1) * (1 + p * ay) + (p + 1) * ay
-           + 2 * np.abs(u) * ((np.abs(v) + 2) * y + 1) / d + 9)
-    rounding = _EPS * (h * float(np.sum(f * rel))
-                       + (math.log2(f.size) + 2) * body
-                       + (abs(k_lo * h) + 8) * t / (1 - t) ** 2 + pole_err)
-    bound = scale * (quad + right + cut + 2 * rounding) + 6 * _EPS * value
-    if not bound <= cfg.rel_tol * value:
-        return None
-    return EvalResult(value, bound, terms)
-
-
 def _series_length(profile: np.ndarray, rel_tol: float) -> float:
     """Terms the stop rule of ``_sum_series`` takes on ``profile``, whose
     log term ratios decrease past the peak, with the sum taken as 1;
@@ -532,17 +401,31 @@ def _contour_error(x: float, nu: float, kmax: int, n: int) -> np.ndarray:
     even in v) the exponential and 1/|w| are largest at v0, A and |theta|
     at v1, and |s**nu + x| is at least its least value over A in
     [A(v0), A(v1)] at theta(v1); the cell's integral is at most its width
-    times these.  Past the cells |s**nu + x| >= (A + x)*cos(nu*pi/2) and
-    the Gaussian tail bounds the rest.  That gives M_r, a bound on the
+    times these.  Past the cells, v >= span, |s**nu + x| >= (A + x) * c,
+    c = cos(nu*pi/2), so A / |s**nu + x| <= min(1, A/x) / c.  There
+    A/|w| = mu**nu * (r**2 + v**2)**(nu - 1/2) is at most
+    mu**nu * (r**2 + span**2)**(nu - 1/2) * v/span, as (r**2 + v**2) /
+    (r**2 + span**2) <= (v/span)**2, and the integral of
+    exp(mu*(r**2 - v**2)) * v/span over v >= span is
+    exp(mu*(r**2 - span**2)) / (2*mu*span): so the tail is that Gaussian
+    integral over c*|w(span)|, times min(1, A(span)/x) and
+    (x / ((A(span) + x) * c))**k.  A bound without the factor A/x would
+    stop falling for x >> A at an absolute floor near e**(-2.1n), far
+    above p_0 ~ 1/(x*Gamma(1 - nu)).  That gives M_r, a bound on the
     integral of |g_k| along the edge r.
 
     Trefethen & Weideman (SIAM Rev. 56, 2014, Thm 5.1; its proof charges
     each edge Im u = +-a its own integral) bound the error of the infinite
     rule by (M_{1+a} + M_{1-a}) / (exp(2*pi*a/h) - 1) for any a < 1; the
     least over the half-widths _CONTOUR_STRIPS is taken.  The nodes cut off,
-    |u| > n*h = 3, add at most 2*h * sum_{j>n} |g_k(j*h)|, summed by a
-    geometric series from |g_k(u)| <= exp(mu*(1 - u**2)) * rho**k /
-    (pi*u*cos(nu*pi/2)**(k+1)), rho = x/(A(n*h) + x).
+    |u| > un = n*h = 3, add at most 2*h * sum_{j>n} |g_k(j*h)|, where
+    |g_k(u)| <= exp(mu*(1 - u**2)) * rho**k * min(1, A(u)/x) /
+    (pi*u*c**(k+1)), rho = x/(A(un) + x).  With the factor 1 the terms
+    fall by at least exp(-2*mu*un*h) a node, and the sum is
+    exp(mu*(1 - un**2)) / expm1(2*mu*un*h) times the rest at un.  With
+    A(u)/x, A(u) <= A(un) * (u/un)**2, so the terms times u/un fall by
+    at least q = (1 + h/un) * exp(-2*mu*un*h) a node, and the sum is
+    exp(mu*(1 - un**2)) * (A(un)/x) * q/(1 - q); the lesser is taken.
     """
     mu, h = math.pi * n / 12, 3.0 / n
     k = np.arange(kmax + 1.0)
@@ -558,7 +441,7 @@ def _contour_error(x: float, nu: float, kmax: int, n: int) -> np.ndarray:
     theta = 2 * nu * np.arctan(v1 / r)
     ct, st = np.cos(theta), np.sin(theta)
     am = np.clip(-x * ct, a0, a1)
-    lden = 0.5 * np.log((am + x * ct) ** 2 + (x * st) ** 2)
+    lden = np.log(np.hypot(am + x * ct, x * st))
     head = (mu * (r * r - v0 * v0) - 0.5 * np.log(q0) + np.log(a1) - lden
             + math.log(span / _CONTOUR_CELLS))
     lcells = np.array([_log_sums(hd, lx - ld, kmax)[1]
@@ -566,7 +449,8 @@ def _contour_error(x: float, nu: float, kmax: int, n: int) -> np.ndarray:
     r = r[:, 0]
     a_end = (mu * (r * r + span * span)) ** nu
     tail = ((mu * (r * r - span * span) - math.log(2 * mu * span)
-             - 0.5 * np.log(r * r + span * span) - lcos)[:, None]
+             - 0.5 * np.log(r * r + span * span) - lcos
+             + np.minimum(0.0, np.log(a_end) - lx))[:, None]
             + (np.log(x / (a_end + x))[:, None] - lcos) * k)
     edge = np.logaddexp(lcells, tail) + math.log(2 / math.pi)
     s = len(_CONTOUR_STRIPS)
@@ -574,10 +458,12 @@ def _contour_error(x: float, nu: float, kmax: int, n: int) -> np.ndarray:
     disc = (np.logaddexp(edge[:s], edge[s:])
             - (z + np.log(-np.expm1(-z)))[:, None]).min(axis=0)
     un = n * h
-    rho = x / ((mu * (1 + un * un)) ** nu + x)
+    a_un = (mu * (1 + un * un)) ** nu
+    q = (1 + h / un) * math.exp(-2 * mu * un * h)
+    geom = min(-math.log(math.expm1(2 * mu * un * h)),
+               math.log(a_un) - lx + math.log(q) - math.log1p(-q))
     cut = (math.log(2 * h / math.pi) + mu * (1 - un * un) - math.log(un)
-           - math.log(math.expm1(2 * mu * un * h)) - lcos
-           + (math.log(rho) - lcos) * k)
+           + geom - lcos + (math.log(x / (a_un + x)) - lcos) * k)
     return np.logaddexp(disc, cut)
 
 
@@ -605,7 +491,7 @@ def _contour_estimate(x: float, nu: float, kmax: int, n: int):
     w = 1 + 1j * h * np.arange(n + 1)
     s = mu * w * w
     sn = s ** nu
-    lc = s + np.log(2j * sn / (w * (sn + x)))
+    lc = s + np.log(2j * sn / w) - np.log(sn + x)
     lc[0] -= _LN2
     lp, lt = _log_sums(lc, np.log(x / (sn + x)), kmax)
     return lp + math.log(h / math.pi), lt + math.log(h / math.pi)
@@ -835,45 +721,20 @@ def mittag_leffler(nu: float, x: float, cfg: SeriesConfig | None = None) -> Eval
 
     E_nu(x) = sum_r x**r / Gamma(nu*r + 1), for 0 < nu <= 1 and x <= 0.
 
-    Two engines, chosen from the magnitude profile of the series terms
-    (the prescan that also sizes the series' working precision):
-
-    * the positive-kernel integral (``_ml_integral``), a few hundred
-      double-precision evaluations of a positive integrand whatever |x|,
-      where the alternating series would cancel more digits than a double
-      holds, or where the series' stop rule, predicted from the profile,
-      would take more terms than the integral does;
-    * elsewhere the series itself, which is short there.  It also covers
-      nu -> 1 at small |x|, where the integrand peaks sharply at y = 1.
-
-    At nu = 1 the value is exp(x).  Both engines work to cfg.rel_tol and
-    report a certified abs_error_bound; the integral keeps its result only
-    when that bound is within rel_tol of the value, and the series runs
-    otherwise.  NonConvergence is raised when the engine would
-    need more than cfg.max_terms terms: series terms, or integrand
-    evaluations plus closed-form left-tail terms for the integral.
+    At nu = 1 the value is exp(x).  At nu < 1 it is p_0 of the
+    time-fractional row at rate -x, ``wright_psi11_weighted_rows(0,
+    ((-x, 1.0),), nu, cfg)[0]``: the series or the contour rule, whichever
+    the router predicts to be cheaper, certified to cfg.rel_tol.  x = 0
+    gives 1 with bound 0.
     """
     if not 0 < nu <= 1:
         raise ValueError("nu must lie in (0, 1]")
     if not -math.inf < x <= 0:
         raise ValueError("x must be finite and <= 0")
-    cfg = cfg or DEFAULT_CONFIG
-    if x == 0.0:
-        return EvalResult(1.0, 0.0, 1)
-    if nu == 1.0:
+    if nu == 1.0 and x:
         v = math.exp(x)
         return EvalResult(v, _exp_error_bound(v), 1)
-    profile, peaks = _kernel_profile(0, x, nu, cfg.max_terms)
-    if profile.max() / _LN10 > _DOUBLE_HEADROOM_DIGITS:
-        limit = math.inf
-    else:
-        limit = _series_length(profile, cfg.rel_tol)
-    res = _ml_integral(nu, -x, cfg, limit)
-    if res is not None:
-        return res
-    vals, bounds, terms = _sum_series(
-        lambda: _kernel_bases(((-x, 1.0),), nu), peaks, profile, cfg)
-    return _to_double(vals[0], bounds[0], terms)
+    return wright_psi11_weighted_rows(0, ((-x, 1.0),), nu, cfg)[0]
 
 
 def wright_psi11_weighted_rows(kmax: int, factors, time_nu: float = 1.0,

@@ -51,6 +51,16 @@ def test_pgf_value(capsys):
     assert val == pytest.approx(math.exp(-math.sqrt(0.5)), rel=1e-12)
 
 
+def test_pgf_small_order_large_rate(capsys):
+    """E_0.02(-1e15): a value with its bound, where a math domain error
+    once ended the command with exit 1."""
+    code, out, _ = run_cli(capsys, "pgf", "--nu", "0.02", "--lambda", "1e15",
+                           "--t", "1", "--u", "0", "--format", "json")
+    assert code == 0
+    row = json.loads(out)["rows"][0]
+    assert row["value"] == pytest.approx(1e-15 / math.gamma(0.98), rel=1e-12)
+
+
 def test_sample_deterministic(capsys):
     args = ("sample", "--process", "space", "--lambda", "1.0", "--alpha",
             "0.5", "--t", "1.0", "--n", "50", "--seed", "7")

@@ -131,6 +131,30 @@ def test_pgf_at_zero_equals_p0():
         pytest.approx(math.exp(-1.0), rel=1e-14)
 
 
+@pytest.mark.parametrize("params", [ProcessParams(5.0, 0.7, 0.3),
+                                    ProcessParams(8.0, 1.0, 0.3)])
+def test_p0_is_one_double_on_every_path(params):
+    """pmf, pmf_row and pgf at u = 0 compute the same p_0 by the same row:
+    they must give the same double."""
+    p0 = dist.pmf_row(params, 1.0, 0)[0]
+    assert dist.pmf(params, 1.0, 0) == p0
+    assert dist.pgf(params, 1.0, 0.0).value == p0.p
+
+
+@pytest.mark.parametrize("lam,nu,t,u", [(1e-300, 0.5, 1e-300, 0.5),
+                                        (1e-320, 0.9, 1e300, 1 - 1e-6)])
+def test_pgf_underflowing_argument_is_bounded(lam, nu, t, u):
+    """The double product lam * (1-u) * t**nu underflows: to 0 in the
+    first case, where x ~ 5e-451, and part-way in the second, where
+    x ~ 1e-56.  Both values lie within their bounds of E_nu(-x) at 500
+    digits, which resolve 1 - x, x formed from the exact factors."""
+    res = dist.pgf(ProcessParams(lam, 1.0, nu), t, u)
+    with mp.workdps(500):
+        x = mp.mpf(lam) * mp.mpf(1.0 - u) * mp.mpf(t) ** nu
+        ref = mp.fsum((-x) ** r * mp.rgamma(nu * r + 1) for r in range(10))
+        assert abs(mp.mpf(res.value) - ref) <= res.abs_error_bound
+
+
 def test_pgf_domain():
     with pytest.raises(ValueError):
         dist.pgf(ProcessParams(1.0), 1.0, 1.5)

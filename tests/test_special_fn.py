@@ -79,8 +79,9 @@ def _kernel_integral(nu, x):
         return mp.quad(f, pts, maxdegree=10) * sn / (nu * mp.pi)
 
 
-# Both engines: the series' peak term is about exp(|x|**(1/nu)), and past
-# ~1e15.65 (|x|**(1/nu) > ~36) mittag_leffler switches to the integral.
+# Both engines of the row: the series' peak term is about exp(|x|**(1/nu)),
+# and where the series would cost more than the contour's nodes the router
+# sends E_nu to the contour.
 
 @settings(max_examples=40, deadline=None)
 @given(x=st.floats(-100.0, 0.0))
@@ -119,11 +120,55 @@ def test_mittag_leffler_bound_holds_at_order_one(x):
 def test_mittag_leffler_bounded_cost(nu, x, ref):
     # the series needs ~9.4k terms at 482 digits for the first, more than
     # max_terms for the second, and ~9.7k and ~6.3k terms for the last two,
-    # whose term ratios stay above 0.9 long after the terms are small
+    # whose term ratios stay above 0.9 long after the terms are small: the
+    # router sends all four to the contour, a few dozen nodes
     res = mittag_leffler(nu, x)
     assert res.terms_used <= 2000
     assert res.abs_error_bound <= 1e-12 * res.value
     assert abs(res.value - ref) <= res.abs_error_bound
+
+
+def _asymptotic(nu, x, k=0):
+    """p_k of the time-fractional row at rate x >> 1 (k = 0: E_nu(-x)) by
+    the first 11 terms of its asymptotic series, differentiated term by
+    term, at 50 digits: sum_j (-1)**(j+1) C(j+k-1, k) x**-j / Gamma(1-nu*j).
+    Past x = 1e15 the terms left out are below 1e-160 of the sum."""
+    with mp.workdps(50):
+        x = mp.mpf(x)
+        return mp.fsum((-1) ** (j + 1) * mp.binomial(j + k - 1, k) * x ** -j
+                       * mp.rgamma(1 - nu * j) for j in range(1, 12))
+
+
+@pytest.mark.parametrize("nu,x", [(0.185, -1e42), (0.395, -1e18),
+                                  (0.02, -1e15), (0.9, -1e250),
+                                  (0.5, -1.7976931348623157e308)])
+def test_mittag_leffler_large_arguments(nu, x):
+    """Far out on the axis E_nu(-s) ~ 1/(s*Gamma(1 - nu)): each value lies
+    within its bound of the asymptotic series, with its bound within
+    rel_tol.  Once 9x too large for its bound (the first two), a math
+    domain error (the third and the largest double) or NonConvergence
+    (the fourth)."""
+    res = mittag_leffler(nu, x)
+    assert res.abs_error_bound <= ((1e-12 + 2.0 ** -52) * res.value
+                                   + math.ulp(0.0))
+    assert _within_bound(res, _asymptotic(nu, -x))
+
+
+@settings(max_examples=30, deadline=None)
+@given(nu=st.floats(0.005, 0.995), lx=st.floats(15.0, 300.0))
+def test_mittag_leffler_bound_holds_against_asymptotic_series(nu, lx):
+    x = 10.0 ** lx
+    assert _within_bound(mittag_leffler(nu, -x), _asymptotic(nu, x))
+
+
+@pytest.mark.parametrize("lam,nu", [(1e60, 0.5), (1e100, 0.3)])
+def test_contour_rows_at_large_rates(lam, nu):
+    """For x >> |s|**nu the contour's integrand is about A/x: its
+    truncation bounds must fall with 1/x, as p_k does, or no row is
+    certified here."""
+    for row in pmf_row(ProcessParams(lam, 1.0, nu), 1.0, 3):
+        assert _within_bound(EvalResult(row.p, row.abs_error_bound, 0),
+                             _asymptotic(nu, lam, row.k))
 
 
 def test_mittag_leffler_domain_errors():
