@@ -146,13 +146,16 @@ def test_p0_is_one_double_on_every_path(params):
 def test_pgf_underflowing_argument_is_bounded(lam, nu, t, u):
     """The double product lam * (1-u) * t**nu underflows: to 0 in the
     first case, where x ~ 5e-451, and part-way in the second, where
-    x ~ 1e-56.  Both values lie within their bounds of E_nu(-x) at 500
-    digits, which resolve 1 - x, x formed from the exact factors."""
+    x ~ 1e-56.  Both values lie within their bounds of E_nu(-x), x formed
+    from the exact factors, at 40 digits beyond those of 1/x, which
+    resolve 1 - x; the terms past r = 2 are below x**3 < 1e-160."""
     res = dist.pgf(ProcessParams(lam, 1.0, nu), t, u)
     with mp.workdps(500):
         x = mp.mpf(lam) * mp.mpf(1.0 - u) * mp.mpf(t) ** nu
-        ref = mp.fsum((-x) ** r * mp.rgamma(nu * r + 1) for r in range(10))
-        assert abs(mp.mpf(res.value) - ref) <= res.abs_error_bound
+        with mp.workdps(40 - int(mp.log10(x))):
+            ref = mp.fsum((-x) ** r * mp.rgamma(nu * r + 1)
+                          for r in range(3))
+            assert abs(mp.mpf(res.value) - ref) <= res.abs_error_bound
 
 
 def test_pgf_domain():

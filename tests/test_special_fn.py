@@ -132,7 +132,7 @@ def _asymptotic(nu, x, k=0):
     """p_k of the time-fractional row at rate x >> 1 (k = 0: E_nu(-x)) by
     the first 11 terms of its asymptotic series, differentiated term by
     term, at 50 digits: sum_j (-1)**(j+1) C(j+k-1, k) x**-j / Gamma(1-nu*j).
-    Past x = 1e15 the terms left out are below 1e-160 of the sum."""
+    Past x = 1e15 the terms left out are below 1e-150 of the sum."""
     with mp.workdps(50):
         x = mp.mpf(x)
         return mp.fsum((-1) ** (j + 1) * mp.binomial(j + k - 1, k) * x ** -j
