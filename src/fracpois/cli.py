@@ -28,15 +28,11 @@ EXIT_NONCONVERGENCE = 2
 EXIT_STATFAIL = 3
 
 
-class UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     # argparse exits with 2 on bad flags; the CLI contract reserves 2 for
     # numerical non-convergence, so route usage problems through code 1.
     def error(self, message):
-        raise UsageError(message)
+        raise ValueError(message)
 
 
 def _fmt(value):
@@ -240,7 +236,7 @@ def _suite_min_uniform(args, params, cfg):
 
 def _suite_subordination(args, params, cfg):
     if args.gamma is None:
-        raise UsageError("--gamma is required for the subordination suite")
+        raise ValueError("--gamma is required for the subordination suite")
     inner = params.alpha * args.gamma
 
     def run(n, attempt):
@@ -293,21 +289,23 @@ def cmd_passage(args) -> int:
     if args.t is not None:
         times = [args.t]
     elif args.steps < 1:
-        raise UsageError("--steps must be >= 1")
+        raise ValueError("--steps must be >= 1")
     elif not 0 < args.tmax < np.inf:
-        raise UsageError("--tmax must be finite and > 0")
+        raise ValueError("--tmax must be finite and > 0")
     else:
         times = list(np.linspace(args.tmax / args.steps, args.tmax,
                                  args.steps))
     # at t = 0 the library returns cdf 0 and no density for k >= 1
     if min(times) == 0 and args.k >= 1:
-        raise UsageError("passage times must be > 0 (>= 0 at --k 0)")
+        raise ValueError("passage times must be > 0 (>= 0 at --k 0)")
     rows = []
     for t in times:
         c, d = dist.first_passage(params, t, args.k, cfg)
-        row = {"t": float(t), "cdf": c.value}
+        row = {"t": float(t), "cdf": c.value,
+               "cdf_error_bound": c.abs_error_bound}
         if d is not None:
             row["density"] = d.value
+            row["density_error_bound"] = d.abs_error_bound
         rows.append(row)
     _emit(rows, _meta(args, k=args.k), args.format, args.out)
     return EXIT_OK
@@ -320,8 +318,8 @@ def main(argv=None) -> int:
         handler = {"pmf": cmd_pmf, "pgf": cmd_pgf, "sample": cmd_sample,
                    "verify": cmd_verify, "passage": cmd_passage}[args.command]
         return handler(args)
-    except (UsageError, ValueError) as exc:
-        # the library raises ValueError for arguments outside its domain
+    except ValueError as exc:
+        # bad flags, and arguments outside the library's domain
         print(f"fracpois: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except NonConvergence as exc:

@@ -185,10 +185,11 @@ def pmf_row(params: ProcessParams, t: float, kmax: int,
 
 def pmf(params: ProcessParams, t: float, k: int,
         cfg: SeriesConfig | None = None) -> PmfRow:
-    """Probability of exactly k events by time t.
+    """Probability of exactly k events by time t: entry k of ``pmf_row``.
 
-    The raw series value is reported as-is (not clamped to [0,1]) so
-    cancellation failures stay visible in diagnostics.
+    That is the Poisson closed form at nu = 1, and the contour or the
+    series at nu < 1, composed with the Sibuya law at alpha < 1 (where a
+    negative q_m is raised to 0).  The value is not clamped to [0, 1].
     """
     if k < 0:
         raise ValueError("k must be >= 0")

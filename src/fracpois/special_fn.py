@@ -8,28 +8,29 @@ Every law in ``dist`` is built on the time-fractional row
 with w = -lam**alpha * t**nu <= 0 and ``ffact(r, k) = r*(r-1)*...*(r-k+1)``
 the integer falling factorial (at alpha < 1 ``dist`` composes it with
 the Sibuya law, which cancels nothing).  With k = 0 this is the
-one-parameter Mittag-Leffler series E_nu(w).  The rows take w as its
-exact factors and form it in their working precision, so their
-certificates hold at the exact argument.  Two engines compute a row,
-and ``wright_psi11_weighted_rows`` routes each row to the one predicted
-to be cheaper:
+one-parameter Mittag-Leffler series E_nu(w).  The row serves
+0 < nu < 1 (at nu = 1 every law has a Poisson closed form).  It takes w
+as its exact factors and forms it in its working precision, so its
+certificates hold at the exact argument.  Two engines compute it, and
+``wright_psi11_weighted_rows`` routes each row to the one predicted to
+be cheaper:
 
-* the series engine (``_kernel_rows``, ``_sum_series``).  The series
-  alternate and the intermediate terms can be many orders of magnitude
-  larger than the sum.  A cheap double-precision profile of the term
-  magnitudes sizes the mpmath working precision of the k-independent
-  factors w**r / Gamma(nu*r + 1) and places, for each row k, a
-  fixed-point grid just below the row's peak term.  Everything else is
-  exact Python-integer arithmetic: each term is the integer mantissa of
-  its factor times the integer falling factorial, truncated onto its
-  row's grid and summed exactly.  The engine stops once the geometric
-  tail is within rel_tol (tested in integers) and redoes the sum with
-  more digits when the cancellation it measures outruns the precision.
-  The bound is the tail plus a rounding term derived from that
-  arithmetic.  ``_sum_series`` also sums the direct time-fractional form
-  in ``dist``.
-* the contour engine (``_contour_rows``), at 0 < nu < 1: the trapezoidal
-  rule on a parabolic Bromwich contour for the Laplace transform
+* the series engine (``_sum_series`` over ``_kernel_bases``).  The
+  series alternate and the intermediate terms can be many orders of
+  magnitude larger than the sum.  A cheap double-precision profile of
+  the term magnitudes (``_kernel_profile``) sizes the mpmath working
+  precision of the k-independent factors w**r / Gamma(nu*r + 1) and
+  places, for each row k, a fixed-point grid just below the row's peak
+  term.  Everything else is exact Python-integer arithmetic: each term
+  is the integer mantissa of its factor times the integer falling
+  factorial, truncated onto its row's grid and summed exactly.  The
+  engine stops once the geometric tail is within rel_tol (tested in
+  integers) and redoes the sum with more digits when the cancellation it
+  measures outruns the precision.  The bound is the tail plus a rounding
+  term derived from that arithmetic.  ``_sum_series`` also sums the
+  direct time-fractional form in ``dist``.
+* the contour engine (``_contour_rows``): the trapezoidal rule on a
+  parabolic Bromwich contour for the Laplace transform
   x**k s**(nu-1) / (s**nu + x)**(k+1) of p_k, x = -w.  One set of nodes
   gives the whole row, a complex product per node and entry, at a
   modest precision and with no gamma function.  Its bound adds the
@@ -321,36 +322,6 @@ def _sum_series(bases, peaks, profile: np.ndarray, cfg: SeriesConfig):
              for s, g in zip(sums, grid)], bounds, n)
 
 
-def _row_argument(kmax: int, factors, nu: float) -> float:
-    """The checks of a time-fractional row and its argument w in doubles."""
-    if not 0 < nu <= 1:
-        raise ValueError("time_nu must lie in (0, 1]")
-    if kmax < 0:
-        raise ValueError("k must be >= 0")
-    return _argument_double(factors)
-
-
-def _kernel_rows(kmax: int, factors, nu: float, cfg: SeriesConfig | None):
-    """The series engine: S_k for k = 0..kmax at w = -prod(b**e) of
-    ``factors`` as (mpf values, mpf bounds, terms_used).
-
-    Values are mpf so that callers may rescale (e.g. divide by k!) before
-    converting to double.  Where w is 0 in doubles the row is that of
-    x = -w = 0; if every base is positive, x underflowed, and each mass
-    S_k/k! errs by at most 1 - E_nu(-x) <= x/Gamma(1 + nu) < 1.2x < ulp(0),
-    so the bounds are k! * ulp(0).
-    """
-    w = _row_argument(kmax, factors, nu)
-    cfg = cfg or DEFAULT_CONFIG
-    if w == 0.0:
-        ulp = math.ulp(0.0) if all(b > 0 for b, _ in factors) else 0
-        return ([mp.mpf(1)] + [mp.mpf(0)] * kmax,
-                [ulp * mp.factorial(k) for k in range(kmax + 1)], 1)
-    profile, peaks = _kernel_profile(kmax, w, nu, cfg.max_terms)
-    return _sum_series(lambda: _kernel_bases(factors, nu), peaks, profile,
-                       cfg)
-
-
 def _to_double(value, bound, terms: int) -> EvalResult:
     """A series value rounded to double, its bound widened by that rounding
     (eps relatively, and ulp(0) for a value below the normal range)."""
@@ -497,16 +468,16 @@ def _contour_estimate(x: float, nu: float, kmax: int, n: int):
     return lp + math.log(h / math.pi), lt + math.log(h / math.pi)
 
 
-def _contour_rows(kmax: int, factors, nu: float, cfg: SeriesConfig,
-                  limit: float):
+def _contour_rows(kmax: int, factors, x: float, nu: float,
+                  cfg: SeriesConfig, limit: float):
     """p_k for k = 0..kmax, 0 < nu < 1, from the Laplace transform
 
         int_0^inf e**(-s*t) p_k(t) dt = x**k s**(nu-1) / (s**nu + x)**(k+1)
 
-    at t = 1 and rate x = prod(b**e) of ``factors`` (p_k(t) at rate x equals
-    p_k(1) at rate x*t**nu), inverted by the trapezoidal rule on the
-    parabola s = mu*(1 + i*u)**2 (Weideman & Trefethen, Math. Comp. 76,
-    2007): with h = 3/n, mu = pi*n/12 and nodes u_j = j*h,
+    at t = 1 and rate x = prod(b**e) of ``factors``, given in doubles as
+    ``x`` (p_k(t) at rate x equals p_k(1) at rate x*t**nu), inverted by
+    the trapezoidal rule on the parabola s = mu*(1 + i*u)**2 (Weideman &
+    Trefethen, Math. Comp. 76, 2007): with h = 3/n, mu = pi*n/12 and nodes u_j = j*h,
 
         p_k ~ (h/pi) * Im sum'_{j=0..n} c_j * r_j**k,
         c_j = 2i * e**s * s**nu / (w * (s**nu + x)),  r_j = x / (s**nu + x),
@@ -536,7 +507,6 @@ def _contour_rows(kmax: int, factors, nu: float, cfg: SeriesConfig,
     still misses rel_tol; raises NonConvergence when n would exceed
     cfg.max_terms and ``limit`` is inf (the series cannot finish).
     """
-    x = -_argument_double(factors)
     ltol = math.log(cfg.rel_tol / 8)
     known = np.full(kmax + 1, -np.inf)
     n = max(8, math.ceil(3 / math.pi * (6 - math.log(cfg.rel_tol))))
@@ -721,56 +691,61 @@ def mittag_leffler(nu: float, x: float, cfg: SeriesConfig | None = None) -> Eval
 
     E_nu(x) = sum_r x**r / Gamma(nu*r + 1), for 0 < nu <= 1 and x <= 0.
 
-    At nu = 1 the value is exp(x).  At nu < 1 it is p_0 of the
-    time-fractional row at rate -x, ``wright_psi11_weighted_rows(0,
-    ((-x, 1.0),), nu, cfg)[0]``: the series or the contour rule, whichever
-    the router predicts to be cheaper, certified to cfg.rel_tol.  x = 0
-    gives 1 with bound 0.
+    At nu = 1 the value is exp(x), and x = 0 gives 1 with bound 0.  At
+    nu < 1 it is p_0 of the time-fractional row at rate -x,
+    ``wright_psi11_weighted_rows(0, ((-x, 1.0),), nu, cfg)[0]``: the series
+    or the contour rule, whichever the router predicts to be cheaper,
+    certified to cfg.rel_tol.
     """
     if not 0 < nu <= 1:
         raise ValueError("nu must lie in (0, 1]")
     if not -math.inf < x <= 0:
         raise ValueError("x must be finite and <= 0")
-    if nu == 1.0 and x:
+    if nu == 1.0:
         v = math.exp(x)
-        return EvalResult(v, _exp_error_bound(v), 1)
+        return EvalResult(v, _exp_error_bound(v) if x else 0.0, 1)
     return wright_psi11_weighted_rows(0, ((-x, 1.0),), nu, cfg)[0]
 
 
-def wright_psi11_weighted_rows(kmax: int, factors, time_nu: float = 1.0,
+def wright_psi11_weighted_rows(kmax: int, factors, time_nu: float,
                                cfg: SeriesConfig | None = None
                                ) -> list[EvalResult]:
-    """Rows ((-1)**k / k!) * S_k for k = 0..kmax: the time-fractional
-    Poisson masses with lam**alpha * t**nu = -w, given as its exact
-    ``factors`` ((lam, alpha), (t, nu)).
+    """Rows ((-1)**k / k!) * S_k for k = 0..kmax, 0 < time_nu < 1: the
+    time-fractional Poisson masses with lam**alpha * t**nu = -w, given as
+    its exact ``factors`` ((lam, alpha), (t, nu)).
 
-    At time_nu < 1 the row goes to the engine predicted to be cheaper:
-    the series (``_kernel_rows``), whose cost ``_series_cost`` predicts from
-    the magnitude profile, or the contour rule (``_contour_rows``), which
+    The row goes to the engine predicted to be cheaper: the series
+    (``_sum_series``), whose cost ``_series_cost`` predicts from the
+    magnitude profile, or the contour rule (``_contour_rows``), which
     declines before any mpmath work once its own predicted cost reaches
     the series'.  Rows the series cannot finish within max_terms go to the
     contour; the series runs where the contour declines or misses rel_tol.
     Both certify every entry to rel_tol.  The series' division by k!
     happens in extended precision so rows remain finite doubles even
     where k! alone would overflow.
+
+    Where w is 0 in doubles the row is that of x = -w = 0.  If every base
+    is positive, x underflowed, and each mass errs by at most
+    1 - E_nu(-x) <= x/Gamma(1 + nu) < 1.2x < ulp(0), so the bounds are
+    ulp(0).
     """
+    if not 0 < time_nu < 1:
+        raise ValueError("time_nu must lie in (0, 1)")
+    if kmax < 0:
+        raise ValueError("k must be >= 0")
     cfg = cfg or DEFAULT_CONFIG
-    w = _row_argument(kmax, factors, time_nu)
+    w = _argument_double(factors)
     if w == 0.0:
-        # the x = 0 row, bounded as in _kernel_rows
         e = math.ulp(0.0) if all(b > 0 for b, _ in factors) else 0.0
         return [EvalResult(float(k == 0), e, 1) for k in range(kmax + 1)]
-    if time_nu == 1.0:
-        vals, bounds, terms = _kernel_rows(kmax, factors, time_nu, cfg)
-    else:
-        profile, peaks = _kernel_profile(kmax, w, time_nu, cfg.max_terms)
-        rows = _contour_rows(kmax, factors, time_nu, cfg,
-                             _series_cost(profile, kmax, time_nu, cfg))
-        if rows is not None:
-            vals, bounds, terms = rows
-            return [_to_double(v, b, terms) for v, b in zip(vals, bounds)]
-        vals, bounds, terms = _sum_series(
-            lambda: _kernel_bases(factors, time_nu), peaks, profile, cfg)
+    profile, peaks = _kernel_profile(kmax, w, time_nu, cfg.max_terms)
+    rows = _contour_rows(kmax, factors, -w, time_nu, cfg,
+                         _series_cost(profile, kmax, time_nu, cfg))
+    if rows is not None:
+        vals, bounds, terms = rows
+        return [_to_double(v, b, terms) for v, b in zip(vals, bounds)]
+    vals, bounds, terms = _sum_series(
+        lambda: _kernel_bases(factors, time_nu), peaks, profile, cfg)
     out = []
     sign = 1
     fact = mp.mpf(1)

@@ -38,6 +38,7 @@ GOF_KCAP = 30            # gof_pmf bins 0..GOF_KCAP and a tail bin
 TWO_SAMPLE_KCAP = 15     # gof_two_sample bins 0..TWO_SAMPLE_KCAP and a tail
 FIXTURE_SLACK = 1e-15    # check_fixture's allowance beyond the row bound
 SECOND_STAGE_FACTOR = 10  # two_stage re-runs once at this many times n
+ORACLE_MAX_TERMS = 100_000  # oracle_pmf raises NonConvergence past this r
 
 
 class DegenerateBins(ValueError):
@@ -59,7 +60,6 @@ class GofReport:
 @dataclass(frozen=True)
 class OracleConfig:
     precision_digits: int = 40
-    max_terms: int = 100_000
 
     def __post_init__(self):
         if self.precision_digits < 30:
@@ -372,7 +372,7 @@ def _oracle_sum(params, t, k, dps, rpeak, relative, ocfg, cache):
     tol = mp.mpf(10) ** (-ocfg.precision_digits - 5)
     floor = 0 if relative else tol
     while True:
-        if r > ocfg.max_terms:
+        if r > ORACLE_MAX_TERMS:
             raise NonConvergence("oracle series exceeded max_terms")
         term = (wpow
                 * rgam(("n", nu, r, dps), nu_mp * r + 1)
@@ -411,7 +411,7 @@ def write_fixture(path, records, ocfg: OracleConfig, meta: str = ""):
         fh.write("# oracle PMF reference table\n")
         fh.write(f"# columns: {_FIXTURE_GRID_NOTE}\n")
         fh.write(f"# precision_digits={ocfg.precision_digits} "
-                 f"max_terms={ocfg.max_terms}\n")
+                 f"max_terms={ORACLE_MAX_TERMS}\n")
         if meta:
             fh.write(f"# {meta}\n")
         cache: dict = {}

@@ -44,6 +44,25 @@ def profile_scans(monkeypatch):
     return scans
 
 
+def _series_rows(kmax, factors, nu, cfg=None):
+    """The series engine alone, without the router: (mpf sums S_0..S_kmax,
+    mpf bounds, terms_used) at w = -prod(b**e) of ``factors``, for any
+    0 < nu <= 1.  ``special_fn._kernel_profile`` is looked up at each
+    call, so a test may patch it."""
+    cfg = cfg or special_fn.DEFAULT_CONFIG
+    w = special_fn._argument_double(factors)
+    profile, peaks = special_fn._kernel_profile(kmax, w, nu, cfg.max_terms)
+    return special_fn._sum_series(
+        lambda: special_fn._kernel_bases(factors, nu), peaks, profile, cfg)
+
+
+@pytest.fixture
+def series_rows():
+    """``series_rows(kmax, factors, nu, cfg=None)``: the series engine's
+    row sums, as ``_sum_series`` returns them."""
+    return _series_rows
+
+
 def _panjer_row(lam, alpha, t, kmax, dps=60):
     """Masses k = 0..kmax of the space-fractional law (lam, alpha, nu = 1)
     at time t, by Panjer's recursion for Poisson(lam**alpha * t) sums of

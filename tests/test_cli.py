@@ -91,6 +91,21 @@ def test_passage_table(capsys):
     assert "density" in rows[0]
 
 
+def test_passage_reports_bounds(capsys):
+    """Both laws carry their bounds: at alpha = 1 the cdf is the Erlang
+    distribution function 1 - e**-2 at k = 1, t = 2."""
+    code, out, _ = run_cli(capsys, "passage", "--alpha", "1", "--lambda",
+                           "1", "--k", "1", "--t", "2")
+    assert code == 0
+    row, = csv.DictReader(io.StringIO(out))
+    assert list(row) == ["t", "cdf", "cdf_error_bound", "density",
+                         "density_error_bound"]
+    assert abs(float(row["cdf"]) - (1 - math.exp(-2))) <= \
+        float(row["cdf_error_bound"])
+    assert abs(float(row["density"]) - math.exp(-2)) <= \
+        float(row["density_error_bound"])
+
+
 def test_passage_one_kernel_row_per_step(capsys, monkeypatch):
     calls = []
     pmf_row = dist.pmf_row

@@ -294,7 +294,7 @@ def test_space_fractional_rows_bound_holds_against_panjer(panjer_row, lam,
         assert abs(mp.mpf(row.p) - ref) <= row.abs_error_bound
 
 
-def test_series_fails_fast_past_max_terms(monkeypatch):
+def test_series_fails_fast_past_max_terms(monkeypatch, series_rows):
     """A series whose terms peak past max_terms raises NonConvergence
     before any mpmath work."""
     def fail(*args):
@@ -302,7 +302,7 @@ def test_series_fails_fast_past_max_terms(monkeypatch):
 
     monkeypatch.setattr(mp, "rgamma", fail)
     with pytest.raises(dist.NonConvergence):
-        special_fn._kernel_rows(2, ((1.0, 1.0), (1e4, 0.5)), 0.5, None)
+        series_rows(2, ((1.0, 1.0), (1e4, 0.5)), 0.5)
 
 
 def test_underflowing_argument_is_bounded():
@@ -468,14 +468,13 @@ def test_last_row_bound_holds_with_rounded_argument():
         assert abs(mp.mpf(row.p) - ref) <= row.abs_error_bound
 
 
-def test_series_bounds_hold_at_exact_argument(monkeypatch):
+def test_series_bounds_hold_at_exact_argument(monkeypatch, series_rows):
     # at rel_tol = 1e-60 the bounds are far below the rounding of
     # lam * t**nu to a double: the series must sum at the exact argument
     params, t = ProcessParams(0.9, 1.0, 0.97), 4.3
     cfg = SeriesConfig(rel_tol=1e-60)
     ocfg = verify.OracleConfig(precision_digits=90)
-    vals, bounds, _ = special_fn._kernel_rows(30, ((0.9, 1.0), (t, 0.97)),
-                                              0.97, cfg)
+    vals, bounds, _ = series_rows(30, ((0.9, 1.0), (t, 0.97)), 0.97, cfg)
     sums = []
 
     def recorded(*args):

@@ -185,19 +185,19 @@ def test_nonconvergence_when_max_terms_too_small():
         mittag_leffler(0.5, -25.0, SeriesConfig(max_terms=20))
 
 
-def test_kernel_reduces_to_exp():
-    res = wright_psi11_weighted_rows(0, ((2.0, 1.0),))[0]
-    assert res.value == pytest.approx(math.exp(-2.0), rel=1e-12)
+def test_kernel_reduces_to_exp(series_rows):
+    vals, _, _ = series_rows(0, ((2.0, 1.0),), 1.0)
+    assert float(vals[0]) == pytest.approx(math.exp(-2.0), rel=1e-12)
 
 
-def test_double_mode_escalates_instead_of_losing_digits():
+def test_double_mode_escalates_instead_of_losing_digits(series_rows):
     # E_1(-30): the series cancels about 26 digits, far beyond a double's
     # headroom; the engine must size its precision and stay accurate
     res = mittag_leffler(1.0, -30.0)
     assert res.value == pytest.approx(math.exp(-30.0), rel=1e-12)
     # the same cancellation through the kernel's series
-    res = wright_psi11_weighted_rows(0, ((30.0, 1.0),))[0]
-    assert res.value == pytest.approx(math.exp(-30.0), rel=1e-12)
+    vals, _, _ = series_rows(0, ((30.0, 1.0),), 1.0)
+    assert float(vals[0]) == pytest.approx(math.exp(-30.0), rel=1e-12)
 
 
 def test_series_bound_delivers_rel_tol():
@@ -209,8 +209,17 @@ def test_series_bound_delivers_rel_tol():
 
 
 def test_kernel_zero_argument():
-    assert wright_psi11_weighted_rows(0, ((0.0, 1.0),))[0].value == 1.0
-    assert wright_psi11_weighted_rows(3, ((0.0, 1.0),))[3].value == 0.0
+    assert wright_psi11_weighted_rows(0, ((0.0, 1.0),), 0.5)[0].value == 1.0
+    assert wright_psi11_weighted_rows(3, ((0.0, 1.0),), 0.5)[3].value == 0.0
+
+
+def test_rows_serve_orders_below_one_only():
+    """At nu = 1 every law has a closed form: the row refuses it, and
+    E_1(0) = exp(0) is exact."""
+    with pytest.raises(ValueError):
+        wright_psi11_weighted_rows(0, ((1.0, 1.0),), 1.0)
+    for x in (0.0, -0.0):
+        assert mittag_leffler(1.0, x) == EvalResult(1.0, 0.0, 1)
 
 
 @pytest.mark.parametrize("alpha,k,w,nu", [
@@ -233,11 +242,11 @@ def test_error_certificate_is_conservative(alpha, k, w, nu):
 @pytest.mark.parametrize("kmax,w,nu", [
     (30, -5.0, 0.3), (10, -3.0, 0.5), (30, -1.0, 1.0),
 ])
-def test_series_rounding_certificate(monkeypatch, kmax, w, nu):
+def test_series_rounding_certificate(monkeypatch, series_rows, kmax, w, nu):
     """At rel_tol=1e-60 rounding dominates the bound: a rerun 60 digits
     more precise must land within it on every row."""
     cfg = SeriesConfig(rel_tol=1e-60)
-    vals, bounds, _ = special_fn._kernel_rows(kmax, ((-w, 1.0),), nu, cfg)
+    vals, bounds, _ = series_rows(kmax, ((-w, 1.0),), nu, cfg)
     profile_of = special_fn._kernel_profile
 
     def shifted(*args):
@@ -247,7 +256,7 @@ def test_series_rounding_certificate(monkeypatch, kmax, w, nu):
         return profile + 60 * math.log(10.0), peaks
 
     monkeypatch.setattr(special_fn, "_kernel_profile", shifted)
-    refs, _, _ = special_fn._kernel_rows(kmax, ((-w, 1.0),), nu, cfg)
+    refs, _, _ = series_rows(kmax, ((-w, 1.0),), nu, cfg)
     with mp.workdps(400):
         for v, b, ref in zip(vals, bounds, refs):
             assert abs(v - ref) <= b
@@ -339,7 +348,9 @@ def test_contour_bounds_hold_at_exact_argument(monkeypatch):
     monkeypatch.setattr(mp, "gamma", _fail)
     assert len(wright_psi11_weighted_rows(30, factors, 0.3, cfg)) == 31
     monkeypatch.undo()
-    vals, bounds, _ = special_fn._contour_rows(30, factors, 0.3, cfg, math.inf)
+    x = -special_fn._argument_double(factors)
+    vals, bounds, _ = special_fn._contour_rows(30, factors, x, 0.3, cfg,
+                                               math.inf)
     with mp.workdps(60):
         for k in (0, 1, 15, 30):
             assert bounds[k] <= 1e-20 * abs(vals[k])
@@ -351,7 +362,8 @@ def test_contour_sizes_tight_tolerances():
     entries, past what a double estimate resolves; the row must still be
     sized and certified, here where the series cannot run at all."""
     factors, cfg = ((20.0, 1.0), (1.0, 0.3)), SeriesConfig(rel_tol=1e-40)
-    vals, bounds, _ = special_fn._contour_rows(5, factors, 0.3, cfg, math.inf)
+    vals, bounds, _ = special_fn._contour_rows(5, factors, 20.0, 0.3, cfg,
+                                               math.inf)
     with mp.workdps(60):
         for k in (0, 5):
             assert bounds[k] <= 1e-40 * abs(vals[k])
