@@ -123,7 +123,9 @@ def build_parser() -> _Parser:
     sp.add_argument("--seed", type=int, required=True)
     sp.add_argument("--stream-id", type=int, default=0)
     sp.add_argument("--gamma", type=float, default=None)
-    sp.add_argument("--threads", type=int, default=1)
+    # default: the CPUs the process may run on; the counts do not depend
+    # on it
+    sp.add_argument("--threads", type=int, default=None)
 
     sp = sub.add_parser("verify", help="run a verification suite")
     _add_common(sp)
@@ -165,9 +167,11 @@ def _meta(args, **extra):
 
 def cmd_pmf(args) -> int:
     rows = dist.pmf_row(_params(args), args.t, args.kmax, _cfg(args))
+    # p is printed clamped into [0, 1]; the JSON meta counts the clamps
+    clamped = sum(not 0.0 <= r.p <= 1.0 for r in rows)
     _emit([{"k": r.k, "p": min(max(r.p, 0.0), 1.0),
             "error_bound": r.abs_error_bound} for r in rows],
-          _meta(args), args.format, args.out)
+          _meta(args, clamped=clamped), args.format, args.out)
     return EXIT_OK
 
 

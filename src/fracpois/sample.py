@@ -15,15 +15,19 @@ So one count path, ``_mixed_poisson_counts``, draws every process: one
 stable draw per subordinator and one Poisson draw per count.  Its other
 building blocks are a counter-based (Philox) seeded random source and the
 Chambers-Mallows-Stuck/Kanter sampler for S_g.  ``sample_batch`` is the
-only entry point; a single count is a batch of n = 1.  The renewal
-construction of the time-fractional process (epochs of Mittag-Leffler
-waiting times) is kept in :mod:`fracpois.verify` as the independent
-reference these counts are tested against.
+only entry point; a single count is a batch of n = 1.  It draws fixed-size
+chunks from child streams on a thread per CPU that the process may run on
+(numpy releases the GIL in these draws), so its counts are the same for
+any thread count.  The renewal construction of the time-fractional
+process (epochs of Mittag-Leffler waiting times) is kept in
+:mod:`fracpois.verify` as the independent reference these counts are
+tested against.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -36,9 +40,11 @@ from .dist import ProcessParams, _check_time
 
 __all__ = ["RngStream", "SampleBatch", "sample_batch"]
 
-# numpy's poisson sampler rejects means near 2**63; counts beyond the cap
-# are astronomically larger than any analysis bin and are clamped.
-_POISSON_MEAN_LIMIT = 4.0e18
+# numpy's poisson sampler rejects means above int64 max - 10 * sqrt(int64
+# max); counts beyond the cap are astronomically larger than any analysis
+# bin and are clamped.
+_POISSON_MEAN_LIMIT = (float(np.iinfo(np.int64).max)
+                       - 10.0 * math.sqrt(np.iinfo(np.int64).max))
 _COUNT_CAP = 1 << 62
 _OVERFLOW_LIMIT = 1e300
 # a child index is one digit of this many bits in the jump count; Philox
@@ -122,17 +128,19 @@ class SampleBatch:
 def _poisson_counts(mu, n: int, gen: np.random.Generator) -> np.ndarray:
     """n Poisson counts of mean mu, one scalar or an array of n means.
 
-    Means of _POISSON_MEAN_LIMIT or more give _COUNT_CAP.  Without them mu
-    goes to numpy as it is: its scalar-mean sampler is faster than the
-    array one.
+    Counts are clamped to _COUNT_CAP; means above _POISSON_MEAN_LIMIT,
+    which numpy refuses, give _COUNT_CAP without a draw.  Otherwise mu goes
+    to numpy as it is: its scalar-mean sampler is faster than the array
+    one.
     """
-    big = np.broadcast_to(mu >= _POISSON_MEAN_LIMIT, (n,))
+    big = np.broadcast_to(mu > _POISSON_MEAN_LIMIT, (n,))
     if not big.any():
-        return gen.poisson(mu, n)
-    out = np.full(n, _COUNT_CAP, dtype=np.int64)
-    ok = ~big
-    out[ok] = gen.poisson(np.broadcast_to(mu, (n,))[ok])
-    return out
+        counts = gen.poisson(mu, n)
+    else:
+        counts = np.full(n, _COUNT_CAP, dtype=np.int64)
+        ok = ~big
+        counts[ok] = gen.poisson(np.broadcast_to(mu, (n,))[ok])
+    return np.minimum(counts, _COUNT_CAP, out=counts)
 
 
 def _stable_unit(gamma: float, size: int, gen: np.random.Generator):
@@ -144,21 +152,27 @@ def _stable_unit(gamma: float, size: int, gen: np.random.Generator):
     """
     if not 0 < gamma < 1:
         raise ValueError("gamma must lie in (0, 1)")
-    out = np.empty(size)
-    todo = np.arange(size)
-    redraws = 0
-    while todo.size:
-        u = gen.random(todo.size)
-        e = gen.standard_exponential(todo.size)
+
+    def draw(m: int):
+        u = gen.random(m)
+        e = gen.standard_exponential(m)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             s = (np.sin(gamma * math.pi * u)
                  / np.sin(math.pi * u) ** (1.0 / gamma)
                  * (np.sin((1.0 - gamma) * math.pi * u) / e)
                  ** ((1.0 - gamma) / gamma))
-        good = np.isfinite(s) & (s > 0.0) & (s <= _OVERFLOW_LIMIT)
-        out[todo[good]] = s[good]
-        redraws += int(todo.size - good.sum())
-        todo = todo[~good]
+        # NaN fails both comparisons, and inf the second
+        return s, ~((s > 0.0) & (s <= _OVERFLOW_LIMIT))
+
+    # the first round is the output; rejected entries are drawn again
+    out, bad = draw(size)
+    todo = np.flatnonzero(bad)
+    redraws = 0
+    while todo.size:
+        redraws += todo.size
+        s, bad = draw(todo.size)
+        out[todo] = s
+        todo = todo[bad]
     return out, redraws
 
 
@@ -195,13 +209,22 @@ _PROCESSES = ("space", "time", "space-time", "composed")
 _CHUNK = 1 << 16
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on (its affinity mask, where there is one)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def sample_batch(process: str, params: ProcessParams, t: float, n: int,
                  rng: RngStream, gamma: float | None = None,
-                 threads: int = 1) -> SampleBatch:
+                 threads: int | None = None) -> SampleBatch:
     """Batch of n counts from the named process.
 
-    Work is split into fixed-size chunks, each drawn from its own child
-    stream, so the output is bit-identical for any thread count.
+    Work is split into chunks of _CHUNK counts, chunk i drawn from
+    ``rng.child(i)``, so the output is bit-identical for any thread count.
+    The chunks run on min(threads, chunks) threads; ``threads`` defaults to
+    the CPUs this process may run on.
     """
     if process not in _PROCESSES:
         raise ValueError(f"unknown process {process!r}; expected one of "
@@ -209,7 +232,9 @@ def sample_batch(process: str, params: ProcessParams, t: float, n: int,
     if n < 1:
         raise ValueError("n must be >= 1")
     _check_time(t, strict=True)
-    if threads < 1:
+    if threads is None:
+        threads = _usable_cpus()
+    elif threads < 1:
         raise ValueError("threads must be >= 1")
     if process == "composed":
         if gamma is None:
@@ -230,8 +255,9 @@ def sample_batch(process: str, params: ProcessParams, t: float, n: int,
                                      rng.child(idx).generator(), gamma)
 
     nchunks = (n + _CHUNK - 1) // _CHUNK
-    if threads > 1 and nchunks > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+    workers = min(threads, nchunks)
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(run_chunk, range(nchunks)))
     else:
         results = [run_chunk(i) for i in range(nchunks)]

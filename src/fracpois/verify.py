@@ -174,23 +174,28 @@ def check_min_uniform_space(params: ProcessParams, t: float, u: float,
     G(u, t) = E_nu(-lam**alpha * t**nu * (1-u)**alpha) is the probability
     that min_{k<=N} X_k**(1/alpha) >= 1-u (taken as 1 when N = 0) for
     i.i.d. uniforms X_k and a driving count N, time-fractional of rate
-    lam**alpha: Poisson(lam**alpha * t) at nu = 1.  N is drawn by the
-    sampler's mixed-Poisson core and the empirical frequency of the event
-    is compared with ``dist.pgf`` under ``cfg``.
+    lam**alpha: Poisson(lam**alpha * t) at nu = 1.  The n counts N are
+    ``sample_batch("time", ...)`` of ``rng`` (N = 0 without a draw at
+    t = 0), drawn from its child streams; the uniforms V that decide the
+    event come from ``rng.generator()`` itself, which the children never
+    overlap.  The empirical frequency of the event is compared with
+    ``dist.pgf`` under ``cfg``.
     """
     dist._check_time(t)
     if not 0 < u < 1:
         raise ValueError("u must lie in (0, 1)")
     if n < 1:
         raise ValueError("n must be >= 1")
-    gen = rng.generator()
-    counts, _ = sample._mixed_poisson_counts(params.lam ** params.alpha, 1.0,
-                                             params.nu, t, n, gen)
+    if t == 0:
+        counts = np.zeros(n, dtype=np.int64)
+    else:
+        driver = ProcessParams(params.lam ** params.alpha, 1.0, params.nu)
+        counts = sample.sample_batch("time", driver, t, n, rng).counts
     analytic = dist.pgf(params, t, u, cfg).value
     # the min of N uniforms is 1 - V**(1/N) (inversion), so the event
     # min >= c is log V <= N*log1p(-c); at N = 0 it always holds
     with np.errstate(divide="ignore"):
-        logv = np.log(gen.random(n))
+        logv = np.log(rng.generator().random(n))
     emp = float(np.mean(logv <= counts
                         * math.log1p(-(1.0 - u) ** params.alpha)))
     sigma = math.sqrt(max(analytic * (1.0 - analytic), 1e-300) / n)

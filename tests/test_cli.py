@@ -43,6 +43,22 @@ def test_pmf_json_shape(capsys):
     assert payload["rows"][1]["p"] == pytest.approx(math.exp(-1.0), rel=1e-14)
 
 
+def test_pmf_reports_clamps(capsys, monkeypatch):
+    """A p below 0 prints as 0.0; the JSON meta counts it, the CSV bytes
+    stay those of the clamped rows."""
+    rows = [dist.PmfRow(0, 0.5, 1e-17), dist.PmfRow(1, -1e-30, 1e-17)]
+    args = ("pmf", "--lambda", "1", "--t", "1", "--kmax", "1")
+    code, out, _ = run_cli(capsys, *args, "--format", "json")
+    assert code == 0 and json.loads(out)["meta"]["clamped"] == 0
+    monkeypatch.setattr(dist, "pmf_row", lambda *a, **kw: rows)
+    code, out, _ = run_cli(capsys, *args, "--format", "json")
+    payload = json.loads(out)
+    assert code == 0 and payload["meta"]["clamped"] == 1
+    assert [r["p"] for r in payload["rows"]] == [0.5, 0.0]
+    code, out, _ = run_cli(capsys, *args)
+    assert out == "k,p,error_bound\n0,0.5,1e-17\n1,0.0,1e-17\n"
+
+
 def test_pgf_value(capsys):
     code, out, _ = run_cli(capsys, "pgf", "--lambda", "1.0", "--t", "1.0",
                            "--alpha", "0.5", "--u", "0.5", "--format", "json")
@@ -334,6 +350,16 @@ def test_sample_threads_validated(capsys):
                              "--seed", "0", "--threads", "-2")
     assert code == 1 and out == ""
     assert "threads must be >= 1" in err
+
+
+def test_sample_default_threads_same_bytes(capsys):
+    """Without --threads the chunks fan out over the usable CPUs; the
+    bytes are those of one thread."""
+    argv = ("sample", "--process", "space-time", "--alpha", "0.6", "--nu",
+            "0.7", "--lambda", "1", "--t", "1", "--n", "140000", "--seed", "3")
+    default = run_cli(capsys, *argv)
+    assert default[0] == 0
+    assert run_cli(capsys, *argv, "--threads", "1") == default
 
 
 @pytest.mark.parametrize("argv", [

@@ -72,15 +72,21 @@ def test_poisson_moments():
 
 
 def test_poisson_huge_mean_clamps():
-    """Means of 4e18 or more are capped, and only those: the others are
-    drawn as numpy draws them."""
+    """Counts are clamped to 2**62, not means: numpy draws every mean up to
+    its own limit (about 9.22e18), and only means above it, or inf, give
+    2**62 without a draw.  Small means are drawn as numpy draws them."""
+    cap = 1 << 62
+    x = sample._poisson_counts(4e18, 3, RngStream(1).generator())
+    assert (np.abs(x - 4e18) <= 10 * math.sqrt(4e18)).all()
     gen = RngStream(1).generator()
-    assert (sample._poisson_counts(1e200, 3, gen) == 1 << 62).all()
-    mu = np.array([2.0, 4e18, 1e200, 3.0, math.inf])
+    for mu in (9.2e18, 1e200, math.inf):
+        assert (sample._poisson_counts(mu, 3, gen) == cap).all()
+    mu = np.array([2.0, 4e18, 9.2e18, 1e200, 3.0, math.inf])
     x = sample._poisson_counts(mu, mu.size, RngStream(2).generator())
-    assert (x[[1, 2, 4]] == 1 << 62).all()
-    assert np.array_equal(x[[0, 3]],
-                          RngStream(2).generator().poisson([2.0, 3.0]))
+    assert abs(x[1] - 4e18) <= 10 * math.sqrt(4e18)
+    assert (x[[2, 3, 5]] == cap).all()
+    ref = RngStream(2).generator().poisson([2.0, 4e18, 9.2e18, 3.0])
+    assert np.array_equal(x[[0, 4]], ref[[0, 3]])
 
 
 def test_stable_laplace_transform():
@@ -94,6 +100,29 @@ def test_stable_laplace_transform():
             target = math.exp(-z ** gamma)
             se = y.std() / math.sqrt(n)
             assert abs(y.mean() - target) < 4 * se
+
+
+def test_stable_unit_is_kanter_of_first_draws():
+    """Without a rejection the output is Kanter's formula applied to the
+    stream's first random and standard_exponential draws, in that order."""
+    g, n = 0.7, 10_000
+    s, redraws = sample._stable_unit(g, n, RngStream(3).generator())
+    gen = RngStream(3).generator()
+    u = gen.random(n)
+    e = gen.standard_exponential(n)
+    ref = (np.sin(g * math.pi * u) / np.sin(math.pi * u) ** (1.0 / g)
+           * (np.sin((1.0 - g) * math.pi * u) / e) ** ((1.0 - g) / g))
+    assert redraws == 0
+    assert np.array_equal(s, ref)
+
+
+def test_stable_unit_redraws_overflow():
+    """At gamma = .01 about 1e-3 of the draws exceed 1e300 and are drawn
+    again; what is returned is finite and in (0, 1e300]."""
+    s, redraws = sample._stable_unit(0.01, 20_000, RngStream(4).generator())
+    assert redraws > 0
+    assert np.isfinite(s).all()
+    assert (s > 0.0).all() and (s <= 1e300).all()
 
 
 def test_stable_levy_median():
@@ -203,6 +232,23 @@ def test_batch_deterministic_across_threads():
     params = ProcessParams(1.0, 0.6)
     a = sample_batch("space", params, 1.0, 150_000, RngStream(41), threads=1)
     b = sample_batch("space", params, 1.0, 150_000, RngStream(41), threads=4)
+    assert np.array_equal(a.counts, b.counts)
+    assert a.redraws == b.redraws
+
+
+@pytest.mark.parametrize("process, params, gamma", [
+    ("space", ProcessParams(1.0, 0.6), None),
+    ("time", ProcessParams(1.0, 1.0, 0.7), None),
+    ("space-time", ProcessParams(1.0, 0.6, 0.7), None),
+    ("composed", ProcessParams(1.0, 0.8), 0.5),
+])
+def test_batch_default_threads_match_one(process, params, gamma):
+    """The default fan-out (a thread per usable CPU) gives the counts and
+    redraws of one thread, over full chunks and a ragged last one."""
+    n = 3 * sample._CHUNK + 7
+    a = sample_batch(process, params, 1.0, n, RngStream(43), gamma=gamma)
+    b = sample_batch(process, params, 1.0, n, RngStream(43), gamma=gamma,
+                     threads=1)
     assert np.array_equal(a.counts, b.counts)
     assert a.redraws == b.redraws
 

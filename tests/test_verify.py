@@ -90,8 +90,8 @@ def test_min_uniform_space_z_small(params, seed, exact):
 
 
 def test_min_uniform_space_counts_are_plain_poisson(monkeypatch):
-    """At nu = 1 the driving counts are numpy's Poisson(lam**alpha * t)
-    draws from the check's stream, from its scalar-mean sampler."""
+    """At nu = 1 the driving counts are the time process's batch of rate
+    lam**alpha, drawn by numpy's scalar-mean Poisson sampler."""
     poisson_counts, seen = sample._poisson_counts, []
 
     def spy(mu, n, gen):
@@ -106,7 +106,29 @@ def test_min_uniform_space_counts_are_plain_poisson(monkeypatch):
     (mu, counts), = seen
     assert np.ndim(mu) == 0
     assert np.array_equal(
-        counts, RngStream(131).generator().poisson(lam ** alpha * t, n))
+        counts, sample_batch("time", ProcessParams(lam ** alpha, 1, 1), t, n,
+                             RngStream(131)).counts)
+
+
+def test_min_uniform_space_at_time_zero():
+    """At t = 0, N = 0 without a draw and the event always holds."""
+    res = check_min_uniform_space(ProcessParams(1.0, 0.5, 0.5), 0.0, 0.5,
+                                  1000, RngStream(0))
+    assert res.analytic == 1.0 and res.empirical == 1.0
+
+
+def test_min_uniform_space_uniforms_from_parent_stream():
+    """The uniforms V are the parent stream's first draws, which the
+    counts' child streams never reach."""
+    lam, alpha, t, u, n = 2.0, 0.7, 1.5, 0.3, 10_000
+    rng = RngStream(137)
+    res = check_min_uniform_space(ProcessParams(lam, alpha), t, u, n, rng)
+    counts = sample_batch("time", ProcessParams(lam ** alpha, 1, 1), t, n,
+                          rng).counts
+    v = rng.generator().random(n)
+    c = math.log1p(-(1.0 - u) ** alpha)
+    assert res.empirical == float(np.mean(np.log(v) <= counts * c))
+    assert not np.array_equal(v, rng.child(0).generator().random(n))
 
 
 def test_min_uniform_u_domain():
