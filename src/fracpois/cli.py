@@ -190,7 +190,8 @@ def cmd_sample(args) -> int:
     _emit_counts(batch.counts, _meta(args, process=args.process, n=args.n,
                                      seed=args.seed,
                                      stream_id=args.stream_id,
-                                     redraws=batch.redraws),
+                                     redraws=batch.redraws,
+                                     capped=batch.capped),
                  args.format, args.out)
     return EXIT_OK
 

@@ -12,9 +12,14 @@ S_g a one-sided g-stable variable (Laplace transform exp(-z**g)):
 * composed:          T = (t**(1/gamma) * S_gamma)**(1/alpha) * S_alpha.
 
 So one count path, ``_mixed_poisson_counts``, draws every process: one
-stable draw per subordinator and one Poisson draw per count.  Its other
-building blocks are a counter-based (Philox) seeded random source and the
-Chambers-Mallows-Stuck/Kanter sampler for S_g.  ``sample_batch`` is the
+stable draw per subordinator and one Poisson draw per count.  The clock
+lives in log space: ``_log_stable`` returns log S_g by Kanter's formula in
+logs, with each sine formed from the tangent of its half angle, and log T
+is a sum of scaled stable logs plus log t, so a heavy-tailed clock never
+overflows and no draw is rejected for its size.  One exp gives the mean
+lam * T; a count beyond 2**62, or a mean beyond numpy's Poisson limit,
+gives 2**62, and ``SampleBatch.capped`` counts them.  The random source
+is counter-based (Philox) and seeded.  ``sample_batch`` is the
 only entry point; a single count is a batch of n = 1.  It draws fixed-size
 chunks from child streams on a thread per CPU that the process may run on
 (numpy releases the GIL in these draws), so its counts are the same for
@@ -46,7 +51,6 @@ __all__ = ["RngStream", "SampleBatch", "sample_batch"]
 _POISSON_MEAN_LIMIT = (float(np.iinfo(np.int64).max)
                        - 10.0 * math.sqrt(np.iinfo(np.int64).max))
 _COUNT_CAP = 1 << 62
-_OVERFLOW_LIMIT = 1e300
 # a child index is one digit of this many bits in the jump count; Philox
 # jumps count blocks of 2**128 draws in a 2**256 counter, so paths of
 # child indices nest four levels deep
@@ -114,6 +118,11 @@ class SampleBatch:
             raise ValueError("counts length must equal n")
 
     @property
+    def capped(self) -> int:
+        """Number of counts clamped to the cap 2**62."""
+        return int(np.count_nonzero(self.counts == _COUNT_CAP))
+
+    @property
     def law(self) -> ProcessParams:
         """Parameters of the PMF the counts follow.
 
@@ -143,36 +152,57 @@ def _poisson_counts(mu, n: int, gen: np.random.Generator) -> np.ndarray:
     return np.minimum(counts, _COUNT_CAP, out=counts)
 
 
-def _stable_unit(gamma: float, size: int, gen: np.random.Generator):
-    """One-sided stable draws S with E[exp(-z*S)] = exp(-z**gamma).
+def _log_stable(gamma: float, size: int, gen: np.random.Generator):
+    """log S for one-sided stable draws S with E[exp(-z*S)] = exp(-z**gamma).
 
-    Kanter's exact representation; draws above 1e300 (or non-finite
-    intermediates) are rejected and redrawn, with the redraw count
-    returned for diagnostics.
+    Kanter's exact representation in logs, with theta = pi*u, u uniform and
+    E unit exponential:
+
+        log S = log sin(gamma*theta) - log sin(theta) / gamma
+                + (1 - gamma) / gamma * (log sin((1 - gamma)*theta) - log E).
+
+    Each sine is 2*h/(1 + h**2) with h the tangent of the half angle (numpy's
+    float64 tan and log are vectorised, its sin is not); the three factors 2
+    cancel, as the coefficients 1 - 1/gamma + (1 - gamma)/gamma sum to 0.
+    Nothing overflows, so no draw is rejected: only u = 0 or E = 0 give a
+    non-finite log S, and those entries are drawn again, with the redraw
+    count returned for diagnostics.
     """
     if not 0 < gamma < 1:
         raise ValueError("gamma must lie in (0, 1)")
 
+    def log_half_sine(h, tmp, e=None):
+        """log(sin(2*h) / (2*e)), e = 1 unless given, in place in h; tmp
+        is scratch.  With t = tan(h), sin(2*h)/2 = t/(1 + t**2)."""
+        np.tan(h, out=h)
+        np.square(h, out=tmp)
+        tmp += 1.0
+        if e is not None:
+            tmp *= e
+        np.divide(h, tmp, out=h)
+        return np.log(h, out=h)
+
     def draw(m: int):
         u = gen.random(m)
         e = gen.standard_exponential(m)
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            s = (np.sin(gamma * math.pi * u)
-                 / np.sin(math.pi * u) ** (1.0 / gamma)
-                 * (np.sin((1.0 - gamma) * math.pi * u) / e)
-                 ** ((1.0 - gamma) / gamma))
-        # NaN fails both comparisons, and inf the second
-        return s, ~((s > 0.0) & (s <= _OVERFLOW_LIMIT))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            u *= 0.5 * math.pi                      # theta/2
+            tmp = np.empty(m)
+            out = log_half_sine(u * (1.0 - gamma), tmp, e)
+            out *= (1.0 - gamma) / gamma
+            out += log_half_sine(np.multiply(u, gamma, out=tmp), e)
+            out -= np.divide(log_half_sine(u, e), gamma, out=u)
+        return out
 
-    # the first round is the output; rejected entries are drawn again
-    out, bad = draw(size)
-    todo = np.flatnonzero(bad)
+    # the first round is the output; non-finite entries are drawn again
+    out = draw(size)
+    todo = np.flatnonzero(~np.isfinite(out))
     redraws = 0
     while todo.size:
         redraws += todo.size
-        s, bad = draw(todo.size)
+        s = draw(todo.size)
         out[todo] = s
-        todo = todo[bad]
+        todo = todo[~np.isfinite(s)]
     return out, redraws
 
 
@@ -185,23 +215,32 @@ def _mixed_poisson_counts(lam: float, alpha: float, nu: float, t: float,
     when gamma is given (nu is then unused), else the inverse nu-stable
     time L_nu(t) = t**nu * S_nu**-nu, which is t at nu = 1.  For alpha < 1
     the alpha-stable subordinator runs on that clock: T = clock**(1/alpha)
-    * S_alpha.  Returns (counts, stable redraws).
+    * S_alpha.  log T is built from the stable logs by adds and scalings,
+    and mu = lam * T takes one exp, so nothing overflows before
+    ``_poisson_counts`` caps the count.  Returns (counts, stable redraws).
     """
-    clock, redraws = t, 0
+    if gamma is None and nu == 1.0 and alpha == 1.0:
+        return _poisson_counts(lam * t, n, gen), 0
+    # log_mu holds log(clock) / alpha until S_alpha and lam join it
+    log_t, redraws = math.log(t), 0
+    if gamma is not None:
+        log_mu, redraws = _log_stable(gamma, n, gen)
+        log_mu += log_t / gamma
+        log_mu *= 1.0 / alpha
+    elif nu != 1.0:
+        log_mu, redraws = _log_stable(nu, n, gen)
+        log_mu -= log_t
+        log_mu *= -nu / alpha
+    else:
+        log_mu = log_t / alpha
+    if alpha != 1.0:
+        s, rd = _log_stable(alpha, n, gen)
+        redraws += rd
+        s += log_mu
+        log_mu = s
+    log_mu += math.log(lam)
     with np.errstate(over="ignore"):
-        if gamma is not None:
-            s, redraws = _stable_unit(gamma, n, gen)
-            # a numpy scalar power overflows to inf, capped below; the
-            # float power would raise
-            clock = np.float64(t) ** (1.0 / gamma) * s
-        elif nu != 1.0:
-            s, redraws = _stable_unit(nu, n, gen)
-            clock = t ** nu * s ** -nu
-        if alpha != 1.0:
-            s, rd = _stable_unit(alpha, n, gen)
-            redraws += rd
-            clock = np.minimum(clock ** (1.0 / alpha) * s, _OVERFLOW_LIMIT)
-        mu = lam * clock
+        mu = np.exp(log_mu, out=log_mu)
     return _poisson_counts(mu, n, gen), redraws
 
 
@@ -223,8 +262,8 @@ def sample_batch(process: str, params: ProcessParams, t: float, n: int,
 
     Work is split into chunks of _CHUNK counts, chunk i drawn from
     ``rng.child(i)``, so the output is bit-identical for any thread count.
-    The chunks run on min(threads, chunks) threads; ``threads`` defaults to
-    the CPUs this process may run on.
+    The chunks run on min(threads, chunks, usable CPUs) threads; ``threads``
+    defaults to the CPUs this process may run on.
     """
     if process not in _PROCESSES:
         raise ValueError(f"unknown process {process!r}; expected one of "
@@ -232,9 +271,7 @@ def sample_batch(process: str, params: ProcessParams, t: float, n: int,
     if n < 1:
         raise ValueError("n must be >= 1")
     _check_time(t, strict=True)
-    if threads is None:
-        threads = _usable_cpus()
-    elif threads < 1:
+    if threads is not None and threads < 1:
         raise ValueError("threads must be >= 1")
     if process == "composed":
         if gamma is None:
@@ -255,7 +292,7 @@ def sample_batch(process: str, params: ProcessParams, t: float, n: int,
                                      rng.child(idx).generator(), gamma)
 
     nchunks = (n + _CHUNK - 1) // _CHUNK
-    workers = min(threads, nchunks)
+    workers = min(threads or nchunks, nchunks, _usable_cpus())
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(run_chunk, range(nchunks)))

@@ -232,13 +232,19 @@ def _ml_waiting_times(nu: float, rate: float, size: int,
     """Waiting times T with Pr{T > t} = E_nu(-rate * t**nu).
 
     Mixture representation T = (E**(1/nu) * S_nu) / rate**(1/nu) with E
-    unit exponential and S_nu one-sided stable; exponential at nu = 1.
+    unit exponential and S_nu one-sided stable, formed in logs from
+    log S_nu; exponential at nu = 1.
     """
     if nu == 1.0:
         return gen.exponential(1.0 / rate, size), 0
     e = gen.standard_exponential(size)
-    s, redraws = sample._stable_unit(nu, size, gen)
-    return e ** (1.0 / nu) * s / rate ** (1.0 / nu), redraws
+    log_s, redraws = sample._log_stable(nu, size, gen)
+    with np.errstate(divide="ignore", over="ignore"):
+        log_w = np.log(e, out=e)
+        log_w -= math.log(rate)
+        log_w *= 1.0 / nu
+        log_w += log_s
+        return np.exp(log_w, out=log_w), redraws
 
 
 def renewal_batch(params: ProcessParams, t: float, n: int,

@@ -306,15 +306,15 @@ def test_min_uniform_draws_one_stream_per_u(capsys, monkeypatch):
 
 
 def test_sample_meta_reports_redraws(capsys, monkeypatch):
-    stable_unit = sample._stable_unit
+    log_stable = sample._log_stable
     redraws = []
 
     def one_more(gamma, size, gen):
-        s, rd = stable_unit(gamma, size, gen)
+        log_s, rd = log_stable(gamma, size, gen)
         redraws.append(rd + 1)
-        return s, rd + 1
+        return log_s, rd + 1
 
-    monkeypatch.setattr(sample, "_stable_unit", one_more)
+    monkeypatch.setattr(sample, "_log_stable", one_more)
     code, out, _ = run_cli(capsys, "sample", "--process", "space-time",
                            "--lambda", "1", "--alpha", "0.5", "--nu", "0.7",
                            "--t", "1", "--n", "10", "--seed", "0",
@@ -322,6 +322,18 @@ def test_sample_meta_reports_redraws(capsys, monkeypatch):
     assert code == 0
     assert len(redraws) == 2
     assert json.loads(out)["meta"]["redraws"] == sum(redraws)
+
+
+def test_sample_meta_reports_capped(capsys):
+    """At alpha = .05 about a tenth of the counts sit at the cap 2**62, and
+    the JSON meta counts them."""
+    code, out, _ = run_cli(capsys, "sample", "--process", "space",
+                           "--lambda", "1", "--alpha", "0.05", "--t", "1",
+                           "--n", "2000", "--seed", "5", "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    capped = sum(row["count"] == 2 ** 62 for row in doc["rows"])
+    assert doc["meta"]["capped"] == capped > 0
 
 
 @pytest.mark.parametrize("flag, value", [

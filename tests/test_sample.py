@@ -94,7 +94,8 @@ def test_stable_laplace_transform():
     gen = RngStream(5).generator()
     n = 200_000
     for gamma in (0.4, 0.7):
-        s, _ = sample._stable_unit(gamma, n, gen)
+        log_s, _ = sample._log_stable(gamma, n, gen)
+        s = np.exp(log_s)
         for z in (0.5, 1.0, 2.0):
             y = np.exp(-z * s)
             target = math.exp(-z ** gamma)
@@ -103,41 +104,78 @@ def test_stable_laplace_transform():
 
 
 def test_stable_unit_is_kanter_of_first_draws():
-    """Without a rejection the output is Kanter's formula applied to the
-    stream's first random and standard_exponential draws, in that order."""
+    """Without a redraw the output is the log of Kanter's formula applied to
+    the stream's first random and standard_exponential draws, in that
+    order.  The log-space form with half-angle tangents rounds differently
+    from the sines, so exp(log S) matches to a relative 1e-13."""
     g, n = 0.7, 10_000
-    s, redraws = sample._stable_unit(g, n, RngStream(3).generator())
+    log_s, redraws = sample._log_stable(g, n, RngStream(3).generator())
     gen = RngStream(3).generator()
     u = gen.random(n)
     e = gen.standard_exponential(n)
     ref = (np.sin(g * math.pi * u) / np.sin(math.pi * u) ** (1.0 / g)
            * (np.sin((1.0 - g) * math.pi * u) / e) ** ((1.0 - g) / g))
     assert redraws == 0
-    assert np.array_equal(s, ref)
+    np.testing.assert_allclose(np.exp(log_s), ref, rtol=1e-13, atol=0)
+
+
+class _FirstUniformZero:
+    """A generator whose first uniform draw is 0; every draw is gen's."""
+
+    def __init__(self, gen):
+        self.gen = gen
+        self.first = True
+
+    def random(self, size):
+        u = self.gen.random(size)
+        if self.first:
+            u[0], self.first = 0.0, False
+        return u
+
+    def standard_exponential(self, size):
+        return self.gen.standard_exponential(size)
 
 
 def test_stable_unit_redraws_overflow():
-    """At gamma = .01 about 1e-3 of the draws exceed 1e300 and are drawn
-    again; what is returned is finite and in (0, 1e300]."""
-    s, redraws = sample._stable_unit(0.01, 20_000, RngStream(4).generator())
-    assert redraws > 0
-    assert np.isfinite(s).all()
-    assert (s > 0.0).all() and (s <= 1e300).all()
+    """u = 0 makes log S non-finite (log sin 0 = -inf), and only that entry
+    is drawn again; the heavy tail itself is kept (see
+    test_stable_heavy_tail_is_kept)."""
+    log_s, redraws = sample._log_stable(
+        0.01, 20_000, _FirstUniformZero(RngStream(4).generator()))
+    ref, ref_redraws = sample._log_stable(0.01, 20_000,
+                                          RngStream(4).generator())
+    assert redraws == 1 and ref_redraws == 0
+    assert np.isfinite(log_s).all()
+    assert np.array_equal(log_s[1:], ref[1:])
+
+
+def test_stable_heavy_tail_is_kept():
+    """Over 1e6 draws at g = .01 the number of S above 1e300 lies within 4
+    sigma of the exact tail, about 1e-3, from the convergent series
+    Pr{S > x} = sum_k (-1)**(k+1) Gamma(g k) sin(pi g k) x**(-g k) / (pi k!).
+    A sampler that rejects draws above 1e300 gives 0."""
+    g, n, log_x = 0.01, 10 ** 6, math.log(1e300)
+    log_s, _ = sample._log_stable(g, n, RngStream(8).generator())
+    tail = sum((-1) ** (k + 1) * math.gamma(g * k) * math.sin(math.pi * g * k)
+               * math.exp(-g * k * log_x) / (math.pi * math.factorial(k))
+               for k in range(1, 30))
+    hits = int(np.count_nonzero(log_s > log_x))
+    assert abs(hits - n * tail) < 4 * math.sqrt(n * tail * (1 - tail))
 
 
 def test_stable_levy_median():
     # LT exp(-z**0.5) is Levy with scale 1/2; median 1/(4*erfcinv(1/2)**2)
     gen = RngStream(9).generator()
-    s, _ = sample._stable_unit(0.5, 200_000, gen)
+    log_s, _ = sample._log_stable(0.5, 200_000, gen)
     target = 0.25 / erfcinv(0.5) ** 2
-    med = np.median(s)
+    med = np.exp(np.median(log_s))
     assert med == pytest.approx(target, rel=0.02)
 
 
 def test_stable_rejects_bad_gamma():
     gen = RngStream(0).generator()
     with pytest.raises(ValueError):
-        sample._stable_unit(1.0, 10, gen)
+        sample._log_stable(1.0, 10, gen)
 
 
 def test_ml_waiting_time_survival():
@@ -212,15 +250,15 @@ def test_time_counts_match_renewal_reference():
 ])
 def test_batch_counts_stable_redraws(monkeypatch, process, params, calls):
     """Every chunk's stable redraws add up in SampleBatch.redraws."""
-    stable_unit = sample._stable_unit
+    log_stable = sample._log_stable
     redraws = []
 
     def one_more(gamma, size, gen):
-        s, rd = stable_unit(gamma, size, gen)
+        log_s, rd = log_stable(gamma, size, gen)
         redraws.append(rd + 1)
-        return s, rd + 1
+        return log_s, rd + 1
 
-    monkeypatch.setattr(sample, "_stable_unit", one_more)
+    monkeypatch.setattr(sample, "_log_stable", one_more)
     batch = sample_batch(process, params, 1.0, sample._CHUNK + 1,
                          RngStream(3),
                          gamma=0.5 if process == "composed" else None)
@@ -251,6 +289,34 @@ def test_batch_default_threads_match_one(process, params, gamma):
                      threads=1)
     assert np.array_equal(a.counts, b.counts)
     assert a.redraws == b.redraws
+
+
+def test_batch_threads_bounded_by_cpus(monkeypatch):
+    """An explicit thread count is capped by the usable CPUs, and the counts
+    stay those of one thread.  The pool is a fake that records max_workers
+    and maps serially, so no thread starts at threads=100_000."""
+    workers = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(sample, "ThreadPoolExecutor", SerialPool)
+    monkeypatch.setattr(sample, "_usable_cpus", lambda: 3)
+    n, params = 5 * sample._CHUNK + 7, ProcessParams(1.0, 0.6)
+    a = sample_batch("space", params, 1.0, n, RngStream(47), threads=100_000)
+    b = sample_batch("space", params, 1.0, n, RngStream(47), threads=1)
+    assert workers == [3]
+    assert np.array_equal(a.counts, b.counts)
 
 
 def test_batch_deterministic_in_seed():
