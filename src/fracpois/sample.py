@@ -161,9 +161,10 @@ def _log_stable(gamma: float, size: int, gen: np.random.Generator):
         log S = log sin(gamma*theta) - log sin(theta) / gamma
                 + (1 - gamma) / gamma * (log sin((1 - gamma)*theta) - log E).
 
-    Each sine is 2*h/(1 + h**2) with h the tangent of the half angle (numpy's
-    float64 tan and log are vectorised, its sin is not); the three factors 2
-    cancel, as the coefficients 1 - 1/gamma + (1 - gamma)/gamma sum to 0.
+    Each sine is 2*h/(1 + h**2) with h the tangent of the half angle (numpy
+    2.4's float64 tan and log are SIMD-vectorised, its sin is not); the
+    three factors 2 cancel, as the coefficients 1 - 1/gamma
+    + (1 - gamma)/gamma sum to 0.
     Nothing overflows, so no draw is rejected: only u = 0 or E = 0 give a
     non-finite log S, and those entries are drawn again, with the redraw
     count returned for diagnostics.

@@ -149,18 +149,38 @@ def test_stable_unit_redraws_overflow():
     assert np.array_equal(log_s[1:], ref[1:])
 
 
+def _stable_tail(g, log_x):
+    """Pr{S_g > x} by the convergent series
+    sum_k (-1)**(k+1) Gamma(g k) sin(pi g k) x**(-g k) / (pi k!)."""
+    return sum((-1) ** (k + 1) * math.gamma(g * k) * math.sin(math.pi * g * k)
+               * math.exp(-g * k * log_x) / (math.pi * math.factorial(k))
+               for k in range(1, 60))
+
+
+def _within_4_sigma(hits, n, p):
+    return abs(hits - n * p) < 4 * math.sqrt(n * p * (1 - p))
+
+
 def test_stable_heavy_tail_is_kept():
     """Over 1e6 draws at g = .01 the number of S above 1e300 lies within 4
-    sigma of the exact tail, about 1e-3, from the convergent series
-    Pr{S > x} = sum_k (-1)**(k+1) Gamma(g k) sin(pi g k) x**(-g k) / (pi k!).
-    A sampler that rejects draws above 1e300 gives 0."""
+    sigma of the exact tail, about 1e-3.  A sampler that rejects draws
+    above 1e300 gives 0."""
     g, n, log_x = 0.01, 10 ** 6, math.log(1e300)
     log_s, _ = sample._log_stable(g, n, RngStream(8).generator())
-    tail = sum((-1) ** (k + 1) * math.gamma(g * k) * math.sin(math.pi * g * k)
-               * math.exp(-g * k * log_x) / (math.pi * math.factorial(k))
-               for k in range(1, 30))
     hits = int(np.count_nonzero(log_s > log_x))
-    assert abs(hits - n * tail) < 4 * math.sqrt(n * tail * (1 - tail))
+    assert _within_4_sigma(hits, n, _stable_tail(g, log_x))
+
+
+def test_batch_capped_fraction_matches_tail():
+    """At lam = t = 1 a space count is capped where S_alpha >= 2**62 (the
+    Poisson spread there is a relative 1e-9), so at alpha = .05 the capped
+    fraction, about 0.107, is the stable tail at 2**62."""
+    g = 0.05
+    batch = sample_batch("space", ProcessParams(1.0, g), 1.0, 200_000,
+                         RngStream(13))
+    assert batch.capped == np.count_nonzero(batch.counts == 2 ** 62)
+    assert _within_4_sigma(batch.capped, batch.n,
+                           _stable_tail(g, 62 * math.log(2)))
 
 
 def test_stable_levy_median():
