@@ -190,6 +190,10 @@ def pmf(params: ProcessParams, t: float, k: int,
     That is the Poisson closed form at nu = 1, and the contour or the
     series at nu < 1, composed with the Sibuya law at alpha < 1 (where a
     negative q_m is raised to 0).  The value is not clamped to [0, 1].
+    Entry k of a longer row, ``pmf_row(params, t, K)[k]`` with K > k, may
+    differ from it in its last digits: the series' stop rule and the
+    contour's node count depend on every entry of the row.  Both lie
+    within their bounds, so they agree within the sum of the two.
     """
     if k < 0:
         raise ValueError("k must be >= 0")

@@ -152,6 +152,14 @@ def _poisson_counts(mu, n: int, gen: np.random.Generator) -> np.ndarray:
     return np.minimum(counts, _COUNT_CAP, out=counts)
 
 
+def _check_order(g: float, name: str) -> None:
+    """A stable order must lie in (0, 1) with 1/g finite: below about
+    5.6e-309 (subnormal doubles) 1/g overflows, so every log S of
+    ``_log_stable`` would be non-finite and drawn again forever."""
+    if not 0 < g < 1 or math.isinf(1.0 / g):
+        raise ValueError(f"{name} must lie in (0, 1), with 1/{name} finite")
+
+
 def _log_stable(gamma: float, size: int, gen: np.random.Generator):
     """log S for one-sided stable draws S with E[exp(-z*S)] = exp(-z**gamma).
 
@@ -167,10 +175,10 @@ def _log_stable(gamma: float, size: int, gen: np.random.Generator):
     + (1 - gamma)/gamma sum to 0.
     Nothing overflows, so no draw is rejected: only u = 0 or E = 0 give a
     non-finite log S, and those entries are drawn again, with the redraw
-    count returned for diagnostics.
+    count returned for diagnostics.  An order whose 1/gamma overflows is
+    a ValueError.
     """
-    if not 0 < gamma < 1:
-        raise ValueError("gamma must lie in (0, 1)")
+    _check_order(gamma, "gamma")
 
     def log_half_sine(h, tmp, e=None):
         """log(sin(2*h) / (2*e)), e = 1 unless given, in place in h; tmp
@@ -264,7 +272,9 @@ def sample_batch(process: str, params: ProcessParams, t: float, n: int,
     Work is split into chunks of _CHUNK counts, chunk i drawn from
     ``rng.child(i)``, so the output is bit-identical for any thread count.
     The chunks run on min(threads, chunks, usable CPUs) threads; ``threads``
-    defaults to the CPUs this process may run on.
+    defaults to the CPUs this process may run on.  Every stable order the
+    process draws at is checked (``_check_order``) before any thread
+    starts.
     """
     if process not in _PROCESSES:
         raise ValueError(f"unknown process {process!r}; expected one of "
@@ -277,14 +287,17 @@ def sample_batch(process: str, params: ProcessParams, t: float, n: int,
     if process == "composed":
         if gamma is None:
             raise ValueError("the composed process requires gamma")
-        if not 0 < gamma < 1:
-            raise ValueError("gamma must lie in (0, 1)")
+        _check_order(gamma, "gamma")
     elif gamma is not None:
         raise ValueError("gamma applies only to the composed process")
     if process == "space" and params.nu != 1.0:
         raise ValueError("the space process requires nu = 1")
     if process == "time" and params.alpha != 1.0:
         raise ValueError("the time process requires alpha = 1")
+    if params.alpha < 1:
+        _check_order(params.alpha, "alpha")
+    if gamma is None and params.nu < 1:
+        _check_order(params.nu, "nu")
 
     def run_chunk(idx: int) -> tuple[np.ndarray, int]:
         lo = idx * _CHUNK

@@ -37,18 +37,20 @@ be cheaper:
   trapezoidal error from the strip of analyticity of the integrand, the
   nodes cut off and the rounding of the node arithmetic.
 
-The router (``_series_cost``, ``_contour_rows``) compares the series'
-predicted length and precision, read off the profile, with the
-contour's node count; rows the series cannot finish within max_terms go
-to the contour, and the series runs wherever the contour declines or
-misses rel_tol.  ``mittag_leffler`` at nu < 1 is row 0 of this row.
+The router turns the series' predicted cost, read off the profile
+(``_series_cost``), into the contour's node budget (``_node_budget``).
+The contour returns a certified row or raises NonConvergence; the series
+runs where the contour raises and the series can finish.
+``mittag_leffler`` at nu < 1 is row 0 of this row.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -469,7 +471,7 @@ def _contour_estimate(x: float, nu: float, kmax: int, n: int):
 
 
 def _contour_rows(kmax: int, factors, x: float, nu: float,
-                  cfg: SeriesConfig, limit: float):
+                  cfg: SeriesConfig, nmax: int):
     """p_k for k = 0..kmax, 0 < nu < 1, from the Laplace transform
 
         int_0^inf e**(-s*t) p_k(t) dt = x**k s**(nu-1) / (s**nu + x)**(k+1)
@@ -485,83 +487,64 @@ def _contour_rows(kmax: int, factors, x: float, nu: float,
     w = 1 + i*u_j, the prime halving j = 0 (the integrand at -u is the
     conjugate of that at u).  So one set of nodes gives the whole row, one
     complex product per node and entry.  Returns (mpf values, mpf bounds,
-    n + 1) or None.
+    n + 1).
 
     The truncation and discretisation errors are bounded by
     ``_contour_error``, the rounding by ``_contour_sum``.
 
     Sizing: each |p_k| is estimated by the rule in doubles
-    (``_contour_estimate``) at m nodes, m = 33 and doubled each round,
+    (``_contour_estimate``) at m nodes, m = 33 and doubled each step,
     each estimate kept once the double sum cancels fewer than 8
     digits and the bound at m (``_contour_error``) is below it; a small m
     resolves the largest entries, whose sums cancel about e**mu, and a
     larger m the smallest.  n starts at the least count that could meet
     rel_tol and grows until the bound at n meets rel_tol/8 of every
     estimate.  The precision is sized from the ratio of each entry's sum
-    of |terms| to rel_tol/8 of its estimate.  The result is kept only when every
-    entry's bound is within rel_tol of its value; one more round then
-    takes the computed values as estimates.  Returns None, before any
-    mpmath work, when the rule's predicted cost, (n + 1) * (kmax + 1 +
-    _CONTOUR_NODE) + _CONTOUR_FIXED products (see ``_series_cost``),
-    reaches ``limit`` or n would exceed cfg.max_terms, and when the bound
-    still misses rel_tol; raises NonConvergence when n would exceed
-    cfg.max_terms and ``limit`` is inf (the series cannot finish).
+    of |terms| to rel_tol/8 of its estimate.  Raises NonConvergence
+    before any work at a sizing step that would need more than ``nmax``
+    nodes (see ``_node_budget``), and when some entry's bound misses
+    rel_tol of its value.
     """
     ltol = math.log(cfg.rel_tol / 8)
     known = np.full(kmax + 1, -np.inf)
     n = max(8, math.ceil(3 / math.pi * (6 - math.log(cfg.rel_tol))))
     m = min(n, 33)
-    sized = {}
+    where = f"(k<={kmax}, nu={nu}, x={x:.6g})"
 
+    @functools.cache
     def size(n):
-        """The bound and the estimate at n nodes, or None where the rule
-        costs ``limit`` or more."""
-        if n > cfg.max_terms and limit == math.inf:
+        """The bound and the estimate at n nodes."""
+        if n > nmax:
             raise NonConvergence(
-                f"contour rule needs more than {cfg.max_terms} nodes "
-                f"(k<={kmax}, nu={nu}, x={x:.6g})")
-        if (n > cfg.max_terms or (n + 1) * (kmax + 1 + _CONTOUR_NODE)
-                + _CONTOUR_FIXED >= limit):
-            return None
-        if n not in sized:
-            sized[n] = (_contour_error(x, nu, kmax, n),
-                        *_contour_estimate(x, nu, kmax, n))
-        return sized[n]
+                f"contour rule needs more than {nmax} nodes {where}")
+        return (_contour_error(x, nu, kmax, n),
+                *_contour_estimate(x, nu, kmax, n))
 
-    for _ in range(2):
-        while not np.all(known > -np.inf):
-            got = size(m)
-            if got is None:
-                return None
-            lerr, lp, lt = got
-            sure = (lp > lt - 18) & (lerr < lp - 1)
-            known[sure] = lp[sure]
-            m *= 2
-        last = None
-        while True:
-            got = size(n)
-            if got is None:
-                return None
-            lerr, _, lt = got
-            short = np.max(lerr - ltol - known)
-            if short <= 0:
-                break
-            # the shortfall falls by about pi/3 a node; take the rate
-            # measured over the last step where there is one
-            rate = 1.0 if last is None else min(2.0, max(
-                0.3, (last[1] - short) / (n - last[0])))
-            last = n, short
-            n += max(2, math.ceil(short / rate))
-        digits = np.max(lt - known - ltol) / _LN2 + math.log2(n + 2 * kmax + 8)
-        vals, lbound = _contour_sum(kmax, factors, nu, n,
-                                    max(64, int(digits) + 16), lerr)
-        lval = _log_mpfs(vals)
-        if np.all(lbound <= math.log(cfg.rel_tol) + lval):
-            with mp.workprec(53):
-                return vals, [mp.exp(b) for b in lbound], n + 1
-        sure = lbound < lval - 1
-        known[sure] = lval[sure]
-    return None
+    while not np.all(known > -np.inf):
+        lerr, lp, lt = size(m)
+        sure = (lp > lt - 18) & (lerr < lp - 1)
+        known[sure] = lp[sure]
+        m *= 2
+    last = None
+    while True:
+        lerr, _, lt = size(n)
+        short = np.max(lerr - ltol - known)
+        if short <= 0:
+            break
+        # the shortfall falls by about pi/3 a node; take the rate
+        # measured over the last step where there is one
+        rate = 1.0 if last is None else min(2.0, max(
+            0.3, (last[1] - short) / (n - last[0])))
+        last = n, short
+        n += max(2, math.ceil(short / rate))
+    digits = np.max(lt - known - ltol) / _LN2 + math.log2(n + 2 * kmax + 8)
+    vals, lbound = _contour_sum(kmax, factors, nu, n,
+                                max(64, int(digits) + 16), lerr)
+    if not np.all(lbound <= math.log(cfg.rel_tol) + _log_mpfs(vals)):
+        raise NonConvergence(
+            f"contour rule missed rel_tol with {n + 1} nodes {where}")
+    with mp.workprec(53):
+        return vals, [mp.exp(b) for b in lbound], n + 1
 
 
 def _gaussian(z, prec: int):
@@ -686,6 +669,19 @@ def _series_cost(profile: np.ndarray, kmax: int, nu: float,
             * (gamma + 0.26 * (kmax + 1)) / 3)
 
 
+def _node_budget(cost: float, kmax: int, cfg: SeriesConfig) -> int:
+    """The most nodes n, up to cfg.max_terms, at which the contour rule
+    over rows 0..kmax costs less than the series' predicted ``cost``:
+    (n + 1) * (kmax + 1 + _CONTOUR_NODE) + _CONTOUR_FIXED contour products
+    (see ``_series_cost``), compared by an exact quotient.  cfg.max_terms
+    where the series cannot finish (``cost`` is inf).
+    """
+    if cost == math.inf:
+        return cfg.max_terms
+    return min(cfg.max_terms, math.ceil((Fraction(cost) - _CONTOUR_FIXED)
+                                        / (kmax + 1 + _CONTOUR_NODE)) - 2)
+
+
 def mittag_leffler(nu: float, x: float, cfg: SeriesConfig | None = None) -> EvalResult:
     """One-parameter Mittag-Leffler function E_nu(x) on the negative axis.
 
@@ -693,9 +689,8 @@ def mittag_leffler(nu: float, x: float, cfg: SeriesConfig | None = None) -> Eval
 
     At nu = 1 the value is exp(x), and x = 0 gives 1 with bound 0.  At
     nu < 1 it is p_0 of the time-fractional row at rate -x,
-    ``wright_psi11_weighted_rows(0, ((-x, 1.0),), nu, cfg)[0]``: the series
-    or the contour rule, whichever the router predicts to be cheaper,
-    certified to cfg.rel_tol.
+    ``wright_psi11_weighted_rows(0, ((-x, 1.0),), nu, cfg)[0]``: the contour
+    rule within its node budget, else the series, certified to cfg.rel_tol.
     """
     if not 0 < nu <= 1:
         raise ValueError("nu must lie in (0, 1]")
@@ -714,15 +709,14 @@ def wright_psi11_weighted_rows(kmax: int, factors, time_nu: float,
     time-fractional Poisson masses with lam**alpha * t**nu = -w, given as
     its exact ``factors`` ((lam, alpha), (t, nu)).
 
-    The row goes to the engine predicted to be cheaper: the series
-    (``_sum_series``), whose cost ``_series_cost`` predicts from the
-    magnitude profile, or the contour rule (``_contour_rows``), which
-    declines before any mpmath work once its own predicted cost reaches
-    the series'.  Rows the series cannot finish within max_terms go to the
-    contour; the series runs where the contour declines or misses rel_tol.
-    Both certify every entry to rel_tol.  The series' division by k!
-    happens in extended precision so rows remain finite doubles even
-    where k! alone would overflow.
+    The row goes to the contour rule (``_contour_rows``) within the node
+    budget that the series' predicted cost (``_series_cost``, read off the
+    magnitude profile) sets (``_node_budget``).  Where the contour raises
+    NonConvergence, the series (``_sum_series``) runs if it can finish
+    within max_terms, and the exception propagates if it cannot.  Both
+    certify every entry to rel_tol.  The series' division by k! happens in
+    extended precision so rows remain finite doubles even where k! alone
+    would overflow.
 
     Where w is 0 in doubles the row is that of x = -w = 0.  If every base
     is positive, x underflowed, and each mass errs by at most
@@ -739,10 +733,14 @@ def wright_psi11_weighted_rows(kmax: int, factors, time_nu: float,
         e = math.ulp(0.0) if all(b > 0 for b, _ in factors) else 0.0
         return [EvalResult(float(k == 0), e, 1) for k in range(kmax + 1)]
     profile, peaks = _kernel_profile(kmax, w, time_nu, cfg.max_terms)
-    rows = _contour_rows(kmax, factors, -w, time_nu, cfg,
-                         _series_cost(profile, kmax, time_nu, cfg))
-    if rows is not None:
-        vals, bounds, terms = rows
+    cost = _series_cost(profile, kmax, time_nu, cfg)
+    try:
+        vals, bounds, terms = _contour_rows(
+            kmax, factors, -w, time_nu, cfg, _node_budget(cost, kmax, cfg))
+    except NonConvergence:
+        if cost == math.inf:
+            raise
+    else:
         return [_to_double(v, b, terms) for v, b in zip(vals, bounds)]
     vals, bounds, terms = _sum_series(
         lambda: _kernel_bases(factors, time_nu), peaks, profile, cfg)

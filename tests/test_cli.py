@@ -187,6 +187,20 @@ def test_nonconvergence_exit_code_2(capsys):
         assert "non-convergence" in err
 
 
+def test_sample_refuses_subnormal_orders(capsys, monkeypatch):
+    """An order whose inverse overflows exits 1 before any draw (the
+    sampler is patched to fail, so a draw fails the test, not hangs it)."""
+    def draw(*args):
+        raise AssertionError("drew")
+
+    monkeypatch.setattr(sample, "_mixed_poisson_counts", draw)
+    code, out, err = run_cli(capsys, "sample", "--process", "space",
+                             "--alpha", "1e-310", "--lambda", "1", "--t",
+                             "1", "--n", "10", "--seed", "1")
+    assert code == 1 and out == ""
+    assert "1/alpha finite" in err
+
+
 def test_min_uniform_honours_max_terms(capsys):
     """The suite's analytic value is bound by --tol/--max-terms like pgf."""
     code, out, err = run_cli(capsys, "verify", "--suite", "min-uniform",

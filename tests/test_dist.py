@@ -75,6 +75,17 @@ def test_pmf_row_consistent_with_scalar():
                                           rel=1e-10)
 
 
+@pytest.mark.parametrize("lam,nu", [(5.0, 0.3), (1.0, 0.7)])
+def test_rows_of_two_lengths_agree_within_their_bounds(lam, nu):
+    """The stop rule and the node count depend on every entry of a row, so
+    entry k of two rows may differ in its last digits, but within the sum
+    of the two bounds."""
+    params = ProcessParams(lam, 1.0, nu)
+    short, long = dist.pmf_row(params, 1.0, 30), dist.pmf_row(params, 1.0, 31)
+    for a, b in zip(short, long):
+        assert abs(a.p - b.p) <= a.abs_error_bound + b.abs_error_bound
+
+
 def test_time_fractional_direct_poisson_case():
     row = dist.pmf_time_fractional_direct(ProcessParams(1.0), 2.0, 3)
     assert row.p == pytest.approx(math.exp(-2.0) * 8.0 / 6.0, rel=1e-13)

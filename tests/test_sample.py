@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -196,6 +197,56 @@ def test_stable_rejects_bad_gamma():
     gen = RngStream(0).generator()
     with pytest.raises(ValueError):
         sample._log_stable(1.0, 10, gen)
+
+
+def _fail(*args, **kwargs):
+    raise AssertionError("called")
+
+
+class _FewDraws:
+    """A generator that serves a few draws and then fails, so that a redraw
+    loop that never ends fails a test instead of hanging it."""
+
+    def __init__(self, gen, draws=8):
+        self.gen = gen
+        self.left = draws
+
+    def __getattr__(self, name):
+        if self.left == 0:
+            raise AssertionError("too many draws")
+        self.left -= 1
+        return getattr(self.gen, name)
+
+
+@pytest.mark.parametrize("g", [1e-310, 5e-324])
+def test_stable_rejects_orders_whose_inverse_overflows(g):
+    """Below about 5.6e-309 1/g overflows and every log S is non-finite:
+    the order is refused before any draw."""
+    gen = _FewDraws(RngStream(0).generator())
+    with pytest.raises(ValueError, match="1/gamma finite"):
+        sample._log_stable(g, 4, gen)
+    assert gen.left == 8
+    rng = SimpleNamespace(generator=lambda: _FewDraws(
+        RngStream(0).generator()), seed=0, stream_id=0)
+    with pytest.raises(ValueError, match="1/gamma finite"):
+        verify.renewal_batch(ProcessParams(1.0, 1.0, g), 1.0, 4, rng)
+    # an order of 1e-300 still draws
+    assert np.isfinite(sample._log_stable(1e-300, 4, gen)[0]).all()
+
+
+@pytest.mark.parametrize("process, params, gamma, name", [
+    ("space", ProcessParams(1.0, 1e-310), None, "alpha"),
+    ("time", ProcessParams(1.0, 1.0, 1e-310), None, "nu"),
+    ("space-time", ProcessParams(1.0, 0.5, 1e-310), None, "nu"),
+    ("composed", ProcessParams(1.0, 0.5), 1e-310, "gamma"),
+    ("composed", ProcessParams(1.0, 1e-310), 0.5, "alpha"),
+])
+def test_sample_batch_checks_orders_before_drawing(monkeypatch, process,
+                                                   params, gamma, name):
+    """Every order the process draws at is checked before any chunk."""
+    monkeypatch.setattr(sample, "_mixed_poisson_counts", _fail)
+    with pytest.raises(ValueError, match=f"1/{name} finite"):
+        sample_batch(process, params, 1.0, 10, RngStream(0), gamma=gamma)
 
 
 def test_ml_waiting_time_survival():

@@ -350,7 +350,7 @@ def test_contour_bounds_hold_at_exact_argument(monkeypatch):
     monkeypatch.undo()
     x = -special_fn._argument_double(factors)
     vals, bounds, _ = special_fn._contour_rows(30, factors, x, 0.3, cfg,
-                                               math.inf)
+                                               cfg.max_terms)
     with mp.workdps(60):
         for k in (0, 1, 15, 30):
             assert bounds[k] <= 1e-20 * abs(vals[k])
@@ -363,7 +363,7 @@ def test_contour_sizes_tight_tolerances():
     sized and certified, here where the series cannot run at all."""
     factors, cfg = ((20.0, 1.0), (1.0, 0.3)), SeriesConfig(rel_tol=1e-40)
     vals, bounds, _ = special_fn._contour_rows(5, factors, 20.0, 0.3, cfg,
-                                               math.inf)
+                                               cfg.max_terms)
     with mp.workdps(60):
         for k in (0, 5):
             assert bounds[k] <= 1e-40 * abs(vals[k])
@@ -386,6 +386,69 @@ def test_router_keeps_short_series(monkeypatch):
         monkeypatch.setattr(special_fn, name, _fail)
     rows = pmf_row(ProcessParams(1.0, 1.0, 0.5), 5.0, 30)
     assert len(rows) == 31
+
+
+def _refuse(*args):
+    raise NonConvergence("refused")
+
+
+def test_contour_raises_beyond_its_node_budget(monkeypatch):
+    """A budget below the first node count raises before any sizing."""
+    for name in ("_contour_error", "_contour_estimate", "_contour_sum"):
+        monkeypatch.setattr(special_fn, name, _fail)
+    with pytest.raises(NonConvergence, match="more than 20 nodes"):
+        special_fn._contour_rows(30, ((5.0, 1.0), (1.0, 0.3)), 5.0, 0.3,
+                                 special_fn.DEFAULT_CONFIG, 20)
+
+
+@settings(max_examples=200, deadline=None)
+@given(cost=st.floats(0.0, 1e8), kmax=st.integers(0, 200))
+def test_node_budget_is_the_most_nodes_below_the_series_cost(cost, kmax):
+    """n + 1 nodes cost (n + 1) * (kmax + 1 + _CONTOUR_NODE) +
+    _CONTOUR_FIXED products; the budget is the largest n below ``cost``,
+    capped at max_terms, and max_terms where the series cannot finish."""
+    cfg = special_fn.DEFAULT_CONFIG
+    assert special_fn._node_budget(math.inf, kmax, cfg) == cfg.max_terms
+
+    def price(n):
+        return ((n + 1) * (kmax + 1 + special_fn._CONTOUR_NODE)
+                + special_fn._CONTOUR_FIXED)
+
+    nmax = special_fn._node_budget(cost, kmax, cfg)
+    assert nmax <= cfg.max_terms
+    assert nmax < 0 or price(nmax) < cost
+    assert nmax == cfg.max_terms or price(nmax + 1) >= cost
+
+
+def test_router_falls_back_to_the_series(monkeypatch, series_rows):
+    """The (5, 1, .7) row goes to the contour, 34 nodes; where the contour
+    raises, the series, which finishes in about 20 ms, gives the row."""
+    factors = ((5.0, 1.0), (1.0, 0.7))
+    assert wright_psi11_weighted_rows(30, factors, 0.7)[0].terms_used == 34
+    monkeypatch.setattr(special_fn, "_contour_rows", _refuse)
+    rows = wright_psi11_weighted_rows(30, factors, 0.7)
+    sums, _, terms = series_rows(30, factors, 0.7)
+    for k, row in enumerate(rows):
+        assert row.terms_used == terms
+        with mp.workdps(40):
+            ref = (-1) ** k * sums[k] / mp.factorial(k)
+        assert abs(row.value - ref) <= row.abs_error_bound
+
+
+def test_router_reraises_where_the_series_cannot_finish(monkeypatch):
+    """The (1, 1, .5) row at t = 2000 is past the series' max_terms: the
+    contour gets max_terms nodes, and its NonConvergence propagates."""
+    budgets = []
+
+    def refuse(*args):
+        budgets.append(args[-1])
+        _refuse()
+
+    monkeypatch.setattr(special_fn, "_contour_rows", refuse)
+    monkeypatch.setattr(special_fn, "_sum_series", _fail)
+    with pytest.raises(NonConvergence, match="refused"):
+        wright_psi11_weighted_rows(2, ((1.0, 1.0), (2000.0, 0.5)), 0.5)
+    assert budgets == [special_fn.DEFAULT_CONFIG.max_terms]
 
 
 @pytest.mark.parametrize("lam,nu", [(5.0, 0.3), (1.0, 0.7), (0.5, 0.9)])
