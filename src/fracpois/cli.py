@@ -1,17 +1,22 @@
 """Command-line front end: evaluation, sampling and verification.
 
-Exit codes: 0 success, 1 usage error (a bad flag, or a value that the
-library rejects with ValueError), 2 numerical non-convergence,
-3 statistical test failure.  The library checks its own inputs; ``main``
-is the one place where its errors become exit codes 1 and 2, and nothing
-is written on either.  Output is CSV (header row, LF endings) or a
-single JSON object with "meta" and "rows"; floats are printed in their
-shortest round-trip form.
+Exit codes: 0 success, 1 usage error (a bad flag, a value that the
+library rejects with ValueError, or a file that cannot be read or
+written), 2 numerical non-convergence, 3 statistical test failure.  The
+library checks its own inputs; ``main`` is the one place where its errors
+become exit codes 1 and 2, and nothing is written on either.  Output is
+CSV (header row, LF endings) or a single JSON object with "meta" and
+"rows"; floats are printed in their shortest round-trip form.
+
+``main(argv)`` may be called many times in one process: it builds its
+parser on the first call and reuses it, so each later call pays only for
+its own request.  A shell invocation builds the parser once, as before.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -146,6 +151,11 @@ def build_parser() -> _Parser:
     g.add_argument("--tmax", type=float, default=None)
     sp.add_argument("--steps", type=int, default=20)
     return p
+
+
+# argparse keeps no parse state on a parser (each parse_args makes a new
+# Namespace), so main can reuse one; build_parser stays a fresh copy
+_parser = functools.cache(build_parser)
 
 
 def _params(args) -> ProcessParams:
@@ -317,14 +327,14 @@ def cmd_passage(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         handler = {"pmf": cmd_pmf, "pgf": cmd_pgf, "sample": cmd_sample,
                    "verify": cmd_verify, "passage": cmd_passage}[args.command]
         return handler(args)
-    except ValueError as exc:
-        # bad flags, and arguments outside the library's domain
+    except (ValueError, OSError) as exc:
+        # bad flags, arguments outside the library's domain, and files
+        # that cannot be read or written
         print(f"fracpois: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except NonConvergence as exc:

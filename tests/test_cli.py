@@ -257,6 +257,77 @@ def test_output_file(tmp_path, capsys):
     assert text.splitlines()[0] == "k,p,error_bound"
 
 
+def test_unwritable_out_is_usage_error(tmp_path, capsys):
+    """A file that cannot be written is exit 1 with a message, not a
+    traceback, and nothing reaches stdout."""
+    code, out, err = run_cli(capsys, "pmf", "--lambda", "1", "--t", "1",
+                             "--kmax", "3", "--out",
+                             str(tmp_path / "missing" / "x"))
+    assert code == 1 and out == ""
+    assert err.startswith("fracpois: error:") and "No such file" in err
+
+
+def test_unreadable_fixture_is_usage_error(tmp_path, capsys):
+    code, out, err = run_cli(capsys, "verify", "--suite", "oracle",
+                             "--lambda", "1", "--t", "1", "--fixture",
+                             str(tmp_path / "missing"))
+    assert code == 1 and out == ""
+    assert err.startswith("fracpois: error:") and "No such file" in err
+
+
+def test_main_builds_its_parser_once(capsys, monkeypatch):
+    """Three calls construct the parsers of one build_parser() call."""
+    built = []
+    init = cli._Parser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counted)
+    cli.build_parser()
+    one = len(built)
+    built.clear()
+    cli._parser.cache_clear()
+    for _ in range(3):
+        code, _, _ = run_cli(capsys, "pgf", "--alpha", "0.7", "--lambda",
+                             "5", "--t", "1", "--u", "0.6")
+        assert code == 0
+    assert len(built) == one
+
+
+def test_failed_call_leaves_the_next_unchanged(capsys):
+    argv = ("pmf", "--lambda", "5", "--t", "1", "--kmax", "30")
+    first = run_cli(capsys, *argv)
+    assert first[0] == 0
+    # fails after --lambda, --t and --format have been parsed
+    code, out, _ = run_cli(capsys, "pmf", "--lambda", "2", "--t", "3",
+                           "--format", "json", "--kmax", "nan")
+    assert code == 1 and out == ""
+    assert run_cli(capsys, *argv) == first
+
+
+def test_defaults_do_not_carry_over(capsys):
+    argv = ("pmf", "--lambda", "1", "--t", "1", "--kmax", "2")
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0 and set(json.loads(out)) == {"meta", "rows"}
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and out.startswith("k,p,error_bound\n")
+    law = ("--lambda", "1", "--alpha", "0.5", "--t", "1", "--n", "10",
+           "--seed", "1")
+    code, _, _ = run_cli(capsys, "sample", "--process", "composed",
+                         "--gamma", "0.5", *law)
+    assert code == 0
+    # a carried --gamma would make this "gamma applies only to composed"
+    code, _, err = run_cli(capsys, "sample", "--process", "space", *law)
+    assert code == 0, err
+
+
+def test_build_parser_returns_a_fresh_parser():
+    a, b = cli.build_parser(), cli.build_parser()
+    assert a is not b and cli._parser() not in (a, b)
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["--version"])
