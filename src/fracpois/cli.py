@@ -4,7 +4,8 @@ Exit codes: 0 success, 1 usage error (a bad flag, a value that the
 library rejects with ValueError, or a file that cannot be read or
 written), 2 numerical non-convergence, 3 statistical test failure.  The
 library checks its own inputs; ``main`` is the one place where its errors
-become exit codes 1 and 2, and nothing is written on either.  Output is
+become exit codes 1 and 2, and nothing is written on either.  An
+``--out`` file that cannot be opened is exit 1 before any work.  Output is
 CSV (header row, LF endings) or a single JSON object with "meta" and
 "rows"; floats are printed in their shortest round-trip form.
 
@@ -18,6 +19,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 
 import numpy as np
@@ -44,6 +46,16 @@ def _fmt(value):
     if isinstance(value, float):
         return repr(float(value))    # numpy floats repr as np.float64(...)
     return str(value)
+
+
+def _check_out(out):
+    """Raise the OSError of opening the file ``out`` for writing now,
+    before any work.  A file that did not exist is removed again, so that
+    a command that fails later leaves none behind."""
+    existed = os.path.lexists(out)
+    open(out, "a", encoding="utf-8").close()
+    if not existed:
+        os.remove(out)
 
 
 def _write(parts, out):
@@ -331,6 +343,8 @@ def main(argv=None) -> int:
         args = _parser().parse_args(argv)
         handler = {"pmf": cmd_pmf, "pgf": cmd_pgf, "sample": cmd_sample,
                    "verify": cmd_verify, "passage": cmd_passage}[args.command]
+        if args.out:
+            _check_out(args.out)
         return handler(args)
     except (ValueError, OSError) as exc:
         # bad flags, arguments outside the library's domain, and files

@@ -71,8 +71,8 @@ _CONTOUR_STRIPS = (0.2, 0.35, 0.5, 0.65, 0.8, 0.9)
 _CONTOUR_CELLS = 64
 # predicted costs in contour products (see _series_cost): one node, and the
 # sizing of a row
-_CONTOUR_NODE = 70
-_CONTOUR_FIXED = 300
+_CONTOUR_NODE = 40
+_CONTOUR_FIXED = 900
 # bits of each row's summation grid below the working precision, so that
 # truncating a term onto the grid errs by 2**-16 of its rounding allowance
 _GRID_GUARD_BITS = 16
@@ -357,9 +357,17 @@ def _series_length(profile: np.ndarray, rel_tol: float) -> float:
     return rpeak + int(hits[0]) + 4 if hits.size else math.inf
 
 
-def _contour_error(x: float, nu: float, kmax: int, n: int) -> np.ndarray:
+def _rule(n: int) -> tuple[float, float]:
+    """mu and h of the n-node rule of ``_contour_rows``, in doubles."""
+    return math.pi * n / 12, 3.0 / n
+
+
+def _contour_error(x: float, nu: float, kmax: int, n: int,
+                   mu: float | None = None, h: float | None = None
+                   ) -> np.ndarray:
     """Natural log of a bound on |T - p_k|, k = 0..kmax, where T is the
-    n-node rule of ``_contour_rows`` computed exactly, at rate x, order nu.
+    n-node rule with parameters mu and h computed exactly, at rate x, order
+    nu; by default those of ``_contour_rows`` (``_rule``).
 
     In u = v + i*b the integrand g_k(u) = e**s F_k(s) s'(u) / (2*pi*i),
     s = mu*(1 + i*u)**2 = mu*w**2 with w = r + i*v, r = 1 - b, is
@@ -400,7 +408,8 @@ def _contour_error(x: float, nu: float, kmax: int, n: int) -> np.ndarray:
     at least q = (1 + h/un) * exp(-2*mu*un*h) a node, and the sum is
     exp(mu*(1 - un**2)) * (A(un)/x) * q/(1 - q); the lesser is taken.
     """
-    mu, h = math.pi * n / 12, 3.0 / n
+    if mu is None:
+        mu, h = _rule(n)
     k = np.arange(kmax + 1.0)
     lx = math.log(x)
     lcos = math.log(math.cos(nu * math.pi / 2))
@@ -417,8 +426,7 @@ def _contour_error(x: float, nu: float, kmax: int, n: int) -> np.ndarray:
     lden = np.log(np.hypot(am + x * ct, x * st))
     head = (mu * (r * r - v0 * v0) - 0.5 * np.log(q0) + np.log(a1) - lden
             + math.log(span / _CONTOUR_CELLS))
-    lcells = np.array([_log_sums(hd, lx - ld, kmax)[1]
-                       for hd, ld in zip(head, lden)])
+    lcells = _log_sums(head, lx - lden, kmax)[1]
     r = r[:, 0]
     a_end = (mu * (r * r + span * span)) ** nu
     tail = ((mu * (r * r - span * span) - math.log(2 * mu * span)
@@ -442,25 +450,28 @@ def _contour_error(x: float, nu: float, kmax: int, n: int) -> np.ndarray:
 
 def _log_sums(a: np.ndarray, b: np.ndarray, kmax: int):
     """For k = 0..kmax, the natural logs of |sum_i Im exp(a_i + k*b_i)| and
-    of sum_i |exp(a_i + k*b_i)|, over 1-D arrays a and b (complex logs of
-    terms), each k scaled by its largest term; in blocks of k that keep
-    each matrix within 2**18 entries."""
+    of sum_i |exp(a_i + k*b_i)|, over the last axis i of arrays a and b
+    (complex logs of terms; leading axes are kept, k becomes the last),
+    each k scaled by its largest term; in blocks of k that keep each array
+    within 2**18 entries."""
     step = max(1, 2 ** 18 // a.size)
     im, ab = [], []
     for lo in range(0, kmax + 1, step):
-        t = a[:, None] + b[:, None] * np.arange(lo, min(kmax + 1, lo + step))
-        top = t.real.max(axis=0)
-        e = np.exp(t - top)
+        t = a[..., None] + b[..., None] * np.arange(lo, min(kmax + 1,
+                                                          lo + step))
+        top = t.real.max(axis=-2)
+        e = np.exp(t - top[..., None, :])
         with np.errstate(divide="ignore"):
-            im.append(top + np.log(np.abs(e.imag.sum(axis=0))))
-        ab.append(top + np.log(np.abs(e).sum(axis=0)))
-    return np.concatenate(im), np.concatenate(ab)
+            im.append(top + np.log(np.abs(e.imag.sum(axis=-2))))
+        ab.append(top + np.log(np.abs(e).sum(axis=-2)))
+    return np.concatenate(im, axis=-1), np.concatenate(ab, axis=-1)
 
 
-def _contour_estimate(x: float, nu: float, kmax: int, n: int):
-    """The n-node rule of ``_contour_rows`` in doubles, to size it only:
-    natural logs of |p_k| and of the rule's sum of |terms|, k = 0..kmax."""
-    mu, h = math.pi * n / 12, 3.0 / n
+def _contour_estimate(x: float, nu: float, kmax: int, n: int, mu: float,
+                      h: float):
+    """The n-node trapezoidal rule on the parabola s = mu*(1 + i*u)**2 with
+    step h, in doubles, to size ``_contour_rows`` only: natural logs of
+    |p_k| and of the rule's sum of |terms|, k = 0..kmax."""
     w = 1 + 1j * h * np.arange(n + 1)
     s = mu * w * w
     sn = s ** nu
@@ -492,42 +503,78 @@ def _contour_rows(kmax: int, factors, x: float, nu: float,
     The truncation and discretisation errors are bounded by
     ``_contour_error``, the rounding by ``_contour_sum``.
 
-    Sizing: each |p_k| is estimated by the rule in doubles
-    (``_contour_estimate``) at m nodes, m = 33 and doubled each step,
-    each estimate kept once the double sum cancels fewer than 8
-    digits and the bound at m (``_contour_error``) is below it; a small m
-    resolves the largest entries, whose sums cancel about e**mu, and a
-    larger m the smallest.  n starts at the least count that could meet
-    rel_tol and grows until the bound at n meets rel_tol/8 of every
-    estimate.  The precision is sized from the ratio of each entry's sum
-    of |terms| to rel_tol/8 of its estimate.  Raises NonConvergence
-    before any work at a sizing step that would need more than ``nmax``
-    nodes (see ``_node_budget``), and when some entry's bound misses
-    rel_tol of its value.
+    Sizing: each |p_k| is estimated by a rule in doubles
+    (``_contour_estimate``) on m + 1 nodes, m = 33 and doubled each round
+    up to nmax, each estimate kept once the double sum cancels fewer than
+    8 digits and that rule's bound (``_contour_error``) is below it.  A
+    small m resolves the largest entries, whose sums cancel about e**mu;
+    so past m = 33 the estimate keeps mu = pi*33/12 and takes
+    h = (3/33)*sqrt(33/m), which refines the step and moves the cut-off
+    out, to resolve the smallest without cancelling more.  n starts at the
+    least count that could meet rel_tol and grows until the bound of the
+    n-node rule meets rel_tol/8 of every estimate.  The estimates only
+    size the rule: a wrong one costs time, never correctness.  The
+    precision is sized from the ratio of each entry's sum of |terms| at n
+    to rel_tol/8 of its estimate.
+
+    Raises NonConvergence before any work where the first n exceeds the
+    node budget ``nmax`` (see ``_node_budget``).  Before any estimate, it
+    raises where no round can resolve some entry: a kept estimate lies
+    within e**-1 of its rule and above e**-18 of its sum of |terms|, so
+    |p_k| then exceeds e**-18.5 of the rule's j = 0 term; and p_k, a
+    mixture of Poisson masses at the means x*Y with E[Y**k] =
+    k!/Gamma(nu*k + 1), is at most min(max_y e**-y * y**k / k!,
+    x**k / Gamma(nu*k + 1)) <= 1/sqrt(2*pi*k) (1 at k = 0).  Then it
+    raises where the rounds leave an entry unresolved or n would pass
+    nmax, and where some entry's bound misses rel_tol of its value.
     """
     ltol = math.log(cfg.rel_tol / 8)
     known = np.full(kmax + 1, -np.inf)
     n = max(8, math.ceil(3 / math.pi * (6 - math.log(cfg.rel_tol))))
-    m = min(n, 33)
     where = f"(k<={kmax}, nu={nu}, x={x:.6g})"
 
     @functools.cache
-    def size(n):
-        """The bound and the estimate at n nodes."""
+    def bound(n, mu, h):
         if n > nmax:
             raise NonConvergence(
                 f"contour rule needs more than {nmax} nodes {where}")
-        return (_contour_error(x, nu, kmax, n),
-                *_contour_estimate(x, nu, kmax, n))
+        return _contour_error(x, nu, kmax, n, mu, h)
 
-    while not np.all(known > -np.inf):
-        lerr, lp, lt = size(m)
-        sure = (lp > lt - 18) & (lerr < lp - 1)
-        known[sure] = lp[sure]
+    @functools.cache
+    def estimate(n, mu, h):
+        return _contour_estimate(x, nu, kmax, n, mu, h)
+
+    bound(n, *_rule(n))         # raises at once if n is past the budget
+    rounds = []
+    m = min(n, 33)
+    while m <= nmax:
+        rounds.append((m, *_rule(m)) if m < 33 else (
+            m, math.pi * 33 / 12, 3 / 33 * math.sqrt(33 / m)))
         m *= 2
+    # no round resolves an entry whose ceiling lies e**-19 below every
+    # round's j = 0 term
+    k = np.arange(kmax + 1.0)
+    ceiling = np.minimum(-0.5 * np.log(np.maximum(2 * math.pi * k, 1)),
+                         k * math.log(x) - _lgamma(nu * k + 1))
+    lead = np.min([mu + nu * math.log(mu) + math.log(h / math.pi)
+                   + (k + 1) * math.log(x / (mu ** nu + x)) - math.log(x)
+                   for _, mu, h in rounds], axis=0)
+    if np.any(ceiling < lead - 19):
+        raise NonConvergence(
+            f"contour rule cannot size p_k for k >= "
+            f"{np.argmax(ceiling < lead - 19)} within {nmax} nodes {where}")
+    for m, mu, h in rounds:
+        lp, lt = estimate(m, mu, h)
+        sure = (lp > lt - 18) & (bound(m, mu, h) < lp - 1)
+        known[sure] = lp[sure]
+        if np.all(known > -np.inf):
+            break
+    else:
+        raise NonConvergence(
+            f"contour rule needs more than {nmax} nodes {where}")
     last = None
     while True:
-        lerr, _, lt = size(n)
+        lerr = bound(n, *_rule(n))
         short = np.max(lerr - ltol - known)
         if short <= 0:
             break
@@ -537,22 +584,113 @@ def _contour_rows(kmax: int, factors, x: float, nu: float,
             0.3, (last[1] - short) / (n - last[0])))
         last = n, short
         n += max(2, math.ceil(short / rate))
+    lt = estimate(n, *_rule(n))[1]
     digits = np.max(lt - known - ltol) / _LN2 + math.log2(n + 2 * kmax + 8)
     vals, lbound = _contour_sum(kmax, factors, nu, n,
                                 max(64, int(digits) + 16), lerr)
     if not np.all(lbound <= math.log(cfg.rel_tol) + _log_mpfs(vals)):
         raise NonConvergence(
             f"contour rule missed rel_tol with {n + 1} nodes {where}")
-    with mp.workprec(53):
-        return vals, [mp.exp(b) for b in lbound], n + 1
+    return vals, [mp.make_mpf(libmp.mpf_exp(libmp.from_float(b), 53))
+                  for b in lbound], n + 1
 
 
-def _gaussian(z, prec: int):
-    """mpc z as (a, b, e), a + i*b = floor of z * 2**-e componentwise, with
-    the larger component kept to prec bits: within 2**(1.5-prec) * |z|."""
-    re, im = z._mpc_
-    e = max(x[2] + x[3] for x in (re, im) if x[1]) - prec
-    return libmp.to_fixed(re, -e), libmp.to_fixed(im, -e), e
+def _fit(a: int, b: int, e: int, bits: int):
+    """(a + i*b) * 2**e as (a', b', e'), a' + i*b' = floor of it times
+    2**-e' componentwise, the larger component kept to ``bits`` bits (and
+    shifted exactly where it is shorter): within 2**(1.5-bits) of its
+    modulus."""
+    sh = max(a.bit_length(), b.bit_length()) - bits
+    if sh >= 0:
+        return a >> sh, b >> sh, e + sh
+    return a << -sh, b << -sh, e + sh
+
+
+def _contour_nodes(factors, nu: float, n: int, prec: int):
+    """c_j and r_j of the n-node rule of ``_contour_rows``, j = 0..n, as
+    Gaussian integers (a, b, e) with prec bits in the larger component
+    (``_fit``), c_0 halved; and eps, a bound on the relative error of each.
+
+    Everything is libmp arithmetic on integers.  u_j = j*h and
+    w_j = 1 + i*u_j are exact dyadic numbers, and x = ``_argument`` at
+    wp = prec + 32 bits.  Per node, with units of 2**-wp and libmp's
+    functions within one unit in the last place (``_fit`` within 2.83):
+
+    * s**nu = exp(nu*(log(mu) + log(1 + u**2))) * cis(2*nu*atan(u)),
+      |s| = mu*(1 + u**2) <= 10*mu.  The exponent errs by at most
+      4*|log|s|| units absolutely, so the modulus by that plus 2; the
+      angle (|theta| < pi) by 3*pi, and cis by that plus 2 for cos_sin
+      and 1.42 for its fixed point; the product by 2.83.  So s**nu is
+      within d = 4*|log mu| + 28 units.
+    * s**nu + x is summed exactly and fitted to wp bits: within
+      (d + 1)/cos(nu*pi/2) + 2.83 units, as x errs by 2**-61 units and
+      |s**nu + x| >= cos(nu*pi/2) * (|s|**nu + x).  w*(s**nu + x) is exact,
+      and its reciprocal conj/norm, floored with K bits so that it keeps
+      more than wp bits, adds one unit.
+    * e**s_j comes from products only, wq = wp + G bits wide: E_0 = e**mu,
+      E_{j+1} = E_j * D_j with D_0 = exp(-mu*h**2) * cis(2*mu*h) and
+      D_{j+1} = D_j * exp(-2*mu*h**2), since s_{j+1} - s_j =
+      -mu*(2j+1)*h**2 + 2i*mu*h.  In units of 2**-wq, E_0 errs by 2,
+      D_0 by 8.3, each step of D by 4.83 and of E by 2.83 more, so E_j
+      by 2 + 11.13*j + 4.83*j*(j-1)/2 <= 2.5*(j+2)**2: with
+      2**G >= 4*(n+2)**2, E_j errs by at most one unit of 2**-wp.
+    * c_j = 2i * E_j * s**nu / (w*(s**nu + x)), the first product fitted
+      to wp bits, and r_j = x*w / (w*(s**nu + x)), the rest exact.
+
+    To first order, c_j and r_j err by at most W = (4*|log mu| + 30) *
+    (1 + 1/cos(nu*pi/2)) + 8 units, below 2**-60 of which the higher
+    orders lie.  The final fit to prec bits adds 2**(1.5-prec), so each
+    is within eps = 2**-prec * (3 + 2**-32 * W) of its exact value.
+    """
+    wp = prec + 32
+    wq = wp + 2 * (n + 2).bit_length() + 2
+    mu, h = _rule(n)
+    with mp.workprec(wp):
+        _, xm, xe, _ = _argument(factors)._mpf_
+    fmu, fh, fnu = map(libmp.from_float, (mu, h, nu))
+    lmu, two_nu = libmp.mpf_log(fmu, wp), libmp.from_float(2 * nu)
+    g = libmp.mpf_neg(libmp.mpf_mul(fmu, libmp.mpf_mul(fh, fh)))
+    _, m, ex, _ = libmp.mpf_exp(fmu, wq)
+    ea, eb, ee = m, 0, ex
+    _, m, ex, _ = libmp.mpf_exp(g, wq)
+    cos, sin = libmp.mpf_cos_sin(libmp.mpf_shift(libmp.mpf_mul(fmu, fh), 1),
+                                 wq)
+    da, db, de = _fit(m * libmp.to_fixed(cos, wq), m * libmp.to_fixed(sin, wq),
+                      ex - wq, wq)
+    _, qm, qe, _ = libmp.mpf_exp(libmp.mpf_shift(g, 1), wq)
+    _, hm, he, _ = fh
+    w0 = 1 << -he                   # w = (w0 + i*w1) * 2**he, he < 0
+    cs, rs = [], []
+    for j in range(n + 1):
+        w1 = j * hm
+        u = libmp.from_man_exp(w1, he)
+        lw = libmp.mpf_log(libmp.from_man_exp(w0 * w0 + w1 * w1, 2 * he), wp)
+        _, m, ex, _ = libmp.mpf_exp(libmp.mpf_mul(
+            fnu, libmp.mpf_add(lmu, lw, wp), wp), wp)
+        cos, sin = libmp.mpf_cos_sin(libmp.mpf_mul(
+            two_nu, libmp.mpf_atan(u, wp), wp), wp)
+        sa, sb, se = _fit(m * libmp.to_fixed(cos, wp),
+                          m * libmp.to_fixed(sin, wp), ex - wp, wp)
+        if xe >= se:
+            a, b, e = _fit(sa + (xm << xe - se), sb, se, wp)
+        else:
+            a, b, e = _fit((sa << se - xe) + xm, sb << se - xe, xe, wp)
+        a, b, e = w0 * a - w1 * b, w0 * b + w1 * a, e + he
+        sh = wp + max(a.bit_length(), b.bit_length()) + 1
+        norm = a * a + b * b
+        ra, rb, re = (a << sh) // norm, (-b << sh) // norm, -e - sh
+        pa, pb, pe = _fit(ea * sa - eb * sb, ea * sb + eb * sa, ee + se, wp)
+        cs.append(_fit(-2 * (pa * rb + pb * ra), 2 * (pa * ra - pb * rb),
+                       pe + re, prec))
+        a, b = xm * w0, xm * w1
+        rs.append(_fit(a * ra - b * rb, a * rb + b * ra, xe + he + re, prec))
+        ea, eb, ee = _fit(ea * da - eb * db, ea * db + eb * da, ee + de, wq)
+        da, db, de = _fit(da * qm, db * qm, de + qe, wq)
+    a, b, e = cs[0]
+    cs[0] = a, b, e - 1
+    worst = ((4 * abs(math.log(mu)) + 30)
+             * (1 + 1 / math.cos(nu * math.pi / 2)) + 8)
+    return cs, rs, 2.0 ** -prec * (3 + 2.0 ** -32 * worst)
 
 
 def _log_abs(a: int, b: int, e: int) -> float:
@@ -573,16 +711,9 @@ def _contour_sum(kmax: int, factors, nu: float, n: int, prec: int,
     values p_k and the natural log of their bounds, given the logs of the
     truncation and discretisation bounds ``lerr``.
 
-    c_j and r_j are formed prec + 32 bits wide.  There s (two roundings a
-    component), e**s (which the error of s moves by 2|s| units), s**nu (a
-    log and an exponential), the sum s**nu + x and the products and
-    quotients err by at most 4|s| + (8 + |log|s||)/cos(nu*pi/2) + 32 units
-    of 2**-(prec+32) relatively: the sum loses at most the factor
-    cos(nu*pi/2) <= |s**nu + x| / (|s|**nu + x), and x errs by
-    2**-(prec+61) (``_argument``).  Each is then floored onto a Gaussian
-    integer times 2**e (``_gaussian``), within 2**(1.5-prec) of its modulus,
-    so within eps = 2**-prec * (3 + 2**-32 * that) of its exact value.  A
-    product is formed exactly and floored back to prec bits in its larger
+    c_j and r_j come from ``_contour_nodes``, each within eps of its exact
+    value (its docstring proves this, the recurrence for e**s included).
+    A product is formed exactly and floored back to prec bits in its larger
     component, again within 2**(1.5-prec), so c_j*r_j**k is within
     expm1((k+1)*eps + 3k*2**-prec) of its value.  Every term keeps prec
     bits in its larger component, so a term with unit 2**e exceeds
@@ -595,19 +726,8 @@ def _contour_sum(kmax: int, factors, nu: float, n: int, prec: int,
     that and ``lerr``, which also covers the evaluation of the bound in
     doubles.
     """
-    mu, h = math.pi * n / 12, 3.0 / n
-    cs, rs = [], []
-    with mp.workprec(prec + 32):
-        xm, num, mum = -_argument(factors), mp.mpf(nu), mp.mpf(mu)
-        for j in range(n + 1):
-            w = mp.mpc(1, j * mp.mpf(h))
-            s = mum * w * w
-            sn = s ** num
-            den = sn + xm
-            cs.append(_gaussian(2j * mp.exp(s) * sn / (w * den), prec))
-            rs.append(_gaussian(xm / den, prec))
-    a, b, e = cs[0]
-    cs[0] = a, b, e - 1
+    h = _rule(n)[1]
+    cs, rs, eps = _contour_nodes(factors, nu, n, prec)
     with mp.workprec(prec):
         f = (mp.mpf(h) / mp.pi)._mpf_
     vals = []
@@ -633,9 +753,6 @@ def _contour_sum(kmax: int, factors, nu: float, n: int, prec: int,
     labs = _log_sums(lc, lr, kmax)[1] + math.log(h / math.pi)
     k = np.arange(kmax + 1.0)
     unit = 2.0 ** -prec
-    worst = (40 * mu + (8 + abs(math.log(mu)) + _LN10)
-             / math.cos(nu * math.pi / 2) + 32)
-    eps = unit * (3 + 2.0 ** -32 * worst)
     lround = labs + np.log(np.expm1((k + 1) * eps + 3 * k * unit)
                            + (n + 1) * 2.0 ** -15 * unit)
     lval = _log_mpfs(vals)
@@ -664,9 +781,9 @@ def _series_cost(profile: np.ndarray, kmax: int, nu: float,
     if rpeak + 3 > cfg.max_terms:
         return math.inf
     dps = max(32, int(profile[rpeak] / _LN10) + 40)
-    gamma = 8 if nu == 0.5 else 40 + dps * dps / 170
+    gamma = 10 if nu == 0.5 else 25 + dps * dps / 240
     return (_series_length(profile, cfg.rel_tol)
-            * (gamma + 0.26 * (kmax + 1)) / 3)
+            * (gamma + 0.52 * (kmax + 1)) / 1.1)
 
 
 def _node_budget(cost: float, kmax: int, cfg: SeriesConfig) -> int:

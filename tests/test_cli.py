@@ -267,6 +267,26 @@ def test_unwritable_out_is_usage_error(tmp_path, capsys):
     assert err.startswith("fracpois: error:") and "No such file" in err
 
 
+def test_unwritable_out_fails_before_the_work(tmp_path, capsys,
+                                             monkeypatch):
+    """The --out path is checked before the command's work runs, and a
+    command that fails after the check leaves no file behind."""
+    def work(*args):
+        raise AssertionError("worked")
+
+    monkeypatch.setattr(dist, "pmf_row", work)
+    code, out, err = run_cli(capsys, "pmf", "--lambda", "1", "--t", "1",
+                             "--kmax", "3", "--out", "/nonexistent/x")
+    assert code == 1 and out == ""
+    assert err.startswith("fracpois: error:") and "No such file" in err
+    monkeypatch.undo()
+    target = tmp_path / "x"
+    code, _, _ = run_cli(capsys, "pmf", "--lambda", "5.0", "--nu", "0.5",
+                         "--t", "1.0", "--kmax", "5", "--max-terms", "5",
+                         "--out", str(target))
+    assert code == 2 and not target.exists()
+
+
 def test_unreadable_fixture_is_usage_error(tmp_path, capsys):
     code, out, err = run_cli(capsys, "verify", "--suite", "oracle",
                              "--lambda", "1", "--t", "1", "--fixture",

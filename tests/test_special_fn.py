@@ -380,11 +380,11 @@ def test_router_sends_costly_series_to_the_contour(monkeypatch):
 
 
 def test_router_keeps_short_series(monkeypatch):
-    """A short series is cheaper than the contour's nodes: the router keeps
-    it without any contour work."""
+    """A short series (85 terms) is cheaper than the contour's nodes: the
+    router keeps it without any contour work."""
     for name in ("_contour_error", "_contour_estimate", "_contour_sum"):
         monkeypatch.setattr(special_fn, name, _fail)
-    rows = pmf_row(ProcessParams(1.0, 1.0, 0.5), 5.0, 30)
+    rows = pmf_row(ProcessParams(1.0, 1.0, 0.5), 1.0, 30)
     assert len(rows) == 31
 
 
@@ -463,3 +463,56 @@ def test_contour_error_terms_hold(lam, nu):
         vals, lbound = special_fn._contour_sum(30, factors, nu, n, prec, lerr)
         for k, ref in refs.items():
             assert abs(vals[k] - ref) <= mp.exp(lbound[k])
+
+
+@pytest.mark.parametrize("nu", [0.05, 0.5, 0.95])
+@pytest.mark.parametrize("x", [1e-3, 1.0, 1e3])
+def test_contour_nodes_hold_their_eps(nu, x):
+    """Each c_j and r_j lies within the per-node eps of the old formulas
+    evaluated on mpc at twice the precision, also at 2000 nodes, where
+    e**s_j comes from 2000 products of the recurrence."""
+    factors = ((x, 1.0),)
+    for n, prec in ((34, 76), (2000, 76), (60, 48)):
+        cs, rs, eps = special_fn._contour_nodes(factors, nu, n, prec)
+        mu, h = special_fn._rule(n)
+        with mp.workprec(2 * prec):
+            xm = -special_fn._argument(factors)
+            for j in sorted({*range(0, n + 1, max(1, n // 40)), n}):
+                w = mp.mpc(1, j * mp.mpf(h))
+                s = mp.mpf(mu) * w * w
+                sn = s ** mp.mpf(nu)
+                c = 2j * mp.exp(s) * sn / (w * (sn + xm)) / (2 if j == 0
+                                                            else 1)
+                for (a, b, e), ref in ((cs[j], c), (rs[j], xm / (sn + xm))):
+                    got = mp.mpc(mp.ldexp(a, e), mp.ldexp(b, e))
+                    assert abs(got - ref) <= eps * abs(ref)
+
+
+@pytest.mark.parametrize("nu,most", [(0.95, 100), (0.99, 200)])
+def test_contour_serves_orders_near_one(nu, most):
+    """Near nu = 1 the row at x = 1000 comes from the contour within a few
+    hundred nodes (its estimate keeps mu fixed past 33 nodes), each checked
+    entry within its bound of Talbot's inversion."""
+    factors = ((1000.0, 1.0), (1.0, nu))
+    rows = wright_psi11_weighted_rows(30, factors, nu)
+    assert rows[0].terms_used <= most
+    for k in (0, 1, 15, 30):
+        with mp.workdps(40):
+            ref = _talbot(factors, nu, k, 40)
+            assert abs(mp.mpf(rows[k].value) - ref) <= rows[k].abs_error_bound
+
+
+@pytest.mark.parametrize("nu", [0.8, 0.85])
+def test_long_rows_near_one_return(nu):
+    rows = pmf_row(ProcessParams(1000.0, 1.0, nu), 1.0, 100)
+    assert len(rows) == 101
+    assert all(r.abs_error_bound <= 2e-12 * r.p for r in rows)
+
+
+def test_contour_gives_up_before_sizing(monkeypatch):
+    """Past k ~ 110 no estimate in doubles at x = 1 resolves p_k within
+    10**4 nodes, and the series cannot finish: the row raises before any
+    estimate."""
+    monkeypatch.setattr(special_fn, "_contour_estimate", _fail)
+    with pytest.raises(NonConvergence, match="cannot size"):
+        pmf_row(ProcessParams(1.0, 0.5, 0.5), 1.0, 10 ** 4)
