@@ -33,9 +33,12 @@ be cheaper:
   parabolic Bromwich contour for the Laplace transform
   x**k s**(nu-1) / (s**nu + x)**(k+1) of p_k, x = -w.  One set of nodes
   gives the whole row, a complex product per node and entry, at a
-  modest precision and with no gamma function.  Its bound adds the
-  trapezoidal error from the strip of analyticity of the integrand, the
-  nodes cut off and the rounding of the node arithmetic.
+  modest precision and with no gamma function.  The nodes
+  (``_contour_nodes``) are libmp and Gaussian-integer arithmetic: e**s
+  by a product recurrence over the nodes, s**nu from one log, atan, exp
+  and cos_sin each.  Doubles size the rule (``_contour_estimate``).  Its
+  bound adds the trapezoidal error from the strip of analyticity of the
+  integrand, the nodes cut off and the rounding of the node arithmetic.
 
 The router turns the series' predicted cost, read off the profile
 (``_series_cost``), into the contour's node budget (``_node_budget``).
@@ -399,7 +402,7 @@ def _contour_error(x: float, nu: float, kmax: int, n: int,
     each edge Im u = +-a its own integral) bound the error of the infinite
     rule by (M_{1+a} + M_{1-a}) / (exp(2*pi*a/h) - 1) for any a < 1; the
     least over the half-widths _CONTOUR_STRIPS is taken.  The nodes cut off,
-    |u| > un = n*h = 3, add at most 2*h * sum_{j>n} |g_k(j*h)|, where
+    |u| > un = n*h (3 by default), add at most 2*h * sum_{j>n} |g_k(j*h)|, where
     |g_k(u)| <= exp(mu*(1 - u**2)) * rho**k * min(1, A(u)/x) /
     (pi*u*c**(k+1)), rho = x/(A(un) + x).  With the factor 1 the terms
     fall by at least exp(-2*mu*un*h) a node, and the sum is
@@ -766,16 +769,19 @@ def _series_cost(profile: np.ndarray, kmax: int, nu: float,
     the profile of the last row, in units of one contour product; inf
     where the series would not stop within cfg.max_terms.
 
-    Measured on a 2-CPU host (Python 3.11, mpmath 1.3 with its pure-Python
-    backend): a product of two Gaussian integers of about 130 bits with
-    its renormalisation (``_contour_sum``) takes about 3 us.  A series term
-    costs its rgamma at dps digits, 40 + dps**2/170 us (47 us at 32 digits,
-    310 us at 217; 8 us at nu = 1/2, where mpmath has a closed form for
-    half-integers), plus 0.26 us for each of its kmax + 1 integer row
-    updates.  A contour node (its exponential, power and quotients at
-    prec + 32 bits) takes about 200 us, _CONTOUR_NODE products, and the
-    sizing of a contour row (``_contour_error``, ``_contour_estimate``)
-    about 1 ms, _CONTOUR_FIXED.
+    Measured in-process on a 2-CPU host (Python 3.11, mpmath 1.3 with its
+    pure-Python backend; best of 5, three runs; the script is in
+    BENCH_20.json): a contour product, a product of two Gaussian integers
+    of about 76 bits with its renormalisation and its share of the row
+    sum (``_contour_sum``), takes about 1.1 us.  A series term costs its
+    base w**r * rgamma(nu*r + 1) at dps digits, 25 + dps**2/240 us (26-41
+    us at 32 digits, 156-240 us at 217; 8-11 us at nu = 1/2, where mpmath
+    has a closed form for half-integers), plus 0.52 us for each of its
+    kmax + 1 integer row updates.  A contour node (``_contour_nodes`` at
+    76 bits) takes 36-56 us, _CONTOUR_NODE products, and the sizing of a
+    contour row (``_contour_error``, ``_contour_estimate``) about 1 ms at
+    kmax = 30 (0.44 ms at kmax = 0), _CONTOUR_FIXED.  Only the ratios
+    matter: on a busier host all of them slowed alike.
     """
     rpeak = int(np.argmax(profile))
     if rpeak + 3 > cfg.max_terms:
