@@ -17,6 +17,7 @@ its own request.  A shell invocation builds the parser once, as before.
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import json
 import os
@@ -49,13 +50,20 @@ def _fmt(value):
 
 
 def _check_out(out):
-    """Raise the OSError of opening the file ``out`` for writing now,
-    before any work.  A file that did not exist is removed again, so that
-    a command that fails later leaves none behind."""
-    existed = os.path.lexists(out)
-    open(out, "a", encoding="utf-8").close()
-    if not existed:
-        os.remove(out)
+    """Raise, before any work, the OSError that opening the file ``out``
+    for writing would raise where its folder is missing, where it is a
+    folder or where it may not be written.  It creates nothing, so a
+    command that fails later leaves no file behind."""
+    folder = os.path.dirname(out) or "."
+    if not os.path.isdir(folder):
+        code = errno.ENOENT
+    elif os.path.isdir(out):
+        code = errno.EISDIR
+    elif not os.access(out if os.path.exists(out) else folder, os.W_OK):
+        code = errno.EACCES
+    else:
+        return
+    raise OSError(code, os.strerror(code), out)
 
 
 def _write(parts, out):

@@ -401,11 +401,12 @@ def _contour_error(x: float, nu: float, kmax: int, n: int,
     Trefethen & Weideman (SIAM Rev. 56, 2014, Thm 5.1; its proof charges
     each edge Im u = +-a its own integral) bound the error of the infinite
     rule by (M_{1+a} + M_{1-a}) / (exp(2*pi*a/h) - 1) for any a < 1; the
-    least over the half-widths _CONTOUR_STRIPS is taken.  The nodes cut off,
-    |u| > un = n*h (3 by default), add at most 2*h * sum_{j>n} |g_k(j*h)|, where
-    |g_k(u)| <= exp(mu*(1 - u**2)) * rho**k * min(1, A(u)/x) /
-    (pi*u*c**(k+1)), rho = x/(A(un) + x).  With the factor 1 the terms
-    fall by at least exp(-2*mu*un*h) a node, and the sum is
+    least over the half-widths _CONTOUR_STRIPS is taken.  The nodes cut
+    off, |u| > un = n*h (3 by default), add at most
+    2*h * sum_{j>n} |g_k(j*h)|, where |g_k(u)| <= exp(mu*(1 - u**2)) *
+    rho**k * min(1, A(u)/x) / (pi*u*c**(k+1)), rho = x/(A(un) + x).
+    With the factor 1 the terms fall by at least exp(-2*mu*un*h) a node,
+    and the sum is
     exp(mu*(1 - un**2)) / expm1(2*mu*un*h) times the rest at un.  With
     A(u)/x, A(u) <= A(un) * (u/un)**2, so the terms times u/un fall by
     at least q = (1 + h/un) * exp(-2*mu*un*h) a node, and the sum is
@@ -616,19 +617,21 @@ def _contour_nodes(factors, nu: float, n: int, prec: int):
 
     Everything is libmp arithmetic on integers.  u_j = j*h and
     w_j = 1 + i*u_j are exact dyadic numbers, and x = ``_argument`` at
-    wp = prec + 32 bits.  Per node, with units of 2**-wp and libmp's
-    functions within one unit in the last place (``_fit`` within 2.83):
+    wp = prec + 32 bits.  Per node, in units of 2**-wp relatively, each
+    libmp result errs by less than one unit in its last place, so by 2
+    units, and ``_fit`` by 2.83:
 
     * s**nu = exp(nu*(log(mu) + log(1 + u**2))) * cis(2*nu*atan(u)),
-      |s| = mu*(1 + u**2) <= 10*mu.  The exponent errs by at most
-      4*|log|s|| units absolutely, so the modulus by that plus 2; the
-      angle (|theta| < pi) by 3*pi, and cis by that plus 2 for cos_sin
-      and 1.42 for its fixed point; the product by 2.83.  So s**nu is
-      within d = 4*|log mu| + 28 units.
+      |s| = mu*(1 + u**2) <= 10*mu, mu > 1 (n >= 4).  The two logs,
+      their sum and the product with nu err by at most 6*log|s| units
+      absolutely, so the modulus by that plus 2; the angle
+      (|theta| < pi) by 4*pi, and cis by that plus 2 for cos_sin and
+      1.42 for its fixed point; the product by 2.83.  So s**nu is within
+      d = 6*log(mu) + 35 units.
     * s**nu + x is summed exactly and fitted to wp bits: within
       (d + 1)/cos(nu*pi/2) + 2.83 units, as x errs by 2**-61 units and
       |s**nu + x| >= cos(nu*pi/2) * (|s|**nu + x).  w*(s**nu + x) is exact,
-      and its reciprocal conj/norm, floored with K bits so that it keeps
+      and its reciprocal conj/norm, floored after a shift that leaves it
       more than wp bits, adds one unit.
     * e**s_j comes from products only, wq = wp + G bits wide: E_0 = e**mu,
       E_{j+1} = E_j * D_j with D_0 = exp(-mu*h**2) * cis(2*mu*h) and
@@ -640,7 +643,7 @@ def _contour_nodes(factors, nu: float, n: int, prec: int):
     * c_j = 2i * E_j * s**nu / (w*(s**nu + x)), the first product fitted
       to wp bits, and r_j = x*w / (w*(s**nu + x)), the rest exact.
 
-    To first order, c_j and r_j err by at most W = (4*|log mu| + 30) *
+    To first order, c_j and r_j err by at most W = (6*log(mu) + 36) *
     (1 + 1/cos(nu*pi/2)) + 8 units, below 2**-60 of which the higher
     orders lie.  The final fit to prec bits adds 2**(1.5-prec), so each
     is within eps = 2**-prec * (3 + 2**-32 * W) of its exact value.
@@ -691,7 +694,7 @@ def _contour_nodes(factors, nu: float, n: int, prec: int):
         da, db, de = _fit(da * qm, db * qm, de + qe, wq)
     a, b, e = cs[0]
     cs[0] = a, b, e - 1
-    worst = ((4 * abs(math.log(mu)) + 30)
+    worst = ((6 * math.log(mu) + 36)
              * (1 + 1 / math.cos(nu * math.pi / 2)) + 8)
     return cs, rs, 2.0 ** -prec * (3 + 2.0 ** -32 * worst)
 
