@@ -11,39 +11,38 @@ the Sibuya law, which cancels nothing).  With k = 0 this is the
 one-parameter Mittag-Leffler series E_nu(w).  The row serves
 0 < nu < 1 (at nu = 1 every law has a Poisson closed form).  It takes w
 as its exact factors and forms it in its working precision, so its
-certificates hold at the exact argument.  Two engines compute it, and
-``wright_psi11_weighted_rows`` routes each row to the one predicted to
-be cheaper:
+certificates hold at the exact argument.  Two engines compute it:
 
-* the series engine (``_sum_series`` over ``_kernel_bases``).  The
-  series alternate and the intermediate terms can be many orders of
-  magnitude larger than the sum.  A cheap double-precision profile of
-  the term magnitudes (``_kernel_profile``) sizes the mpmath working
-  precision of the k-independent factors w**r / Gamma(nu*r + 1) and
-  places, for each row k, a fixed-point grid just below the row's peak
-  term.  Everything else is exact Python-integer arithmetic: each term
-  is the integer mantissa of its factor times the integer falling
-  factorial, truncated onto its row's grid and summed exactly.  The
-  engine stops once the geometric tail is within rel_tol (tested in
-  integers) and redoes the sum with more digits when the cancellation it
-  measures outruns the precision.  The bound is the tail plus a rounding
-  term derived from that arithmetic.  ``_sum_series`` also sums the
-  direct time-fractional form in ``dist``.
-* the contour engine (``_contour_rows``): the trapezoidal rule on a
+* the contour engine (``_contour_rows``), which
+  ``wright_psi11_weighted_rows`` runs first: the trapezoidal rule on a
   parabolic Bromwich contour for the Laplace transform
   x**k s**(nu-1) / (s**nu + x)**(k+1) of p_k, x = -w.  One set of nodes
   gives the whole row, a complex product per node and entry, at a
   modest precision and with no gamma function.  The nodes
   (``_contour_nodes``) are libmp and Gaussian-integer arithmetic: e**s
   by a product recurrence over the nodes, s**nu from one log, atan, exp
-  and cos_sin each.  Doubles size the rule (``_contour_estimate``).  Its
-  bound adds the trapezoidal error from the strip of analyticity of the
-  integrand, the nodes cut off and the rounding of the node arithmetic.
+  and cos_sin each, the parts free of x cached per order, node count and
+  precision (``_x_free_nodes``).  Doubles size the rule
+  (``_contour_estimate``).  Its bound adds the trapezoidal error from the
+  strip of analyticity of the integrand, the nodes cut off and the
+  rounding of the node arithmetic.  It returns a certified row or raises
+  NonConvergence.
+* the series engine (``_sum_series`` over ``_kernel_bases``), which runs
+  where the contour raises and the series can finish.  The series
+  alternate and the intermediate terms can be many orders of magnitude
+  larger than the sum.  A cheap double-precision profile of the term
+  magnitudes (``_kernel_profile``) sizes the mpmath working precision of
+  the k-independent factors w**r / Gamma(nu*r + 1) and places, for each
+  row k, a fixed-point grid just below the row's peak term.  Everything
+  else is exact Python-integer arithmetic: each term is the integer
+  mantissa of its factor times the integer falling factorial, truncated
+  onto its row's grid and summed exactly.  The engine stops once the
+  geometric tail is within rel_tol (tested in integers) and redoes the
+  sum with more digits when the cancellation it measures outruns the
+  precision.  The bound is the tail plus a rounding term derived from
+  that arithmetic.  ``_sum_series`` also sums the direct time-fractional
+  form in ``dist``.
 
-The router turns the series' predicted cost, read off the profile
-(``_series_cost``), into the contour's node budget (``_node_budget``).
-The contour returns a certified row or raises NonConvergence; the series
-runs where the contour raises and the series can finish.
 ``mittag_leffler`` at nu < 1 is row 0 of this row.
 """
 
@@ -53,7 +52,6 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -72,10 +70,6 @@ _PRESCAN_DROP = 250.0
 # error bounds are compared, and cells per edge integral in _contour_error
 _CONTOUR_STRIPS = (0.2, 0.35, 0.5, 0.65, 0.8, 0.9)
 _CONTOUR_CELLS = 64
-# predicted costs in contour products (see _series_cost): one node, and the
-# sizing of a row
-_CONTOUR_NODE = 40
-_CONTOUR_FIXED = 900
 # bits of each row's summation grid below the working precision, so that
 # truncating a term onto the grid errs by 2**-16 of its rounding allowance
 _GRID_GUARD_BITS = 16
@@ -87,7 +81,9 @@ class NonConvergence(ArithmeticError):
 
 @dataclass(frozen=True)
 class SeriesConfig:
-    """Truncation policy for the series evaluators."""
+    """Truncation policy for the series evaluators: the tolerance relative
+    to each value, and the most terms a series, or nodes a contour rule,
+    may take."""
 
     rel_tol: float = 1e-12
     max_terms: int = 10_000
@@ -436,7 +432,7 @@ def _contour_error(x: float, nu: float, kmax: int, n: int,
     tail = ((mu * (r * r - span * span) - math.log(2 * mu * span)
              - 0.5 * np.log(r * r + span * span) - lcos
              + np.minimum(0.0, np.log(a_end) - lx))[:, None]
-            + (np.log(x / (a_end + x))[:, None] - lcos) * k)
+            + (lx - np.log(a_end + x)[:, None] - lcos) * k)
     edge = np.logaddexp(lcells, tail) + math.log(2 / math.pi)
     s = len(_CONTOUR_STRIPS)
     z = 2 * math.pi * a / h         # log(expm1(z)), kept finite
@@ -448,7 +444,7 @@ def _contour_error(x: float, nu: float, kmax: int, n: int,
     geom = min(-math.log(math.expm1(2 * mu * un * h)),
                math.log(a_un) - lx + math.log(q) - math.log1p(-q))
     cut = (math.log(2 * h / math.pi) + mu * (1 - un * un) - math.log(un)
-           + geom - lcos + (math.log(x / (a_un + x)) - lcos) * k)
+           + geom - lcos + (lx - math.log(a_un + x) - lcos) * k)
     return np.logaddexp(disc, cut)
 
 
@@ -481,12 +477,12 @@ def _contour_estimate(x: float, nu: float, kmax: int, n: int, mu: float,
     sn = s ** nu
     lc = s + np.log(2j * sn / w) - np.log(sn + x)
     lc[0] -= _LN2
-    lp, lt = _log_sums(lc, np.log(x / (sn + x)), kmax)
+    lp, lt = _log_sums(lc, math.log(x) - np.log(sn + x), kmax)
     return lp + math.log(h / math.pi), lt + math.log(h / math.pi)
 
 
 def _contour_rows(kmax: int, factors, x: float, nu: float,
-                  cfg: SeriesConfig, nmax: int):
+                  cfg: SeriesConfig):
     """p_k for k = 0..kmax, 0 < nu < 1, from the Laplace transform
 
         int_0^inf e**(-s*t) p_k(t) dt = x**k s**(nu-1) / (s**nu + x)**(k+1)
@@ -509,32 +505,34 @@ def _contour_rows(kmax: int, factors, x: float, nu: float,
 
     Sizing: each |p_k| is estimated by a rule in doubles
     (``_contour_estimate``) on m + 1 nodes, m = 33 and doubled each round
-    up to nmax, each estimate kept once the double sum cancels fewer than
-    8 digits and that rule's bound (``_contour_error``) is below it.  A
-    small m resolves the largest entries, whose sums cancel about e**mu;
-    so past m = 33 the estimate keeps mu = pi*33/12 and takes
+    up to cfg.max_terms, each estimate kept once the double sum cancels
+    fewer than 8 digits and that rule's bound (``_contour_error``) is below
+    it.  A small m resolves the largest entries, whose sums cancel about
+    e**mu; so past m = 33 the estimate keeps mu = pi*33/12 and takes
     h = (3/33)*sqrt(33/m), which refines the step and moves the cut-off
     out, to resolve the smallest without cancelling more.  n starts at the
     least count that could meet rel_tol and grows until the bound of the
     n-node rule meets rel_tol/8 of every estimate.  The estimates only
     size the rule: a wrong one costs time, never correctness.  The
     precision is sized from the ratio of each entry's sum of |terms| at n
-    to rel_tol/8 of its estimate.
+    to rel_tol/8 of its estimate, and rounded up to a multiple of 16 bits,
+    so that rows at nearby precisions share their cached nodes.
 
-    Raises NonConvergence before any work where the first n exceeds the
-    node budget ``nmax`` (see ``_node_budget``).  Before any estimate, it
-    raises where no round can resolve some entry: a kept estimate lies
-    within e**-1 of its rule and above e**-18 of its sum of |terms|, so
-    |p_k| then exceeds e**-18.5 of the rule's j = 0 term; and p_k, a
-    mixture of Poisson masses at the means x*Y with E[Y**k] =
-    k!/Gamma(nu*k + 1), is at most min(max_y e**-y * y**k / k!,
-    x**k / Gamma(nu*k + 1)) <= 1/sqrt(2*pi*k) (1 at k = 0).  Then it
-    raises where the rounds leave an entry unresolved or n would pass
-    nmax, and where some entry's bound misses rel_tol of its value.
+    Raises NonConvergence before any work where the first n exceeds
+    cfg.max_terms.  Before any estimate, it raises where no round can
+    resolve some entry: a kept estimate lies within e**-1 of its rule and
+    above e**-18 of its sum of |terms|, so |p_k| then exceeds e**-18.5 of
+    the rule's j = 0 term; and p_k, a mixture of Poisson masses at the
+    means x*Y with E[Y**k] = k!/Gamma(nu*k + 1), is at most
+    min(max_y e**-y * y**k / k!, x**k / Gamma(nu*k + 1)) <=
+    1/sqrt(2*pi*k) (1 at k = 0).  Then it raises where the rounds leave an
+    entry unresolved or n would pass cfg.max_terms, and where some entry's
+    bound misses rel_tol of its value.
     """
     ltol = math.log(cfg.rel_tol / 8)
     known = np.full(kmax + 1, -np.inf)
     n = max(8, math.ceil(3 / math.pi * (6 - math.log(cfg.rel_tol))))
+    nmax = cfg.max_terms
     where = f"(k<={kmax}, nu={nu}, x={x:.6g})"
 
     @functools.cache
@@ -557,11 +555,11 @@ def _contour_rows(kmax: int, factors, x: float, nu: float,
         m *= 2
     # no round resolves an entry whose ceiling lies e**-19 below every
     # round's j = 0 term
-    k = np.arange(kmax + 1.0)
+    k, lx = np.arange(kmax + 1.0), math.log(x)
     ceiling = np.minimum(-0.5 * np.log(np.maximum(2 * math.pi * k, 1)),
-                         k * math.log(x) - _lgamma(nu * k + 1))
+                         k * lx - _lgamma(nu * k + 1))
     lead = np.min([mu + nu * math.log(mu) + math.log(h / math.pi)
-                   + (k + 1) * math.log(x / (mu ** nu + x)) - math.log(x)
+                   + (k + 1) * (lx - math.log(mu ** nu + x)) - lx
                    for _, mu, h in rounds], axis=0)
     if np.any(ceiling < lead - 19):
         raise NonConvergence(
@@ -590,8 +588,8 @@ def _contour_rows(kmax: int, factors, x: float, nu: float,
         n += max(2, math.ceil(short / rate))
     lt = estimate(n, *_rule(n))[1]
     digits = np.max(lt - known - ltol) / _LN2 + math.log2(n + 2 * kmax + 8)
-    vals, lbound = _contour_sum(kmax, factors, nu, n,
-                                max(64, int(digits) + 16), lerr)
+    prec = 16 * math.ceil(max(64, int(digits) + 16) / 16)
+    vals, lbound = _contour_sum(kmax, factors, nu, n, prec, lerr)
     if not np.all(lbound <= math.log(cfg.rel_tol) + _log_mpfs(vals)):
         raise NonConvergence(
             f"contour rule missed rel_tol with {n + 1} nodes {where}")
@@ -647,12 +645,46 @@ def _contour_nodes(factors, nu: float, n: int, prec: int):
     (1 + 1/cos(nu*pi/2)) + 8 units, below 2**-60 of which the higher
     orders lie.  The final fit to prec bits adds 2**(1.5-prec), so each
     is within eps = 2**-prec * (3 + 2**-32 * W) of its exact value.
+
+    s**nu and E_j * s**nu, free of x, come from ``_x_free_nodes``; the
+    sum with x, the reciprocal and the two products are formed here.
     """
     wp = prec + 32
-    wq = wp + 2 * (n + 2).bit_length() + 2
     mu, h = _rule(n)
     with mp.workprec(wp):
         _, xm, xe, _ = _argument(factors)._mpf_
+    _, hm, he, _ = libmp.from_float(h)
+    w0 = 1 << -he                   # w = (w0 + i*w1) * 2**he, he < 0
+    cs, rs = [], []
+    for j, (sa, sb, se, pa, pb, pe) in enumerate(_x_free_nodes(nu, n, prec)):
+        w1 = j * hm
+        if xe >= se:
+            a, b, e = _fit(sa + (xm << xe - se), sb, se, wp)
+        else:
+            a, b, e = _fit((sa << se - xe) + xm, sb << se - xe, xe, wp)
+        a, b, e = w0 * a - w1 * b, w0 * b + w1 * a, e + he
+        sh = wp + max(a.bit_length(), b.bit_length()) + 1
+        norm = a * a + b * b
+        ra, rb, re = (a << sh) // norm, (-b << sh) // norm, -e - sh
+        cs.append(_fit(-2 * (pa * rb + pb * ra), 2 * (pa * ra - pb * rb),
+                       pe + re, prec))
+        a, b = xm * w0, xm * w1
+        rs.append(_fit(a * ra - b * rb, a * rb + b * ra, xe + he + re, prec))
+    a, b, e = cs[0]
+    cs[0] = a, b, e - 1
+    worst = ((6 * math.log(mu) + 36)
+             * (1 + 1 / math.cos(nu * math.pi / 2)) + 8)
+    return cs, rs, 2.0 ** -prec * (3 + 2.0 ** -32 * worst)
+
+
+@functools.lru_cache(maxsize=32)
+def _x_free_nodes(nu: float, n: int, prec: int):
+    """s**nu and e**s * s**nu at the nodes j = 0..n of ``_contour_nodes``,
+    as Gaussian integers (sa, sb, se, pa, pb, pe) fitted to prec + 32 bits,
+    cached: rows at one order share them, whatever their rate."""
+    wp = prec + 32
+    wq = wp + 2 * (n + 2).bit_length() + 2
+    mu, h = _rule(n)
     fmu, fh, fnu = map(libmp.from_float, (mu, h, nu))
     lmu, two_nu = libmp.mpf_log(fmu, wp), libmp.from_float(2 * nu)
     g = libmp.mpf_neg(libmp.mpf_mul(fmu, libmp.mpf_mul(fh, fh)))
@@ -665,8 +697,8 @@ def _contour_nodes(factors, nu: float, n: int, prec: int):
                       ex - wq, wq)
     _, qm, qe, _ = libmp.mpf_exp(libmp.mpf_shift(g, 1), wq)
     _, hm, he, _ = fh
-    w0 = 1 << -he                   # w = (w0 + i*w1) * 2**he, he < 0
-    cs, rs = [], []
+    w0 = 1 << -he
+    nodes = []
     for j in range(n + 1):
         w1 = j * hm
         u = libmp.from_man_exp(w1, he)
@@ -677,26 +709,11 @@ def _contour_nodes(factors, nu: float, n: int, prec: int):
             two_nu, libmp.mpf_atan(u, wp), wp), wp)
         sa, sb, se = _fit(m * libmp.to_fixed(cos, wp),
                           m * libmp.to_fixed(sin, wp), ex - wp, wp)
-        if xe >= se:
-            a, b, e = _fit(sa + (xm << xe - se), sb, se, wp)
-        else:
-            a, b, e = _fit((sa << se - xe) + xm, sb << se - xe, xe, wp)
-        a, b, e = w0 * a - w1 * b, w0 * b + w1 * a, e + he
-        sh = wp + max(a.bit_length(), b.bit_length()) + 1
-        norm = a * a + b * b
-        ra, rb, re = (a << sh) // norm, (-b << sh) // norm, -e - sh
-        pa, pb, pe = _fit(ea * sa - eb * sb, ea * sb + eb * sa, ee + se, wp)
-        cs.append(_fit(-2 * (pa * rb + pb * ra), 2 * (pa * ra - pb * rb),
-                       pe + re, prec))
-        a, b = xm * w0, xm * w1
-        rs.append(_fit(a * ra - b * rb, a * rb + b * ra, xe + he + re, prec))
+        nodes.append((sa, sb, se) + _fit(ea * sa - eb * sb, ea * sb + eb * sa,
+                                         ee + se, wp))
         ea, eb, ee = _fit(ea * da - eb * db, ea * db + eb * da, ee + de, wq)
         da, db, de = _fit(da * qm, db * qm, de + qe, wq)
-    a, b, e = cs[0]
-    cs[0] = a, b, e - 1
-    worst = ((6 * math.log(mu) + 36)
-             * (1 + 1 / math.cos(nu * math.pi / 2)) + 8)
-    return cs, rs, 2.0 ** -prec * (3 + 2.0 ** -32 * worst)
+    return tuple(nodes)
 
 
 def _log_abs(a: int, b: int, e: int) -> float:
@@ -766,48 +783,6 @@ def _contour_sum(kmax: int, factors, nu: float, n: int, prec: int,
                                      lval + math.log(4 * unit))
 
 
-def _series_cost(profile: np.ndarray, kmax: int, nu: float,
-                 cfg: SeriesConfig) -> float:
-    """Predicted cost of ``_sum_series`` over the rows S_0..S_kmax, from
-    the profile of the last row, in units of one contour product; inf
-    where the series would not stop within cfg.max_terms.
-
-    Measured in-process on a 2-CPU host (Python 3.11, mpmath 1.3 with its
-    pure-Python backend; best of 5, three runs; the script is in
-    BENCH_20.json): a contour product, a product of two Gaussian integers
-    of about 76 bits with its renormalisation and its share of the row
-    sum (``_contour_sum``), takes about 1.1 us.  A series term costs its
-    base w**r * rgamma(nu*r + 1) at dps digits, 25 + dps**2/240 us (26-41
-    us at 32 digits, 156-240 us at 217; 8-11 us at nu = 1/2, where mpmath
-    has a closed form for half-integers), plus 0.52 us for each of its
-    kmax + 1 integer row updates.  A contour node (``_contour_nodes`` at
-    76 bits) takes 36-56 us, _CONTOUR_NODE products, and the sizing of a
-    contour row (``_contour_error``, ``_contour_estimate``) about 1 ms at
-    kmax = 30 (0.44 ms at kmax = 0), _CONTOUR_FIXED.  Only the ratios
-    matter: on a busier host all of them slowed alike.
-    """
-    rpeak = int(np.argmax(profile))
-    if rpeak + 3 > cfg.max_terms:
-        return math.inf
-    dps = max(32, int(profile[rpeak] / _LN10) + 40)
-    gamma = 10 if nu == 0.5 else 25 + dps * dps / 240
-    return (_series_length(profile, cfg.rel_tol)
-            * (gamma + 0.52 * (kmax + 1)) / 1.1)
-
-
-def _node_budget(cost: float, kmax: int, cfg: SeriesConfig) -> int:
-    """The most nodes n, up to cfg.max_terms, at which the contour rule
-    over rows 0..kmax costs less than the series' predicted ``cost``:
-    (n + 1) * (kmax + 1 + _CONTOUR_NODE) + _CONTOUR_FIXED contour products
-    (see ``_series_cost``), compared by an exact quotient.  cfg.max_terms
-    where the series cannot finish (``cost`` is inf).
-    """
-    if cost == math.inf:
-        return cfg.max_terms
-    return min(cfg.max_terms, math.ceil((Fraction(cost) - _CONTOUR_FIXED)
-                                        / (kmax + 1 + _CONTOUR_NODE)) - 2)
-
-
 def mittag_leffler(nu: float, x: float, cfg: SeriesConfig | None = None) -> EvalResult:
     """One-parameter Mittag-Leffler function E_nu(x) on the negative axis.
 
@@ -816,7 +791,8 @@ def mittag_leffler(nu: float, x: float, cfg: SeriesConfig | None = None) -> Eval
     At nu = 1 the value is exp(x), and x = 0 gives 1 with bound 0.  At
     nu < 1 it is p_0 of the time-fractional row at rate -x,
     ``wright_psi11_weighted_rows(0, ((-x, 1.0),), nu, cfg)[0]``: the contour
-    rule within its node budget, else the series, certified to cfg.rel_tol.
+    rule, else the series where the contour raises, certified to
+    cfg.rel_tol.
     """
     if not 0 < nu <= 1:
         raise ValueError("nu must lie in (0, 1]")
@@ -835,14 +811,13 @@ def wright_psi11_weighted_rows(kmax: int, factors, time_nu: float,
     time-fractional Poisson masses with lam**alpha * t**nu = -w, given as
     its exact ``factors`` ((lam, alpha), (t, nu)).
 
-    The row goes to the contour rule (``_contour_rows``) within the node
-    budget that the series' predicted cost (``_series_cost``, read off the
-    magnitude profile) sets (``_node_budget``).  Where the contour raises
-    NonConvergence, the series (``_sum_series``) runs if it can finish
-    within max_terms, and the exception propagates if it cannot.  Both
-    certify every entry to rel_tol.  The series' division by k! happens in
-    extended precision so rows remain finite doubles even where k! alone
-    would overflow.
+    The contour rule (``_contour_rows``) runs first, with at most
+    max_terms nodes.  Where it raises NonConvergence, the series
+    (``_sum_series``) runs if its magnitude profile (``_kernel_profile``)
+    shows that it stops, and the exception propagates if it does not.
+    Both certify every entry to rel_tol.  The series divides each S_k by
+    the exact k!, rounded once, so rows remain finite doubles even where
+    k! alone would overflow.
 
     Where w is 0 in doubles the row is that of x = -w = 0.  If every base
     is positive, x underflowed, and each mass errs by at most
@@ -858,25 +833,25 @@ def wright_psi11_weighted_rows(kmax: int, factors, time_nu: float,
     if w == 0.0:
         e = math.ulp(0.0) if all(b > 0 for b, _ in factors) else 0.0
         return [EvalResult(float(k == 0), e, 1) for k in range(kmax + 1)]
-    profile, peaks = _kernel_profile(kmax, w, time_nu, cfg.max_terms)
-    cost = _series_cost(profile, kmax, time_nu, cfg)
     try:
-        vals, bounds, terms = _contour_rows(
-            kmax, factors, -w, time_nu, cfg, _node_budget(cost, kmax, cfg))
+        vals, bounds, terms = _contour_rows(kmax, factors, -w, time_nu, cfg)
     except NonConvergence:
-        if cost == math.inf:
+        profile, peaks = _kernel_profile(kmax, w, time_nu, cfg.max_terms)
+        if _series_length(profile, cfg.rel_tol) == math.inf:
             raise
     else:
         return [_to_double(v, b, terms) for v, b in zip(vals, bounds)]
     vals, bounds, terms = _sum_series(
         lambda: _kernel_bases(factors, time_nu), peaks, profile, cfg)
     out = []
-    sign = 1
-    fact = mp.mpf(1)
+    sign, fact = 1, 1
     for k in range(kmax + 1):
         if k:
             fact *= k
             sign = -sign
-        out.append(_to_double(sign * vals[k] / fact, bounds[k] / fact,
-                              terms))
+        f = libmp.from_int(fact)
+        v = libmp.mpf_div(vals[k]._mpf_, f, 53, libmp.round_nearest)
+        b = libmp.mpf_div(bounds[k]._mpf_, f, 53, libmp.round_up)
+        out.append(_to_double(sign * libmp.to_float(v),
+                              libmp.to_float(b, rnd=libmp.round_up), terms))
     return out

@@ -79,9 +79,8 @@ def _kernel_integral(nu, x):
         return mp.quad(f, pts, maxdegree=10) * sn / (nu * mp.pi)
 
 
-# Both engines of the row: the series' peak term is about exp(|x|**(1/nu)),
-# and where the series would cost more than the contour's nodes the router
-# sends E_nu to the contour.
+# Both engines of the row: the contour runs first, and the series, whose
+# peak term is about exp(|x|**(1/nu)), only where the contour raises.
 
 @settings(max_examples=40, deadline=None)
 @given(x=st.floats(-100.0, 0.0))
@@ -121,7 +120,7 @@ def test_mittag_leffler_bounded_cost(nu, x, ref):
     # the series needs ~9.4k terms at 482 digits for the first, more than
     # max_terms for the second, and ~9.7k and ~6.3k terms for the last two,
     # whose term ratios stay above 0.9 long after the terms are small: the
-    # router sends all four to the contour, a few dozen nodes
+    # contour serves all four, a few dozen nodes
     res = mittag_leffler(nu, x)
     assert res.terms_used <= 2000
     assert res.abs_error_bound <= 1e-12 * res.value
@@ -349,8 +348,7 @@ def test_contour_bounds_hold_at_exact_argument(monkeypatch):
     assert len(wright_psi11_weighted_rows(30, factors, 0.3, cfg)) == 31
     monkeypatch.undo()
     x = -special_fn._argument_double(factors)
-    vals, bounds, _ = special_fn._contour_rows(30, factors, x, 0.3, cfg,
-                                               cfg.max_terms)
+    vals, bounds, _ = special_fn._contour_rows(30, factors, x, 0.3, cfg)
     with mp.workdps(60):
         for k in (0, 1, 15, 30):
             assert bounds[k] <= 1e-20 * abs(vals[k])
@@ -362,8 +360,7 @@ def test_contour_sizes_tight_tolerances():
     entries, past what a double estimate resolves; the row must still be
     sized and certified, here where the series cannot run at all."""
     factors, cfg = ((20.0, 1.0), (1.0, 0.3)), SeriesConfig(rel_tol=1e-40)
-    vals, bounds, _ = special_fn._contour_rows(5, factors, 20.0, 0.3, cfg,
-                                               cfg.max_terms)
+    vals, bounds, _ = special_fn._contour_rows(5, factors, 20.0, 0.3, cfg)
     with mp.workdps(60):
         for k in (0, 5):
             assert bounds[k] <= 1e-40 * abs(vals[k])
@@ -379,45 +376,17 @@ def test_router_sends_costly_series_to_the_contour(monkeypatch):
     assert all(r.abs_error_bound <= 1e-12 * r.p + 2e-16 * r.p for r in rows)
 
 
-def test_router_keeps_short_series(monkeypatch):
-    """A short series (85 terms) is cheaper than the contour's nodes: the
-    router keeps it without any contour work."""
-    for name in ("_contour_error", "_contour_estimate", "_contour_sum"):
-        monkeypatch.setattr(special_fn, name, _fail)
-    rows = pmf_row(ProcessParams(1.0, 1.0, 0.5), 1.0, 30)
-    assert len(rows) == 31
-
-
 def _refuse(*args):
     raise NonConvergence("refused")
 
 
 def test_contour_raises_beyond_its_node_budget(monkeypatch):
-    """A budget below the first node count raises before any sizing."""
+    """max_terms below the first node count raises before any sizing."""
     for name in ("_contour_error", "_contour_estimate", "_contour_sum"):
         monkeypatch.setattr(special_fn, name, _fail)
     with pytest.raises(NonConvergence, match="more than 20 nodes"):
         special_fn._contour_rows(30, ((5.0, 1.0), (1.0, 0.3)), 5.0, 0.3,
-                                 special_fn.DEFAULT_CONFIG, 20)
-
-
-@settings(max_examples=200, deadline=None)
-@given(cost=st.floats(0.0, 1e8), kmax=st.integers(0, 200))
-def test_node_budget_is_the_most_nodes_below_the_series_cost(cost, kmax):
-    """n + 1 nodes cost (n + 1) * (kmax + 1 + _CONTOUR_NODE) +
-    _CONTOUR_FIXED products; the budget is the largest n below ``cost``,
-    capped at max_terms, and max_terms where the series cannot finish."""
-    cfg = special_fn.DEFAULT_CONFIG
-    assert special_fn._node_budget(math.inf, kmax, cfg) == cfg.max_terms
-
-    def price(n):
-        return ((n + 1) * (kmax + 1 + special_fn._CONTOUR_NODE)
-                + special_fn._CONTOUR_FIXED)
-
-    nmax = special_fn._node_budget(cost, kmax, cfg)
-    assert nmax <= cfg.max_terms
-    assert nmax < 0 or price(nmax) < cost
-    assert nmax == cfg.max_terms or price(nmax + 1) >= cost
+                                 SeriesConfig(max_terms=20))
 
 
 def test_router_falls_back_to_the_series(monkeypatch, series_rows):
@@ -436,19 +405,70 @@ def test_router_falls_back_to_the_series(monkeypatch, series_rows):
 
 
 def test_router_reraises_where_the_series_cannot_finish(monkeypatch):
-    """The (1, 1, .5) row at t = 2000 is past the series' max_terms: the
-    contour gets max_terms nodes, and its NonConvergence propagates."""
-    budgets = []
-
-    def refuse(*args):
-        budgets.append(args[-1])
-        _refuse()
-
-    monkeypatch.setattr(special_fn, "_contour_rows", refuse)
+    """The (1, 1, .5) row at t = 2000 is past the series' max_terms: where
+    the contour raises, its NonConvergence propagates and the series never
+    runs."""
+    monkeypatch.setattr(special_fn, "_contour_rows", _refuse)
     monkeypatch.setattr(special_fn, "_sum_series", _fail)
     with pytest.raises(NonConvergence, match="refused"):
         wright_psi11_weighted_rows(2, ((1.0, 1.0), (2000.0, 0.5)), 0.5)
-    assert budgets == [special_fn.DEFAULT_CONFIG.max_terms]
+
+
+@pytest.mark.parametrize("lam,nu,kmax", [
+    (0.01, 0.2, 100), (0.01, 0.5, 100),
+    *((lam, nu, 30) for lam in (0.1, 1.0, 5.0) for nu in (0.3, 0.5, 0.7))])
+def test_engines_agree(series_rows, lam, nu, kmax):
+    """The row as served and the series alone, divided by the exact k!,
+    agree entry by entry within the sum of their bounds."""
+    factors = ((lam, 1.0), (1.0, nu))
+    rows = wright_psi11_weighted_rows(kmax, factors, nu)
+    sums, bounds, _ = series_rows(kmax, factors, nu)
+    with mp.workdps(60):
+        for k, row in enumerate(rows):
+            f = math.factorial(k)
+            assert (abs(row.value - (-1) ** k * sums[k] / f)
+                    <= row.abs_error_bound + bounds[k] / f)
+
+
+@pytest.mark.parametrize("nu,refuse", [(0.5, False), (0.2, True)])
+def test_series_row_divides_by_the_exact_factorial(monkeypatch, nu, refuse):
+    """From k = 19 on k! is not a double, and its rounding (7e-16 at
+    k = 95) exceeds the bound of a series entry.  At nu = .5 the contour
+    cannot size these entries and the series serves the row; at nu = .2
+    the contour is made to raise.  Each entry lies within its bound of
+    the direct sum sum_{n>=k} (-1)**(n-k) C(n, k) x**n / Gamma(nu*n + 1)
+    at 60 digits, whose terms fall by 0.15 or more from n = k on."""
+    if refuse:
+        monkeypatch.setattr(special_fn, "_contour_rows", _refuse)
+    rows = pmf_row(ProcessParams(0.01, 1.0, nu), 1.0, 100)
+    with mp.workdps(60):
+        x, num = mp.mpf(0.01), mp.mpf(nu)
+        for k in (80, 95, 100):
+            ref = mp.fsum((-1) ** (n - k) * mp.binomial(n, k) * x ** n
+                          * mp.rgamma(num * n + 1)
+                          for n in range(k, k + 150))
+            assert abs(mp.mpf(rows[k].p) - ref) <= rows[k].abs_error_bound
+
+
+@pytest.mark.parametrize("nu", [0.3, 0.5, 0.9])
+def test_contour_serves_a_subnormal_rate(monkeypatch, nu):
+    """At x = 5e-324 the quotient x / (a + x) underflows to 0: the contour
+    forms its log as log(x) - log(a + x) and serves E_nu(-x) = 1."""
+    monkeypatch.setattr(special_fn, "_sum_series", _fail)
+    res = mittag_leffler(nu, -5e-324)
+    assert abs(res.value - 1.0) <= res.abs_error_bound
+
+
+def test_nodes_share_their_x_free_parts():
+    """Two rates at one (nu, n, prec) form s**nu and e**s once, and get the
+    nodes of a cold cache."""
+    free = special_fn._x_free_nodes
+    free.cache_clear()
+    warm = [special_fn._contour_nodes(((x, 1.0),), 0.5, 34, 80)
+            for x in (1.0, 5.0)]
+    assert (free.cache_info().misses, free.cache_info().hits) == (1, 1)
+    free.cache_clear()
+    assert special_fn._contour_nodes(((5.0, 1.0),), 0.5, 34, 80) == warm[1]
 
 
 @pytest.mark.parametrize("lam,nu", [(5.0, 0.3), (1.0, 0.7), (0.5, 0.9)])
