@@ -532,14 +532,13 @@ def _contour_rows(kmax: int, factors, x: float, nu: float,
     ltol = math.log(cfg.rel_tol / 8)
     known = np.full(kmax + 1, -np.inf)
     n = max(8, math.ceil(3 / math.pi * (6 - math.log(cfg.rel_tol))))
-    nmax = cfg.max_terms
     where = f"(k<={kmax}, nu={nu}, x={x:.6g})"
 
     @functools.cache
     def bound(n, mu, h):
-        if n > nmax:
-            raise NonConvergence(
-                f"contour rule needs more than {nmax} nodes {where}")
+        if n > cfg.max_terms:
+            raise NonConvergence(f"contour rule needs more than "
+                                 f"{cfg.max_terms} nodes {where}")
         return _contour_error(x, nu, kmax, n, mu, h)
 
     @functools.cache
@@ -549,7 +548,7 @@ def _contour_rows(kmax: int, factors, x: float, nu: float,
     bound(n, *_rule(n))         # raises at once if n is past the budget
     rounds = []
     m = min(n, 33)
-    while m <= nmax:
+    while m <= cfg.max_terms:
         rounds.append((m, *_rule(m)) if m < 33 else (
             m, math.pi * 33 / 12, 3 / 33 * math.sqrt(33 / m)))
         m *= 2
@@ -564,7 +563,8 @@ def _contour_rows(kmax: int, factors, x: float, nu: float,
     if np.any(ceiling < lead - 19):
         raise NonConvergence(
             f"contour rule cannot size p_k for k >= "
-            f"{np.argmax(ceiling < lead - 19)} within {nmax} nodes {where}")
+            f"{np.argmax(ceiling < lead - 19)} within {cfg.max_terms} "
+            f"nodes {where}")
     for m, mu, h in rounds:
         lp, lt = estimate(m, mu, h)
         sure = (lp > lt - 18) & (bound(m, mu, h) < lp - 1)
@@ -573,7 +573,7 @@ def _contour_rows(kmax: int, factors, x: float, nu: float,
             break
     else:
         raise NonConvergence(
-            f"contour rule needs more than {nmax} nodes {where}")
+            f"contour rule needs more than {cfg.max_terms} nodes {where}")
     last = None
     while True:
         lerr = bound(n, *_rule(n))
