@@ -45,7 +45,7 @@ def profile_scans(monkeypatch):
 
 
 def _series_rows(kmax, factors, nu, cfg=None):
-    """The series engine alone, without the router: (mpf sums S_0..S_kmax,
+    """The series engine alone, without the contour: (mpf sums S_0..S_kmax,
     mpf bounds, terms_used) at w = -prod(b**e) of ``factors``, for any
     0 < nu <= 1.  ``special_fn._kernel_profile`` is looked up at each
     call, so a test may patch it."""
