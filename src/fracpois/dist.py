@@ -6,8 +6,8 @@ with Q the PGF of the time-fractional law (alpha = 1) at rate lam**alpha
 and S(u) = 1 - (1-u)**alpha the PGF of the Sibuya law, whose masses are
 all positive (Steutel & van Harn, Ann. Probab. 7, 1979; Devroye, Stat.
 Probab. Lett. 18, 1993).  So a PMF row is the alpha = 1 row q (Poisson at
-nu = 1, else the certified row of :mod:`fracpois.special_fn`, by series
-or contour) and, at alpha < 1, p_k = sum_{m<=k} q_m * [u**k] S(u)**m: a
+nu = 1, else the certified row of :mod:`fracpois.special_fn`, by its
+contour) and, at alpha < 1, p_k = sum_{m<=k} q_m * [u**k] S(u)**m: a
 positive sum, nothing cancels.  The Sibuya powers [u**n] S(u)**m follow
 one positive first-order recurrence in n, so a row of K masses costs
 O(K**2), and the survival Pr{N(t) > k} = ``first_passage_cdf(params, t,
@@ -70,9 +70,9 @@ def _check_time(t: float, strict: bool = False) -> None:
 
 def _series_argument(params: ProcessParams, t: float):
     """The exact factors ((lam, alpha), (t, nu)) of the series argument
-    x = lam**alpha * t**nu, which the series form in their working
-    precision, and x in doubles (``special_fn._argument_double``), a
-    ValueError where it overflows."""
+    x = lam**alpha * t**nu, which the row and the direct series form in
+    their working precision, and x in doubles
+    (``special_fn._argument_double``), a ValueError where it overflows."""
     factors = ((params.lam, params.alpha), (t, params.nu))
     return factors, -_argument_double(factors)
 
@@ -110,7 +110,8 @@ def pmf_row(params: ProcessParams, t: float, kmax: int,
     """PMF values for k = 0..kmax at time t, each with an error bound.
 
     At nu < 1 the row q (``special_fn.wright_psi11_weighted_rows``, by
-    series or contour) takes the exact factors of its argument
+    its contour, 0 with bound ulp(0) past its moment ceiling) takes the
+    exact factors of its argument
     lam**alpha * t**nu and forms it in its own working precision, so the
     bounds of q hold at the exact argument.
 
@@ -187,13 +188,13 @@ def pmf(params: ProcessParams, t: float, k: int,
         cfg: SeriesConfig | None = None) -> PmfRow:
     """Probability of exactly k events by time t: entry k of ``pmf_row``.
 
-    That is the Poisson closed form at nu = 1, and the contour or the
-    series at nu < 1, composed with the Sibuya law at alpha < 1 (where a
-    negative q_m is raised to 0).  The value is not clamped to [0, 1].
-    Entry k of a longer row, ``pmf_row(params, t, K)[k]`` with K > k, may
-    differ from it in its last digits: the series' stop rule and the
-    contour's node count depend on every entry of the row.  Both lie
-    within their bounds, so they agree within the sum of the two.
+    That is the Poisson closed form at nu = 1, and the contour at nu < 1,
+    composed with the Sibuya law at alpha < 1 (where a negative q_m is
+    raised to 0).  The value is not clamped to [0, 1].  Entry k of a
+    longer row, ``pmf_row(params, t, K)[k]`` with K > k, may differ from
+    it in its last digits: the contour's node count depends on every
+    entry of the row.  Both lie within their bounds, so they agree within
+    the sum of the two.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
@@ -206,11 +207,12 @@ def pmf_time_fractional_direct(params: ProcessParams, t: float, k: int,
 
     Pr{N_nu(t)=k} = sum_r x**k*(r+k)!/(r!*k!) * (-x)**r / Gamma(nu*(k+r)+1),
     x = lam*t**nu: the (r+k)!/r! recurrence and its own term profile, summed
-    by the same certified engine as the kernel series
-    (``special_fn._sum_series``).  Used to cross-validate ``pmf`` for the
-    alpha = 1 reduction.  The log term magnitudes are concave in r (the
-    ratio of successive terms falls), so the profile is scanned in
-    doubling blocks (``special_fn._scan_profile``) up to
+    exactly in integers with a certified bound
+    (``special_fn._sum_series``).  It shares no code with the contour of
+    ``pmf``, which it cross-validates at alpha = 1.  The log term
+    magnitudes are concave in r (the ratio of successive terms falls), so
+    the profile is scanned in doubling blocks
+    (``special_fn._scan_profile``) up to
     r = min(max_terms, 50_000), stopping once past the peak and
     _PRESCAN_DROP nats below both the peak and 1.  The profile takes x in
     doubles; the bases take x from its exact factors, formed in the
@@ -236,9 +238,9 @@ def pmf_time_fractional_direct(params: ProcessParams, t: float, k: int,
 
     def block(r):
         return (_lgamma(r + k + 1) - _lgamma(r + 1) - lgk + (r + k) * logx
-                - _lgamma(nu * (k + r) + 1.0))[:, None]
+                - _lgamma(nu * (k + r) + 1.0))
 
-    profile, peaks = _scan_profile(block, 1, min(cfg.max_terms, 50_000), 0)
+    profile = _scan_profile(block, min(cfg.max_terms, 50_000), 0)
 
     def bases():
         # gamma arguments must be built in working precision: forming
@@ -253,8 +255,7 @@ def pmf_time_fractional_direct(params: ProcessParams, t: float, k: int,
             yield rise * mp.rgamma(nu_mp * (k + r) + 1)
             rise = rise * xm * (r + k + 1) / (r + 1)
 
-    vals, bounds, terms = _sum_series(bases, peaks, profile, cfg)
-    res = _to_double(vals[0], bounds[0], terms)
+    res = _to_double(*_sum_series(bases, profile, cfg))
     return PmfRow(k, res.value, res.abs_error_bound)
 
 

@@ -11,37 +11,28 @@ the Sibuya law, which cancels nothing).  With k = 0 this is the
 one-parameter Mittag-Leffler series E_nu(w).  The row serves
 0 < nu < 1 (at nu = 1 every law has a Poisson closed form).  It takes w
 as its exact factors and forms it in its working precision, so its
-certificates hold at the exact argument.  Two engines compute it:
+certificates hold at the exact argument.
 
-* the contour engine (``_contour_rows``), which
-  ``wright_psi11_weighted_rows`` runs first: the trapezoidal rule on a
-  parabolic Bromwich contour for the Laplace transform
-  x**k s**(nu-1) / (s**nu + x)**(k+1) of p_k, x = -w.  One set of nodes
-  gives the whole row, a complex product per node and entry, at a
-  modest precision and with no gamma function.  The nodes
-  (``_contour_nodes``) are libmp and Gaussian-integer arithmetic: e**s
-  by a product recurrence over the nodes, s**nu from one log, atan, exp
-  and cos_sin each, the parts free of x cached per order, node count and
-  precision (``_x_free_nodes``).  Doubles size the rule
-  (``_contour_estimate``).  Its bound adds the trapezoidal error from the
-  strip of analyticity of the integrand, the nodes cut off and the
-  rounding of the node arithmetic.  It returns a certified row or raises
-  NonConvergence.
-* the series engine (``_sum_series`` over ``_kernel_bases``), which runs
-  where the contour raises and the series can finish.  The series
-  alternate and the intermediate terms can be many orders of magnitude
-  larger than the sum.  A cheap double-precision profile of the term
-  magnitudes (``_kernel_profile``) sizes the mpmath working precision of
-  the k-independent factors w**r / Gamma(nu*r + 1) and places, for each
-  row k, a fixed-point grid just below the row's peak term.  Everything
-  else is exact Python-integer arithmetic: each term is the integer
-  mantissa of its factor times the integer falling factorial, truncated
-  onto its row's grid and summed exactly.  The engine stops once the
-  geometric tail is within rel_tol (tested in integers) and redoes the
-  sum with more digits when the cancellation it measures outruns the
-  precision.  The bound is the tail plus a rounding term derived from
-  that arithmetic.  ``_sum_series`` also sums the direct time-fractional
-  form in ``dist``.
+One engine computes it, the contour (``_contour_rows``): the trapezoidal
+rule on a parabolic Bromwich contour for the Laplace transform
+x**k s**(nu-1) / (s**nu + x)**(k+1) of p_k, x = -w.  One set of nodes
+gives the whole row, a complex product per node and entry, at a modest
+precision and with no gamma function.  The nodes (``_contour_nodes``)
+are libmp and Gaussian-integer arithmetic: e**s by a product recurrence
+over the nodes, s**nu from one log, atan, exp and cos_sin each, the
+parts free of x cached per order, node count and precision
+(``_x_free_nodes``).  Rules in doubles (``_contour_estimate``) size it,
+over a ladder of contour parameters mu that reaches deep entries and
+orders near 1.  Its bound adds the trapezoidal error from the strip of
+analyticity of the integrand, the nodes cut off and the rounding of the
+node arithmetic.  It returns a certified row or raises NonConvergence.
+``wright_psi11_weighted_rows`` cuts each row where the proven ceiling
+p_k <= x**k / Gamma(nu*k + 1) falls below the least subnormal.
+
+``_sum_series`` sums one alternating series exactly in Python integers,
+with its bound: the direct time-fractional form in ``dist``, an
+independent check of the row.  Its prescan (``_scan_profile``) also sizes
+the oracle in ``verify``.
 
 ``mittag_leffler`` at nu < 1 is row 0 of this row.
 """
@@ -49,7 +40,6 @@ certificates hold at the exact argument.  Two engines compute it:
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -63,27 +53,28 @@ _LN2 = math.log(2.0)
 _EPS = 2.0 ** -52           # machine epsilon of a double
 # the series stop rule: past the peak, terms must fall by this ratio or less
 _STOP_RATIO = 0.9
-# the prescan ends once every row's last term is this many nats below both
-# its peak and 1 (and past its hump; see _kernel_profile)
+# the prescan ends once the last term is this many nats below both the
+# peak and 1 (and past the hump; see _scan_profile)
 _PRESCAN_DROP = 250.0
 # the contour rule (see _contour_rows): half-widths a of the strips whose
 # error bounds are compared, and cells per edge integral in _contour_error
 _CONTOUR_STRIPS = (0.2, 0.35, 0.5, 0.65, 0.8, 0.9)
 _CONTOUR_CELLS = 64
-# bits of each row's summation grid below the working precision, so that
+# bits of the summation grid below the working precision, so that
 # truncating a term onto the grid errs by 2**-16 of its rounding allowance
 _GRID_GUARD_BITS = 16
 
 
 class NonConvergence(ArithmeticError):
-    """Raised when a series fails to meet its tolerance within max_terms."""
+    """Raised when a series or the contour rule cannot meet its tolerance
+    within max_terms terms or nodes."""
 
 
 @dataclass(frozen=True)
 class SeriesConfig:
-    """Truncation policy for the series evaluators: the tolerance relative
-    to each value, and the most terms a series, or nodes a contour rule,
-    may take."""
+    """Truncation policy for the evaluators: the tolerance relative to each
+    value, and max_terms, the most nodes the contour rule, or terms the
+    direct series and the Erlang sums of ``dist``, may take."""
 
     rel_tol: float = 1e-12
     max_terms: int = 10_000
@@ -113,68 +104,32 @@ def _lgamma(x: np.ndarray) -> np.ndarray:
     return np.fromiter(map(math.lgamma, x.tolist()), float, x.size)
 
 
-def _scan_profile(block, rows: int, rmax: int, r_concave: float
-                  ) -> tuple[np.ndarray, np.ndarray]:
-    """Natural-log term magnitudes of one or more series, r = 0, 1, ...
+def _scan_profile(block, rmax: int, r_concave: float) -> np.ndarray:
+    """Natural-log term magnitudes of a series, r = 0, 1, ...
 
-    ``block(r)`` maps a float array of term indices to the (len(r), rows)
-    matrix of the rows' log magnitudes.  The scan runs in doubling blocks
-    (64, 64, 128, ..., each matrix within 2e6 entries) up to r = rmax and
-    stops early once r > r_concave, past which every row's log magnitude
-    is concave in r, the last row has fallen by a ratio of at most
-    _STOP_RATIO, and the last term of every row lies _PRESCAN_DROP nats
-    below both its row's peak and 1: no row peaks again, so the argmax
-    and maximum of every row are those of the full scan.
-
-    Returns the last row's log magnitudes and the peak of each row.
+    ``block(r)`` maps a float array of term indices to their log
+    magnitudes.  The scan runs in doubling blocks (64, 64, 128, ..., each
+    within 2e6 entries) up to r = rmax and stops early once r > r_concave,
+    past which the log magnitude is concave in r, the last term has fallen
+    by a ratio of at most _STOP_RATIO, and it lies _PRESCAN_DROP nats below
+    both the peak and 1: the series peaks no more, so the argmax and the
+    maximum are those of the full scan.
     """
-    cap = max(1, 2_000_000 // rows)
-    peaks = np.full(rows, -np.inf)
+    peak = -np.inf
     blocks = []
     lo = 0
     while lo <= rmax:
-        hi = min(rmax + 1, lo + min(cap, max(lo, 64)))
+        hi = min(rmax + 1, lo + min(2_000_000, max(lo, 64)))
         lt = block(np.arange(lo, hi, dtype=float))
         lt[~np.isfinite(lt)] = -np.inf
-        np.maximum(peaks, lt.max(axis=0), out=peaks)
-        last = lt[:, -1]
-        blocks.append(last)
+        peak = max(peak, lt.max())
+        blocks.append(lt)
         lo = hi
-        if (hi - 1 > r_concave and last.size > 1
-                and last[-1] - last[-2] <= math.log(_STOP_RATIO)
-                and np.all(lt[-1] <= np.minimum(peaks, 0.0)
-                           - _PRESCAN_DROP)):
+        if (hi - 1 > r_concave and lt.size > 1
+                and lt[-1] - lt[-2] <= math.log(_STOP_RATIO)
+                and lt[-1] <= min(peak, 0.0) - _PRESCAN_DROP):
             break
-    return np.concatenate(blocks), peaks
-
-
-def _kernel_profile(kmax: int, w: float, nu: float,
-                    max_terms: int) -> tuple[np.ndarray, np.ndarray]:
-    """Natural-log magnitudes of the terms of S_kmax, r = 0, 1, ..., and
-    the peak log magnitude of each row S_0..S_kmax.
-
-    Cheap double-precision scan (``_scan_profile``, up to
-    r = min(max_terms, 50_000)) used only to size the working precision,
-    locate the hump of the series and place each row's summation grid; not
-    part of any certificate.  Past r = kmax + 2 every row is concave
-    in r, so the scan may stop there once every row has fallen
-    _PRESCAN_DROP nats below its peak and 1; the stop rule's test on the
-    last row (ratio at most _STOP_RATIO, tail within rel_tol) then holds
-    within the profile for any rel_tol above exp(-_PRESCAN_DROP).
-    """
-    logw = math.log(abs(w))
-    j = np.arange(kmax, dtype=float)
-
-    def block(r):
-        lt = r * logw - _lgamma(nu * r + 1.0)
-        # row k adds sum_{j<k} log|r - j|: a cumsum over j
-        rows = lt[:, None] + np.cumsum(np.log(
-            np.abs(r[:, None] - j[None, :])), axis=1)
-        return np.column_stack((lt, rows))
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return _scan_profile(block, kmax + 1, min(max_terms, 50_000),
-                             kmax + 2)
+    return np.concatenate(blocks)
 
 
 def _argument_double(factors) -> float:
@@ -194,66 +149,43 @@ def _argument_double(factors) -> float:
 
 def _argument(factors):
     """w of ``factors`` as an mpf, formed 64 bits beyond the working
-    precision and kept unrounded (see ``_kernel_bases``)."""
+    precision (prec bits) and kept unrounded.  mpmath forms b**e,
+    0 < e <= 1, as exp(e*log(b)) with the log 10 bits beyond the
+    precision, and |e*log(b)| < 2**10 for a double b: each power and the
+    product err by a few units of 2**-(prec+64), so w is within
+    2**-(prec+61) of its exact value, relatively."""
     with mp.workprec(mp.mp.prec + 64):
         return -mp.fprod(mp.mpf(b) ** e for b, e in factors)
 
 
-def _kernel_bases(factors, nu: float):
-    """w**r / Gamma(nu*r + 1) for r = 0, 1, ..., in the working precision
-    (prec bits), with w = ``_argument(factors)``.
-
-    mpmath forms b**e, 0 < e <= 1, as exp(e*log(b)) with the log 10 bits
-    beyond the precision, and |e*log(b)| < 2**10 for a double b: in
-    prec + 64 bits each power and the product err by a few units of
-    2**-(prec+64), so w is within 2**-(prec+61) of its exact value,
-    relatively.  nu*r + 1 is exact in the least working precision (110
-    bits) unless nu < ~1e-17, where it lies so close to 1 that its
-    rounding moves rgamma by less than two roundings; so base r is within
-    r + 4 roundings of its exact value (the power's r - 1, rgamma's and
-    the product's) plus r * 2**-61 for w: well within the engine's
-    allowance of 3r + 5.
-    """
-    wmp, num = _argument(factors), mp.mpf(nu)
-    wpow = mp.mpf(1)
-    for r in itertools.count():
-        yield wpow * mp.rgamma(num * r + 1)
-        wpow *= wmp
-
-
-def _sum_series(bases, peaks, profile: np.ndarray, cfg: SeriesConfig):
-    """Rows S_k = sum_r base_r * ffact(r, k), k = 0..len(peaks)-1.
+def _sum_series(bases, profile: np.ndarray, cfg: SeriesConfig):
+    """The sum of a series, sum_r base_r, and its bound.
 
     ``bases`` is called inside the working precision and returns an
-    iterator over the k-independent factors base_0, base_1, ... as mpf,
-    each within (3r + 5) roundings of its exact value.  The falling
-    factorial FF_k = r*(r-1)*...*(r-k+1) of term r is an exact integer.
-    ``peaks`` holds each row's peak natural-log term magnitude and
-    ``profile`` the log term magnitudes of the last row, both in doubles:
-    the profile's peak sets the working precision (40 digits above the
-    peak term, prec bits) and the index rpeak past which the sum may stop.
+    iterator over base_0, base_1, ... as mpf, each within (3r + 5)
+    roundings of its exact value.  ``profile`` holds the log term
+    magnitudes in doubles: its peak sets the working precision (40 digits
+    above the peak term, prec bits) and the index rpeak past which the sum
+    may stop.
 
-    The sums are exact Python integers.  Term (r, k) is the exact product
-    +-man*FF_k*2**exp of base_r = +-man*2**exp and FF_k; its
-    magnitude is truncated onto row k's grid, 2**E_k with E_k set
-    prec + _GRID_GUARD_BITS bits below the row's peak term, and added to
-    the row's sum and sum of |terms| in units of 2**E_k.
+    The sum is an exact Python integer.  The magnitude of term r,
+    +-man*2**exp, is truncated onto the grid 2**E, E set prec +
+    _GRID_GUARD_BITS bits below the peak term, and added to the sum and to
+    the sum of |terms| in units of 2**E.
 
-    The sum stops after three consecutive terms, in every row, that fall
-    by a ratio q <= _STOP_RATIO and whose geometric tail last*q/(1-q) is
-    within rel_tol of |partial sum| + rounding; both tests are made in
-    integers.  So NonConvergence is raised before any mpmath work when
-    rpeak + 3 exceeds cfg.max_terms.
-    Each row's bound is that tail plus its rounding: (3R + 2) * 2**-prec
-    times its sum of |terms| for the bases (R terms summed), and one grid
-    unit per term for the truncation.  When some row cancels more digits
-    than the precision leaves room for, the sum is redone with more
-    digits (at most twice).
+    The sum stops after three consecutive terms that fall by a ratio
+    q <= _STOP_RATIO and whose geometric tail last*q/(1-q) is within
+    rel_tol of |partial sum| + rounding; both tests are made in integers.
+    So NonConvergence is raised before any mpmath work when rpeak + 3
+    exceeds cfg.max_terms.  The bound is that tail plus the rounding:
+    (3R + 2) * 2**-prec times the sum of |terms| for the bases (R terms
+    summed), and one grid unit per term for the truncation.  When the sum
+    cancels more digits than the precision leaves room for, it is redone
+    with more digits (at most twice).
 
-    Returns (sums, bounds, terms_used) with mpf sums and bounds, both
-    exact images of their integers.
+    Returns (sum, bound, terms_used) with mpf sum and bound, both exact
+    images of their integers.
     """
-    kmax = len(peaks) - 1
     tol_num, tol_den = cfg.rel_tol.as_integer_ratio()
     q_num, q_den = _STOP_RATIO.as_integer_ratio()
     rpeak = int(np.argmax(profile))
@@ -261,66 +193,46 @@ def _sum_series(bases, peaks, profile: np.ndarray, cfg: SeriesConfig):
         # the stop rule needs three terms past the peak
         raise NonConvergence(
             f"series needs more than {cfg.max_terms} terms: its terms "
-            f"peak at r >= {rpeak} (k<={kmax})")
+            f"peak at r >= {rpeak}")
     dps = max(32, int(profile[rpeak] / _LN10) + 40)
     for _ in range(3):
         with mp.workdps(dps):
             prec = mp.mp.prec
-            grid = [math.floor(p / _LN2) - prec - _GRID_GUARD_BITS
-                    for p in peaks]
-            sums = [0] * (kmax + 1)
-            abssums = [0] * (kmax + 1)
-            lastabs = [0] * (kmax + 1)
-            prevabs = [0] * (kmax + 1)
+            grid = math.floor(profile[rpeak] / _LN2) - prec - _GRID_GUARD_BITS
+            total = abssum = last = prev = 0
             terms = bases()
-            streak = 0
-            r = 0
+            streak = r = 0
             while True:
                 if r > cfg.max_terms:
-                    raise NonConvergence(
-                        f"series did not converge within {cfg.max_terms} "
-                        f"terms (k<={kmax})")
-                neg, ff, exp, _ = next(terms)._mpf_
-                ok = r > rpeak
-                for k in range(kmax + 1):
-                    sh = exp - grid[k]
-                    # truncate the magnitude: >> floors negative numbers
-                    at = ff << sh if sh >= 0 else ff >> -sh
-                    s = sums[k] = sums[k] - at if neg else sums[k] + at
-                    a = abssums[k] = abssums[k] + at
-                    prev = prevabs[k] = lastabs[k]
-                    lastabs[k] = at
-                    if ok:
-                        # tail at*q/(1-q) with q = at/prev, against rel_tol
-                        thr = tol_num * (abs(s) + ((3 * r + 5) * a >> prec)
-                                         + r + 1)
-                        if (q_den * at > q_num * prev
-                                or at * at * tol_den > thr * (prev - at)):
-                            ok = False
-                    # FF_{k+1} = FF_k * (r - k), zero from k = r on
-                    ff *= r - k
+                    raise NonConvergence(f"series did not converge within "
+                                         f"{cfg.max_terms} terms")
+                neg, man, exp, _ = next(terms)._mpf_
+                sh = exp - grid
+                # truncate the magnitude: >> floors negative numbers
+                at = man << sh if sh >= 0 else man >> -sh
+                total = total - at if neg else total + at
+                abssum += at
+                prev, last = last, at
+                # tail at*q/(1-q) with q = at/prev, against rel_tol
+                thr = tol_num * (abs(total) + ((3 * r + 5) * abssum >> prec)
+                                 + r + 1)
+                ok = (r > rpeak and q_den * at <= q_num * prev
+                      and at * at * tol_den <= thr * (prev - at))
                 streak = streak + 1 if ok else 0
                 if streak >= 3:
                     break
                 r += 1
-            worst = 0
-            for total, abssum in zip(sums, abssums):
-                if abssum == 0:
-                    continue
-                cancel = (math.log10(abssum) - math.log10(abs(total))
-                          if total else dps)
-                worst = max(worst, int(cancel) + 32 - dps)
+        cancel = (math.log10(abssum) - math.log10(abs(total)) if total
+                  else dps)
+        worst = int(cancel) + 32 - dps if abssum else 0
         if worst <= 0:
             break
         dps += worst + 8
     n = r + 1
-    bounds = []
-    for last, prev, abssum, g in zip(lastabs, prevabs, abssums, grid):
-        tail = -(-last * last // (prev - last)) if last else 0
-        units = tail + ((3 * n + 2) * (abssum + n) >> prec) + 1 + n
-        bounds.append(mp.make_mpf(libmp.from_man_exp(units, g)))
-    return ([mp.make_mpf(libmp.from_man_exp(s, g))
-             for s, g in zip(sums, grid)], bounds, n)
+    tail = -(-last * last // (prev - last)) if last else 0
+    units = tail + ((3 * n + 2) * (abssum + n) >> prec) + 1 + n
+    return (mp.make_mpf(libmp.from_man_exp(total, grid)),
+            mp.make_mpf(libmp.from_man_exp(units, grid)), n)
 
 
 def _to_double(value, bound, terms: int) -> EvalResult:
@@ -341,19 +253,6 @@ def _exp_error_bound(value: float, cond: float = 0.0) -> float:
     underflow of a result below the smallest subnormal.
     """
     return value * (math.expm1(8 * _EPS * cond) + 4 * _EPS) + math.ulp(0.0)
-
-
-def _series_length(profile: np.ndarray, rel_tol: float) -> float:
-    """Terms the stop rule of ``_sum_series`` takes on ``profile``, whose
-    log term ratios decrease past the peak, with the sum taken as 1;
-    inf when it would not stop within the profile."""
-    rpeak = int(np.argmax(profile))
-    lq = np.diff(profile[rpeak:])
-    with np.errstate(invalid="ignore", divide="ignore"):
-        tail = profile[rpeak + 1:] + lq - np.log(-np.expm1(lq))
-    hits = np.flatnonzero((lq <= math.log(_STOP_RATIO))
-                          & (tail <= math.log(rel_tol)))
-    return rpeak + int(hits[0]) + 4 if hits.size else math.inf
 
 
 def _rule(n: int) -> tuple[float, float]:
@@ -503,31 +402,43 @@ def _contour_rows(kmax: int, factors, x: float, nu: float,
     The truncation and discretisation errors are bounded by
     ``_contour_error``, the rounding by ``_contour_sum``.
 
-    Sizing: each |p_k| is estimated by a rule in doubles
-    (``_contour_estimate``) on m + 1 nodes, m = 33 and doubled each round
-    up to cfg.max_terms, each estimate kept once the double sum cancels
-    fewer than 8 digits and that rule's bound (``_contour_error``) is below
-    it.  A small m resolves the largest entries, whose sums cancel about
-    e**mu; so past m = 33 the estimate keeps mu = pi*33/12 and takes
-    h = (3/33)*sqrt(33/m), which refines the step and moves the cut-off
-    out, to resolve the smallest without cancelling more.  n starts at the
-    least count that could meet rel_tol and grows until the bound of the
-    n-node rule meets rel_tol/8 of every estimate.  The estimates only
-    size the rule: a wrong one costs time, never correctness.  The
-    precision is sized from the ratio of each entry's sum of |terms| at n
-    to rel_tol/8 of its estimate, and rounded up to a multiple of 16 bits,
-    so that rows at nearby precisions share their cached nodes.
+    Sizing: each |p_k| is estimated by rules in doubles
+    (``_contour_estimate``) over a ladder of mu.  At each mu, m starts at
+    m0 = round(12*mu/pi) and doubles each round up to cfg.max_terms, with
+    h = (3/m0)*sqrt(m0/m), which refines the step and moves the cut-off
+    out without cancelling more.  An estimate is kept once the double sum
+    cancels fewer than 24 nats (the doubles resolve about 36) and that
+    rule's bound (``_contour_error``) is below it.  Refining stops at a
+    mu once every open entry's bound lies below its estimate: there
+    cancellation, which more nodes do not cure, holds them open.  The
+    first mu is pi*33/12, from m = 33 (or from the first n, by ``_rule``,
+    where it is smaller); it resolves the largest entries, whose sums
+    cancel about e**mu.  Then, while an entry is open, mu is nu*k of the
+    first open entry k, where its j = 0 term e**mu * (x/mu**nu)**k is
+    least (Weideman & Trefethen pick mu per range of t, this per entry),
+    as long as that grows; else the next of 4, 2, 1 and .5, which resolve
+    orders near 1, whose p_0 ~ 1/(x*Gamma(1 - nu)) cancels e**mu.
+
+    n starts at the least count that could meet rel_tol and grows until
+    the bound of the n-node rule meets rel_tol/8 of every estimate.  The
+    estimates only size the rule: a wrong one costs time, never
+    correctness.  The precision is sized from the ratio of each entry's
+    sum of |terms| at n to rel_tol/8 of its estimate, and rounded up to a
+    multiple of 16 bits, so that rows at nearby precisions share their
+    cached nodes.
 
     Raises NonConvergence before any work where the first n exceeds
     cfg.max_terms.  Before any estimate, it raises where no round can
     resolve some entry: a kept estimate lies within e**-1 of its rule and
-    above e**-18 of its sum of |terms|, so |p_k| then exceeds e**-18.5 of
+    above e**-24 of its sum of |terms|, so |p_k| then exceeds e**-24.5 of
     the rule's j = 0 term; and p_k, a mixture of Poisson masses at the
     means x*Y with E[Y**k] = k!/Gamma(nu*k + 1), is at most
     min(max_y e**-y * y**k / k!, x**k / Gamma(nu*k + 1)) <=
-    1/sqrt(2*pi*k) (1 at k = 0).  Then it raises where the rounds leave an
-    entry unresolved or n would pass cfg.max_terms, and where some entry's
-    bound misses rel_tol of its value.
+    1/sqrt(2*pi*k) (1 at k = 0).  The j = 0 term is taken at least over
+    mu = .5 * 2**(i/4) up to pi*cfg.max_terms/12, at the least step of
+    each.  Then it raises where the ladder leaves an entry open or n
+    would pass cfg.max_terms, and where some entry's bound misses rel_tol
+    of its value.
     """
     ltol = math.log(cfg.rel_tol / 8)
     known = np.full(kmax + 1, -np.inf)
@@ -546,34 +457,48 @@ def _contour_rows(kmax: int, factors, x: float, nu: float,
         return _contour_estimate(x, nu, kmax, n, mu, h)
 
     bound(n, *_rule(n))         # raises at once if n is past the budget
-    rounds = []
-    m = min(n, 33)
-    while m <= cfg.max_terms:
-        rounds.append((m, *_rule(m)) if m < 33 else (
-            m, math.pi * 33 / 12, 3 / 33 * math.sqrt(33 / m)))
-        m *= 2
-    # no round resolves an entry whose ceiling lies e**-19 below every
-    # round's j = 0 term
+    # no round resolves an entry whose ceiling lies e**-25 below the j = 0
+    # term of every rule: mu = .5 * 2**(i/4) up to pi*max_terms/12, each
+    # with the least step of its rounds, h = 3/sqrt(m0*max_terms)
     k, lx = np.arange(kmax + 1.0), math.log(x)
     ceiling = np.minimum(-0.5 * np.log(np.maximum(2 * math.pi * k, 1)),
                          k * lx - _lgamma(nu * k + 1))
-    lead = np.min([mu + nu * math.log(mu) + math.log(h / math.pi)
-                   + (k + 1) * (lx - math.log(mu ** nu + x)) - lx
-                   for _, mu, h in rounds], axis=0)
-    if np.any(ceiling < lead - 19):
+    mus = 0.5 * 2 ** (np.arange(
+        4 * math.log2(math.pi * cfg.max_terms / 6)) / 4)[:, None]
+    lead = np.min(mus + nu * np.log(mus) + math.log(3 / math.pi)
+                  - 0.5 * np.log(12 / math.pi * cfg.max_terms * mus)
+                  + (k + 1) * (lx - np.log(mus ** nu + x)) - lx, axis=0)
+    if np.any(ceiling < lead - 25):
         raise NonConvergence(
             f"contour rule cannot size p_k for k >= "
-            f"{np.argmax(ceiling < lead - 19)} within {cfg.max_terms} "
+            f"{np.argmax(ceiling < lead - 25)} within {cfg.max_terms} "
             f"nodes {where}")
-    for m, mu, h in rounds:
-        lp, lt = estimate(m, mu, h)
-        sure = (lp > lt - 18) & (bound(m, mu, h) < lp - 1)
-        known[sure] = lp[sure]
+    deep, small = math.pi * 33 / 12, [4.0, 2.0, 1.0, 0.5]
+    mu, m0, m = deep, 33, min(n, 33)
+    while True:
+        while m <= cfg.max_terms:
+            key = (m, *_rule(m)) if m < m0 else (
+                m, mu, 3 / m0 * math.sqrt(m0 / m))
+            lp, lt = estimate(*key)
+            lerr = bound(*key)
+            sure = (lp > lt - 24) & (lerr < lp - 1)
+            known[sure] = lp[sure]
+            open_ = known == -np.inf
+            if np.all(lerr[open_] < lp[open_] - 1):
+                break       # cancellation holds the rest: nodes cannot help
+            m *= 2
         if np.all(known > -np.inf):
             break
-    else:
-        raise NonConvergence(
-            f"contour rule needs more than {cfg.max_terms} nodes {where}")
+        k0 = int(np.argmax(known == -np.inf))
+        if nu * k0 > deep:
+            mu = deep = nu * k0
+        elif small:
+            mu = small.pop(0)
+        else:
+            raise NonConvergence(
+                f"contour rule cannot size p_{k0} within {cfg.max_terms} "
+                f"nodes {where}")
+        m0 = m = max(1, round(12 * mu / math.pi))
     last = None
     while True:
         lerr = bound(n, *_rule(n))
@@ -791,8 +716,7 @@ def mittag_leffler(nu: float, x: float, cfg: SeriesConfig | None = None) -> Eval
     At nu = 1 the value is exp(x), and x = 0 gives 1 with bound 0.  At
     nu < 1 it is p_0 of the time-fractional row at rate -x,
     ``wright_psi11_weighted_rows(0, ((-x, 1.0),), nu, cfg)[0]``: the contour
-    rule, else the series where the contour raises, certified to
-    cfg.rel_tol.
+    rule, certified to cfg.rel_tol.
     """
     if not 0 < nu <= 1:
         raise ValueError("nu must lie in (0, 1]")
@@ -811,13 +735,11 @@ def wright_psi11_weighted_rows(kmax: int, factors, time_nu: float,
     time-fractional Poisson masses with lam**alpha * t**nu = -w, given as
     its exact ``factors`` ((lam, alpha), (t, nu)).
 
-    The contour rule (``_contour_rows``) runs first, with at most
-    max_terms nodes.  Where it raises NonConvergence, the series
-    (``_sum_series``) runs if its magnitude profile (``_kernel_profile``)
-    shows that it stops, and the exception propagates if it does not.
-    Both certify every entry to rel_tol.  The series divides each S_k by
-    the exact k!, rounded once, so rows remain finite doubles even where
-    k! alone would overflow.
+    p_k <= x**k / Gamma(nu*k + 1), x = -w (``_contour_rows``).  Past the
+    last k where that ceiling, with a nat for the rounding of lgamma,
+    reaches ulp(0), each p_k is returned as 0 with bound ulp(0); the
+    contour rule (``_contour_rows``) gives the entries up to it, each
+    certified to rel_tol.
 
     Where w is 0 in doubles the row is that of x = -w = 0.  If every base
     is positive, x underflowed, and each mass errs by at most
@@ -833,25 +755,11 @@ def wright_psi11_weighted_rows(kmax: int, factors, time_nu: float,
     if w == 0.0:
         e = math.ulp(0.0) if all(b > 0 for b, _ in factors) else 0.0
         return [EvalResult(float(k == 0), e, 1) for k in range(kmax + 1)]
-    try:
-        vals, bounds, terms = _contour_rows(kmax, factors, -w, time_nu, cfg)
-    except NonConvergence:
-        profile, peaks = _kernel_profile(kmax, w, time_nu, cfg.max_terms)
-        if _series_length(profile, cfg.rel_tol) == math.inf:
-            raise
-    else:
-        return [_to_double(v, b, terms) for v, b in zip(vals, bounds)]
-    vals, bounds, terms = _sum_series(
-        lambda: _kernel_bases(factors, time_nu), peaks, profile, cfg)
-    out = []
-    sign, fact = 1, 1
-    for k in range(kmax + 1):
-        if k:
-            fact *= k
-            sign = -sign
-        f = libmp.from_int(fact)
-        v = libmp.mpf_div(vals[k]._mpf_, f, 53, libmp.round_nearest)
-        b = libmp.mpf_div(bounds[k]._mpf_, f, 53, libmp.round_up)
-        out.append(_to_double(sign * libmp.to_float(v),
-                              libmp.to_float(b, rnd=libmp.round_up), terms))
-    return out
+    # p_k <= x**k / Gamma(nu*k + 1): past the last k where that reaches
+    # ulp(0), with a nat for lgamma, each p_k is 0 within ulp(0)
+    k = np.arange(kmax + 1.0)
+    kcut = int(np.flatnonzero(k * math.log(-w) - _lgamma(time_nu * k + 1)
+                              >= math.log(math.ulp(0.0)) - 1)[-1])
+    vals, bounds, terms = _contour_rows(kcut, factors, -w, time_nu, cfg)
+    return ([_to_double(v, b, terms) for v, b in zip(vals, bounds)]
+            + [EvalResult(0.0, math.ulp(0.0), terms)] * (kmax - kcut))

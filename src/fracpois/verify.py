@@ -285,10 +285,10 @@ def oracle_pmf(params: ProcessParams, t: float, k: int,
     """Reference PMF value by direct arbitrary-precision summation.
 
     Terms are built from gamma-function quotients (reciprocal gamma at
-    the poles), sharing no code with the falling-factorial evaluator in
-    special_fn.  Past the peak the term ratios q shrink, so the sum stops
-    after three terms whose geometric tail last*q/(1-q) is within the
-    tolerance.
+    the poles), sharing no summation code with the contour of special_fn
+    or the direct series of dist.  Past the peak the term ratios q
+    shrink, so the sum stops after three terms whose geometric tail
+    last*q/(1-q) is within the tolerance.
 
     The working precision comes from a double-precision profile of the
     term magnitudes over r <= 50_000, scanned in doubling blocks by
@@ -325,9 +325,9 @@ def oracle_pmf(params: ProcessParams, t: float, k: int,
         # |1/Gamma(z)| <= Gamma(1-z) for z <= 0 via reflection (|sin| <= 1)
         lt += np.where(zk > 0, -_lgamma(np.maximum(zk, 1e-300)),
                        _lgamma(np.maximum(1.0 - zk, 1.0)))
-        return lt[:, None]
+        return lt
 
-    lt, _ = _scan_profile(block, 1, 50_000, k / alpha + 2)
+    lt = _scan_profile(block, 50_000, k / alpha + 2)
     rpeak = int(np.argmax(lt))
     dps = max(ocfg.precision_digits + 10,
               int(lt[rpeak] / math.log(10)) + ocfg.precision_digits + 10)

@@ -27,11 +27,10 @@ def profile_scans(monkeypatch):
     def scans(module, call):
         seen = {}
 
-        def spy(block, rows, rmax, r_concave):
-            seen["scan"] = special_fn._scan_profile(block, rows, rmax,
-                                                    r_concave)[0]
+        def spy(block, rmax, r_concave):
+            seen["scan"] = special_fn._scan_profile(block, rmax, r_concave)
             with np.errstate(divide="ignore", invalid="ignore"):
-                full = block(np.arange(rmax + 1, dtype=float))[:, -1]
+                full = block(np.arange(rmax + 1, dtype=float))
             full[~np.isfinite(full)] = -np.inf
             seen["full"] = full
             raise _Stop
@@ -42,25 +41,6 @@ def profile_scans(monkeypatch):
         return seen["scan"], seen["full"]
 
     return scans
-
-
-def _series_rows(kmax, factors, nu, cfg=None):
-    """The series engine alone, without the contour: (mpf sums S_0..S_kmax,
-    mpf bounds, terms_used) at w = -prod(b**e) of ``factors``, for any
-    0 < nu <= 1.  ``special_fn._kernel_profile`` is looked up at each
-    call, so a test may patch it."""
-    cfg = cfg or special_fn.DEFAULT_CONFIG
-    w = special_fn._argument_double(factors)
-    profile, peaks = special_fn._kernel_profile(kmax, w, nu, cfg.max_terms)
-    return special_fn._sum_series(
-        lambda: special_fn._kernel_bases(factors, nu), peaks, profile, cfg)
-
-
-@pytest.fixture
-def series_rows():
-    """``series_rows(kmax, factors, nu, cfg=None)``: the series engine's
-    row sums, as ``_sum_series`` returns them."""
-    return _series_rows
 
 
 def _panjer_row(lam, alpha, t, kmax, dps=60):

@@ -305,15 +305,16 @@ def test_space_fractional_rows_bound_holds_against_panjer(panjer_row, lam,
         assert abs(mp.mpf(row.p) - ref) <= row.abs_error_bound
 
 
-def test_series_fails_fast_past_max_terms(monkeypatch, series_rows):
-    """A series whose terms peak past max_terms raises NonConvergence
-    before any mpmath work."""
+def test_series_fails_fast_past_max_terms(monkeypatch):
+    """A direct series whose terms peak past max_terms raises
+    NonConvergence before any mpmath work."""
     def fail(*args):
         raise AssertionError("gamma function called")
 
     monkeypatch.setattr(mp, "rgamma", fail)
     with pytest.raises(dist.NonConvergence):
-        series_rows(2, ((1.0, 1.0), (1e4, 0.5)), 0.5)
+        dist.pmf_time_fractional_direct(ProcessParams(1.0, 1.0, 0.5), 1e4,
+                                        2)
 
 
 def test_underflowing_argument_is_bounded():
@@ -479,13 +480,16 @@ def test_last_row_bound_holds_with_rounded_argument():
         assert abs(mp.mpf(row.p) - ref) <= row.abs_error_bound
 
 
-def test_series_bounds_hold_at_exact_argument(monkeypatch, series_rows):
+def test_series_bounds_hold_at_exact_argument(monkeypatch):
     # at rel_tol = 1e-60 the bounds are far below the rounding of
-    # lam * t**nu to a double: the series must sum at the exact argument
+    # lam * t**nu to a double: the contour row and the direct series must
+    # sum at the exact argument
     params, t = ProcessParams(0.9, 1.0, 0.97), 4.3
+    factors = ((0.9, 1.0), (t, 0.97))
     cfg = SeriesConfig(rel_tol=1e-60)
     ocfg = verify.OracleConfig(precision_digits=90)
-    vals, bounds, _ = series_rows(30, ((0.9, 1.0), (t, 0.97)), 0.97, cfg)
+    vals, bounds, _ = special_fn._contour_rows(
+        30, factors, -special_fn._argument_double(factors), 0.97, cfg)
     sums = []
 
     def recorded(*args):
@@ -494,12 +498,11 @@ def test_series_bounds_hold_at_exact_argument(monkeypatch, series_rows):
 
     monkeypatch.setattr(dist, "_sum_series", recorded)
     dist.pmf_time_fractional_direct(params, t, 27, cfg)
-    direct, direct_bound = sums[0][0][0], sums[0][1][0]
+    direct, direct_bound, _ = sums[0]
     with mp.workdps(120):
         for k in (0, 5, 21, 27, 30):
-            scale = (-1) ** k / mp.factorial(k)
             ref = verify.oracle_pmf(params, t, k, ocfg)
-            assert abs(vals[k] * scale - ref) <= bounds[k] * abs(scale)
+            assert abs(vals[k] - ref) <= bounds[k]
         ref = verify.oracle_pmf(params, t, 27, ocfg)
         assert abs(direct - ref) <= direct_bound
 

@@ -1,12 +1,11 @@
 import math
 
 import mpmath as mp
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fracpois import special_fn
+from fracpois import dist, special_fn
 from fracpois.dist import ProcessParams, pmf_row
 from fracpois.special_fn import (EvalResult, NonConvergence, SeriesConfig,
                                  mittag_leffler, wright_psi11_weighted_rows)
@@ -79,8 +78,7 @@ def _kernel_integral(nu, x):
         return mp.quad(f, pts, maxdegree=10) * sn / (nu * mp.pi)
 
 
-# Both engines of the row: the contour runs first, and the series, whose
-# peak term is about exp(|x|**(1/nu)), only where the contour raises.
+# The contour serves every row; the references below share no code with it.
 
 @settings(max_examples=40, deadline=None)
 @given(x=st.floats(-100.0, 0.0))
@@ -184,19 +182,19 @@ def test_nonconvergence_when_max_terms_too_small():
         mittag_leffler(0.5, -25.0, SeriesConfig(max_terms=20))
 
 
-def test_kernel_reduces_to_exp(series_rows):
-    vals, _, _ = series_rows(0, ((2.0, 1.0),), 1.0)
-    assert float(vals[0]) == pytest.approx(math.exp(-2.0), rel=1e-12)
-
-
-def test_double_mode_escalates_instead_of_losing_digits(series_rows):
+def test_double_mode_escalates_instead_of_losing_digits():
     # E_1(-30): the series cancels about 26 digits, far beyond a double's
     # headroom; the engine must size its precision and stay accurate
     res = mittag_leffler(1.0, -30.0)
     assert res.value == pytest.approx(math.exp(-30.0), rel=1e-12)
-    # the same cancellation through the kernel's series
-    vals, _, _ = series_rows(0, ((30.0, 1.0),), 1.0)
-    assert float(vals[0]) == pytest.approx(math.exp(-30.0), rel=1e-12)
+    # a like cancellation through the direct series, E_.97(-30), within
+    # rel_tol and within the sum of its bound and the contour's
+    direct = dist.pmf_time_fractional_direct(ProcessParams(30.0, 1.0, 0.97),
+                                             1.0, 0)
+    res = mittag_leffler(0.97, -30.0)
+    assert direct.abs_error_bound <= 2e-12 * direct.p
+    assert abs(direct.p - res.value) <= (direct.abs_error_bound
+                                         + res.abs_error_bound)
 
 
 def test_series_bound_delivers_rel_tol():
@@ -239,58 +237,42 @@ def test_error_certificate_is_conservative(alpha, k, w, nu):
 
 
 @pytest.mark.parametrize("kmax,w,nu", [
-    (30, -5.0, 0.3), (10, -3.0, 0.5), (30, -1.0, 1.0),
+    (30, -5.0, 0.3), (10, -3.0, 0.5), (30, -10.0, 0.97),
 ])
-def test_series_rounding_certificate(monkeypatch, series_rows, kmax, w, nu):
-    """At rel_tol=1e-60 rounding dominates the bound: a rerun 60 digits
-    more precise must land within it on every row."""
+def test_series_rounding_certificate(monkeypatch, kmax, w, nu):
+    """At rel_tol=1e-60 rounding dominates the bound of the direct series:
+    a rerun 60 digits more precise must land within it at k = 0, 1, kmax/2
+    and kmax.  The profile sets the precision and the summation grid, 40
+    digits and more below the peak term; each case here peaks above
+    1e-8, so that its grid is not coarsened by the 32-digit floor of the
+    precision."""
     cfg = SeriesConfig(rel_tol=1e-60)
-    vals, bounds, _ = series_rows(kmax, ((-w, 1.0),), nu, cfg)
-    profile_of = special_fn._kernel_profile
+    params = ProcessParams(-w, 1.0, nu)
+
+    def sums():
+        seen = []
+
+        def recorded(*args):
+            seen.append(special_fn._sum_series(*args))
+            return seen[-1]
+
+        monkeypatch.setattr(dist, "_sum_series", recorded)
+        for k in (0, 1, kmax // 2, kmax):
+            dist.pmf_time_fractional_direct(params, 1.0, k, cfg)
+        return seen
+
+    found = sums()
+    scan = special_fn._scan_profile
 
     def shifted(*args):
-        # the profile sets the precision, the row peaks the grids: a
-        # higher profile refines both by 60 digits
-        profile, peaks = profile_of(*args)
-        return profile + 60 * math.log(10.0), peaks
+        # 60 digits more precision, on the same grid
+        return scan(*args) + 60 * math.log(10.0)
 
-    monkeypatch.setattr(special_fn, "_kernel_profile", shifted)
-    refs, _, _ = series_rows(kmax, ((-w, 1.0),), nu, cfg)
+    monkeypatch.setattr(dist, "_scan_profile", shifted)
+    refs = sums()
     with mp.workdps(400):
-        for v, b, ref in zip(vals, bounds, refs):
-            assert abs(v - ref) <= b
-
-
-def _full_profile(kmax, w, nu, rmax):
-    """Every row's log term magnitudes over r = 0..rmax, without stopping."""
-    r = np.arange(rmax + 1, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        lt = r * math.log(abs(w)) - special_fn._lgamma(nu * r + 1.0)
-        lt[~np.isfinite(lt)] = -np.inf
-        rows = lt[:, None] + np.cumsum(np.log(np.abs(
-            r[:, None] - np.arange(kmax)[None, :])), axis=1)
-    rows = np.column_stack([lt, rows])
-    return rows[:, -1], rows.max(axis=0)
-
-
-@pytest.mark.parametrize("alpha", [0.3, 0.5, 0.7, 1.0])
-@pytest.mark.parametrize("nu", [0.05, 0.3, 0.5, 0.7, 1.0])
-def test_truncated_profile_matches_full_scan(alpha, nu):
-    """The prescan may stop early only where the rest of the scan would
-    change no peak, no precision and no predicted series length.  The
-    arguments are those of the rows of the laws (lam, alpha, nu) at t = 1,
-    w = -lam**alpha."""
-    for lam in (100.0, 8.0, 1.0, 1e-3):
-        w = -lam ** alpha
-        for kmax in (0, 1, 10, 30, 100):
-            profile, peaks = special_fn._kernel_profile(kmax, w, nu, 10_000)
-            full, full_peaks = _full_profile(kmax, w, nu, 10_000)
-            assert np.array_equal(peaks, full_peaks)
-            assert np.array_equal(profile, full[:profile.size])
-            assert np.argmax(profile) == np.argmax(full)
-            for tol in (1e-12, 1e-60):
-                assert (special_fn._series_length(profile, tol)
-                        == special_fn._series_length(full, tol))
+        for (v, b, _), (ref, rb, _) in zip(found, refs):
+            assert rb <= b and abs(v - ref) <= b
 
 
 def test_series_config_validation():
@@ -376,10 +358,6 @@ def test_router_sends_costly_series_to_the_contour(monkeypatch):
     assert all(r.abs_error_bound <= 1e-12 * r.p + 2e-16 * r.p for r in rows)
 
 
-def _refuse(*args):
-    raise NonConvergence("refused")
-
-
 def test_contour_raises_beyond_its_node_budget(monkeypatch):
     """max_terms below the first node count raises before any sizing."""
     for name in ("_contour_error", "_contour_estimate", "_contour_sum"):
@@ -389,57 +367,28 @@ def test_contour_raises_beyond_its_node_budget(monkeypatch):
                                  SeriesConfig(max_terms=20))
 
 
-def test_router_falls_back_to_the_series(monkeypatch, series_rows):
-    """The (5, 1, .7) row goes to the contour, 34 nodes; where the contour
-    raises, the series, which finishes in about 20 ms, gives the row."""
-    factors = ((5.0, 1.0), (1.0, 0.7))
-    assert wright_psi11_weighted_rows(30, factors, 0.7)[0].terms_used == 34
-    monkeypatch.setattr(special_fn, "_contour_rows", _refuse)
-    rows = wright_psi11_weighted_rows(30, factors, 0.7)
-    sums, _, terms = series_rows(30, factors, 0.7)
-    for k, row in enumerate(rows):
-        assert row.terms_used == terms
-        with mp.workdps(40):
-            ref = (-1) ** k * sums[k] / mp.factorial(k)
-        assert abs(row.value - ref) <= row.abs_error_bound
-
-
-def test_router_reraises_where_the_series_cannot_finish(monkeypatch):
-    """The (1, 1, .5) row at t = 2000 is past the series' max_terms: where
-    the contour raises, its NonConvergence propagates and the series never
-    runs."""
-    monkeypatch.setattr(special_fn, "_contour_rows", _refuse)
-    monkeypatch.setattr(special_fn, "_sum_series", _fail)
-    with pytest.raises(NonConvergence, match="refused"):
-        wright_psi11_weighted_rows(2, ((1.0, 1.0), (2000.0, 0.5)), 0.5)
-
-
 @pytest.mark.parametrize("lam,nu,kmax", [
     (0.01, 0.2, 100), (0.01, 0.5, 100),
     *((lam, nu, 30) for lam in (0.1, 1.0, 5.0) for nu in (0.3, 0.5, 0.7))])
-def test_engines_agree(series_rows, lam, nu, kmax):
-    """The row as served and the series alone, divided by the exact k!,
-    agree entry by entry within the sum of their bounds."""
-    factors = ((lam, 1.0), (1.0, nu))
-    rows = wright_psi11_weighted_rows(kmax, factors, nu)
-    sums, bounds, _ = series_rows(kmax, factors, nu)
-    with mp.workdps(60):
-        for k, row in enumerate(rows):
-            f = math.factorial(k)
-            assert (abs(row.value - (-1) ** k * sums[k] / f)
-                    <= row.abs_error_bound + bounds[k] / f)
+def test_engines_agree(lam, nu, kmax):
+    """The row and the direct series, two independent engines, agree at
+    k = 0, 1, kmax/2 and kmax within the sum of their bounds."""
+    params = ProcessParams(lam, 1.0, nu)
+    rows = wright_psi11_weighted_rows(kmax, ((lam, 1.0), (1.0, nu)), nu)
+    for k in (0, 1, kmax // 2, kmax):
+        direct = dist.pmf_time_fractional_direct(params, 1.0, k)
+        with mp.workdps(60):
+            assert (abs(mp.mpf(rows[k].value) - mp.mpf(direct.p))
+                    <= rows[k].abs_error_bound + direct.abs_error_bound)
 
 
-@pytest.mark.parametrize("nu,refuse", [(0.5, False), (0.2, True)])
-def test_series_row_divides_by_the_exact_factorial(monkeypatch, nu, refuse):
+@pytest.mark.parametrize("nu", [0.5, 0.2])
+def test_contour_serves_deep_entries_of_small_rates(nu):
     """From k = 19 on k! is not a double, and its rounding (7e-16 at
-    k = 95) exceeds the bound of a series entry.  At nu = .5 the contour
-    cannot size these entries and the series serves the row; at nu = .2
-    the contour is made to raise.  Each entry lies within its bound of
-    the direct sum sum_{n>=k} (-1)**(n-k) C(n, k) x**n / Gamma(nu*n + 1)
-    at 60 digits, whose terms fall by 0.15 or more from n = k on."""
-    if refuse:
-        monkeypatch.setattr(special_fn, "_contour_rows", _refuse)
+    k = 95) would exceed the bound of an entry.  The contour gives these
+    entries with no factorial: each lies within its bound of the direct
+    sum sum_{n>=k} (-1)**(n-k) C(n, k) x**n / Gamma(nu*n + 1) at 60
+    digits, whose terms fall by 0.15 or more from n = k on."""
     rows = pmf_row(ProcessParams(0.01, 1.0, nu), 1.0, 100)
     with mp.workdps(60):
         x, num = mp.mpf(0.01), mp.mpf(nu)
@@ -530,9 +479,94 @@ def test_long_rows_near_one_return(nu):
 
 
 def test_contour_gives_up_before_sizing(monkeypatch):
-    """Past k ~ 110 no estimate in doubles at x = 1 resolves p_k within
-    10**4 nodes, and the series cannot finish: the row raises before any
-    estimate."""
+    """With at most 100 nodes, no rule in doubles at x = 1 resolves the
+    deep entries of a 300-entry row, whose ceiling stays above ulp(0):
+    the row raises before any estimate."""
     monkeypatch.setattr(special_fn, "_contour_estimate", _fail)
     with pytest.raises(NonConvergence, match="cannot size"):
-        pmf_row(ProcessParams(1.0, 0.5, 0.5), 1.0, 10 ** 4)
+        pmf_row(ProcessParams(1.0, 0.5, 0.5), 1.0, 300,
+                SeriesConfig(max_terms=100))
+
+
+def _no_gamma(monkeypatch):
+    monkeypatch.setattr(mp, "rgamma", _fail)
+    monkeypatch.setattr(mp, "gamma", _fail)
+
+
+@pytest.mark.parametrize("lam,nu", [(0.01, 0.5), (1.0, 0.5), (5.0, 0.6),
+                                    (20.0, 0.95)])
+def test_long_rows_need_no_gamma(monkeypatch, lam, nu):
+    """K = 100 rows whose deep entries a fixed contour parameter cannot
+    size come from the contour, with no gamma function, each bound
+    within rel_tol of its entry plus the rounding to double."""
+    _no_gamma(monkeypatch)
+    for row in pmf_row(ProcessParams(lam, 1.0, nu), 1.0, 100):
+        assert row.abs_error_bound <= ((1e-12 * (1 + 1e-9) + 2.0 ** -52)
+                                       * row.p + math.ulp(0.0))
+
+
+@pytest.mark.parametrize("nu", [1 - 1e-6, 1 - 1e-9])
+@pytest.mark.parametrize("x", [30.0, 1000.0])
+@pytest.mark.parametrize("kmax", [0, 30])
+def test_orders_near_one_need_no_gamma(monkeypatch, nu, x, kmax):
+    """Near nu = 1 p_0 ~ 1/(x*Gamma(1 - nu)) cancels e**mu in the rule at
+    the first contour parameter; a smaller one sizes the row, with no
+    gamma function.  Entries 0, 1 and kmax lie within their bounds of
+    Talbot's inversion at 60 digits."""
+    _no_gamma(monkeypatch)
+    rows = wright_psi11_weighted_rows(kmax, ((x, 1.0),), nu)
+    monkeypatch.undo()
+    for k in sorted({0, min(1, kmax), kmax}):
+        ref = _talbot(((x, 1.0),), nu, k, 60)
+        with mp.workdps(60):
+            assert abs(mp.mpf(rows[k].value) - ref) <= rows[k].abs_error_bound
+
+
+def _contour_kmax(monkeypatch):
+    """The kmax of each ``_contour_rows`` call, at most 400."""
+    contour, seen = special_fn._contour_rows, []
+
+    def spy(kmax, *args):
+        seen.append(kmax)
+        assert kmax <= 400
+        return contour(kmax, *args)
+
+    monkeypatch.setattr(special_fn, "_contour_rows", spy)
+    return seen
+
+
+@pytest.mark.parametrize("params,kmax", [((5.0, 0.7, 0.7), 3000),
+                                         ((1.0, 0.5, 0.5), 10 ** 4)])
+def test_rows_are_cut_at_their_moment_ceiling(monkeypatch, params, kmax):
+    """p_k <= x**k / Gamma(nu*k + 1): the contour gives a long row only up
+    to where that ceiling passes ulp(0), a few hundred entries."""
+    seen = _contour_kmax(monkeypatch)
+    rows = pmf_row(ProcessParams(*params), 1.0, kmax)
+    assert len(rows) == kmax + 1 and len(seen) == 1
+
+
+def test_entries_past_the_cut_are_below_ulp0(monkeypatch):
+    """The entries of (1, 1, .5) past the cut are 0 with bound ulp(0): the
+    first of them lies below ulp(0) by the oracle, in mpf."""
+    seen = _contour_kmax(monkeypatch)
+    rows = pmf_row(ProcessParams(1.0, 1.0, 0.5), 1.0, 1000)
+    cut = seen[0] + 1
+    assert all(row.p == 0.0 and row.abs_error_bound == math.ulp(0.0)
+               for row in rows[cut:])
+    assert 0 < oracle_pmf(ProcessParams(1.0, 1.0, 0.5), 1.0, cut) < \
+        math.ulp(0.0)
+
+
+def test_deep_entries_agree_with_the_direct_series(monkeypatch):
+    """Entries 150, 250 and 340 (subnormal) of the (1, 1, .5) row come from
+    the contour alone and lie within the sum of their bound and that of
+    the direct series."""
+    _no_gamma(monkeypatch)
+    rows = pmf_row(ProcessParams(1.0, 1.0, 0.5), 1.0, 400)
+    monkeypatch.undo()
+    for k in (150, 250, 340):
+        direct = dist.pmf_time_fractional_direct(ProcessParams(1.0, 1.0, 0.5),
+                                                 1.0, k)
+        with mp.workdps(60):
+            assert (abs(mp.mpf(rows[k].p) - mp.mpf(direct.p))
+                    <= rows[k].abs_error_bound + direct.abs_error_bound)
