@@ -483,8 +483,8 @@ def _contour_rows(kmax: int, factors, x: float, nu: float,
             lerr = bound(*key)
             sure = (lp > lt - 24) & (lerr < lp - 1)
             known[sure] = lp[sure]
-            open_ = known == -np.inf
-            if np.all(lerr[open_] < lp[open_] - 1):
+            pending = known == -np.inf
+            if np.all(lerr[pending] < lp[pending] - 1):
                 break       # cancellation holds the rest: nodes cannot help
             m *= 2
         if np.all(known > -np.inf):
@@ -735,11 +735,11 @@ def wright_psi11_weighted_rows(kmax: int, factors, time_nu: float,
     time-fractional Poisson masses with lam**alpha * t**nu = -w, given as
     its exact ``factors`` ((lam, alpha), (t, nu)).
 
-    p_k <= x**k / Gamma(nu*k + 1), x = -w (``_contour_rows``).  Past the
-    last k where that ceiling, with a nat for the rounding of lgamma,
-    reaches ulp(0), each p_k is returned as 0 with bound ulp(0); the
-    contour rule (``_contour_rows``) gives the entries up to it, each
-    certified to rel_tol.
+    p_k <= x**k / Gamma(nu*k + 1), x = -w (its proof is in
+    ``_contour_rows``).  Past the last k where that ceiling, with a nat
+    for the rounding of lgamma, reaches ulp(0), each p_k is returned as 0
+    with bound ulp(0); the contour rule (``_contour_rows``) gives the
+    entries up to it, each certified to rel_tol.
 
     Where w is 0 in doubles the row is that of x = -w = 0.  If every base
     is positive, x underflowed, and each mass errs by at most
@@ -755,8 +755,6 @@ def wright_psi11_weighted_rows(kmax: int, factors, time_nu: float,
     if w == 0.0:
         e = math.ulp(0.0) if all(b > 0 for b, _ in factors) else 0.0
         return [EvalResult(float(k == 0), e, 1) for k in range(kmax + 1)]
-    # p_k <= x**k / Gamma(nu*k + 1): past the last k where that reaches
-    # ulp(0), with a nat for lgamma, each p_k is 0 within ulp(0)
     k = np.arange(kmax + 1.0)
     kcut = int(np.flatnonzero(k * math.log(-w) - _lgamma(time_nu * k + 1)
                               >= math.log(math.ulp(0.0)) - 1)[-1])
