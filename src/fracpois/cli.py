@@ -189,8 +189,9 @@ def _cfg(args) -> SeriesConfig:
 def _meta(args, **extra):
     meta = {"alpha": args.alpha, "nu": args.nu, "lambda": args.lam,
             "tool": "fracpois", "version": __version__}
-    if getattr(args, "t", None) is not None:
-        meta["t"] = args.t
+    for name in ("t", "gamma"):
+        if getattr(args, name, None) is not None:
+            meta[name] = getattr(args, name)
     meta.update(extra)
     return meta
 

@@ -5,14 +5,15 @@ Every PGF is G(u, t) = E_nu(-lam**alpha * t**nu * (1-u)**alpha) = Q(S(u)),
 with Q the PGF of the time-fractional law (alpha = 1) at rate lam**alpha
 and S(u) = 1 - (1-u)**alpha the PGF of the Sibuya law, whose masses are
 all positive (Steutel & van Harn, Ann. Probab. 7, 1979; Devroye, Stat.
-Probab. Lett. 18, 1993).  So a PMF row is the alpha = 1 row q (Poisson at
-nu = 1, else the certified row of :mod:`fracpois.special_fn`, by its
-contour) and, at alpha < 1, p_k = sum_{m<=k} q_m * [u**k] S(u)**m: a
-positive sum, nothing cancels.  The Sibuya powers [u**n] S(u)**m follow
-one positive first-order recurrence in n, so a row of K masses costs
-O(K**2), and the survival Pr{N(t) > k} = ``first_passage_cdf(params, t,
-k + 1)`` carries its bound for any alpha at nu = 1.  Elsewhere closed
-forms (exp / Poisson / Erlang) are used where they exist.
+Probab. Lett. 18, 1993).  So a PMF row is the alpha = 1 row q of
+:mod:`fracpois.special_fn` (Poisson at nu = 1, else its contour), which
+alone decides the order and the zero argument, and, at alpha < 1,
+p_k = sum_{m<=k} q_m * [u**k] S(u)**m: a positive sum, nothing cancels.
+The Sibuya powers [u**n] S(u)**m follow one positive first-order
+recurrence in n, so a row of K masses costs O(K**2), and the survival
+Pr{N(t) > k} = ``first_passage_cdf(params, t, k + 1)`` carries its bound
+for any alpha at nu = 1.  The first-passage laws at alpha = 1 are the
+Erlang closed forms.
 """
 
 from __future__ import annotations
@@ -25,10 +26,9 @@ import mpmath as mp
 import numpy as np
 
 from .special_fn import (_EPS, DEFAULT_CONFIG, EvalResult, NonConvergence,
-                         SeriesConfig, _argument, _argument_double,
-                         _exp_error_bound, _lgamma, _scan_profile,
-                         _sum_series, _to_double,
-                         wright_psi11_weighted_rows)
+                         SeriesConfig, _argument, _argument_double, _lgamma,
+                         _poisson_mass, _scan_profile, _sum_series,
+                         _to_double, wright_psi11_weighted_rows)
 
 __all__ = [
     "ProcessParams", "PmfRow", "pmf", "pmf_row", "pmf_time_fractional_direct",
@@ -93,29 +93,18 @@ def _row_sum(rows: list[PmfRow], weights=1.0, rel=0.0) -> EvalResult:
                       + 3 * p.size * math.ulp(0.0), p.size)
 
 
-def _poisson_row(mu: float, k: int) -> PmfRow:
-    """Poisson(mu) mass at k, bounded through the condition sum of its log.
-
-    Every caller has t > 0, so mu = 0 is a mean that underflowed: the mass
-    at k errs from that of mu = 0 by at most mu < ulp(0)."""
-    if mu == 0.0:
-        return PmfRow(k, 1.0 if k == 0 else 0.0, math.ulp(0.0))
-    lg = math.lgamma(k + 1)
-    p = math.exp(-mu + k * math.log(mu) - lg)
-    return PmfRow(k, p, _exp_error_bound(p, mu + k * abs(math.log(mu)) + lg))
-
-
 def pmf_row(params: ProcessParams, t: float, kmax: int,
             cfg: SeriesConfig | None = None) -> list[PmfRow]:
     """PMF values for k = 0..kmax at time t, each with an error bound.
 
-    At nu < 1 the row q (``special_fn.wright_psi11_weighted_rows``, by
-    its contour, 0 with bound ulp(0) past its moment ceiling) takes the
-    exact factors of its argument
+    The alpha = 1 row q (``special_fn.wright_psi11_weighted_rows``:
+    Poisson at nu = 1, else its contour, 0 with bound ulp(0) past its
+    moment ceiling) takes the exact factors of its argument
     lam**alpha * t**nu and forms it in its own working precision, so the
-    bounds of q hold at the exact argument.
+    bounds of q hold at the exact argument.  At t = 0 q is the exact
+    point mass at 0, and so is the law for every alpha.
 
-    At alpha < 1 the alpha = 1 row q is composed with the Sibuya law,
+    At alpha < 1 and t > 0 the row q is composed with the Sibuya law,
     p_n = sum_m q_m * c_n[m] with c_n[m] = [u**n] S(u)**m.  The columns c_n
     follow from (1-u) * (S**m)' = alpha*m * (S**(m-1) - S**m):
 
@@ -150,18 +139,11 @@ def pmf_row(params: ProcessParams, t: float, kmax: int,
     _check_time(t)
     if kmax < 0:
         raise ValueError("kmax must be >= 0")
-    cfg = cfg or DEFAULT_CONFIG
-    if t == 0.0:
-        return [PmfRow(k, 1.0 if k == 0 else 0.0, 0.0)
-                for k in range(kmax + 1)]
-    factors, x = _series_argument(params, t)
-    if params.nu == 1.0:
-        q = [_poisson_row(x, m) for m in range(kmax + 1)]
-    else:
-        q = [PmfRow(m, r.value, r.abs_error_bound) for m, r in enumerate(
-            wright_psi11_weighted_rows(kmax, factors, params.nu, cfg))]
+    q = [PmfRow(m, r.value, r.abs_error_bound) for m, r in enumerate(
+        wright_psi11_weighted_rows(kmax, _series_argument(params, t)[0],
+                                   params.nu, cfg))]
     alpha = params.alpha
-    if alpha == 1.0:
+    if alpha == 1.0 or t == 0.0:
         return q
     qb = np.array([[max(row.p, 0.0), row.abs_error_bound] for row in q]).T
     m = np.arange(kmax + 1.0)
@@ -188,7 +170,7 @@ def pmf(params: ProcessParams, t: float, k: int,
         cfg: SeriesConfig | None = None) -> PmfRow:
     """Probability of exactly k events by time t: entry k of ``pmf_row``.
 
-    That is the Poisson closed form at nu = 1, and the contour at nu < 1,
+    That is the row's Poisson mass at nu = 1 and its contour at nu < 1,
     composed with the Sibuya law at alpha < 1 (where a negative q_m is
     raised to 0).  The value is not clamped to [0, 1].  Entry k of a
     longer row, ``pmf_row(params, t, K)[k]`` with K > k, may differ from
@@ -206,9 +188,10 @@ def pmf_time_fractional_direct(params: ProcessParams, t: float, k: int,
     """Time-fractional PMF by its own series, an independent path at alpha=1.
 
     Pr{N_nu(t)=k} = sum_r x**k*(r+k)!/(r!*k!) * (-x)**r / Gamma(nu*(k+r)+1),
-    x = lam*t**nu: the (r+k)!/r! recurrence and its own term profile, summed
-    exactly in integers with a certified bound
-    (``special_fn._sum_series``).  It shares no code with the contour of
+    x = lam*t**nu.  At nu = 1 and where x = 0 in doubles it is ``pmf``,
+    whose row decides both.  Else the (r+k)!/r! recurrence and its own
+    term profile are summed exactly in integers with a certified bound
+    (``special_fn._sum_series``), sharing no code with the contour of
     ``pmf``, which it cross-validates at alpha = 1.  The log term
     magnitudes are concave in r (the ratio of successive terms falls), so
     the profile is scanned in doubling blocks
@@ -224,16 +207,11 @@ def pmf_time_fractional_direct(params: ProcessParams, t: float, k: int,
     if k < 0:
         raise ValueError("k must be >= 0")
     _check_time(t)
-    cfg = cfg or DEFAULT_CONFIG
-    if t == 0.0:
-        return PmfRow(k, 1.0 if k == 0 else 0.0, 0.0)
     nu = params.nu
     factors, x = _series_argument(params, t)
-    if nu == 1.0:
-        return _poisson_row(x, k)
-    if x == 0.0:
-        # x underflowed: p_k errs from the x = 0 row by < 1.2x < ulp(0)
-        return PmfRow(k, 1.0 if k == 0 else 0.0, math.ulp(0.0))
+    if nu == 1.0 or x == 0.0:
+        return pmf(params, t, k, cfg)
+    cfg = cfg or DEFAULT_CONFIG
     logx, lgk = math.log(x), math.lgamma(k + 1)
 
     def block(r):
@@ -263,23 +241,18 @@ def pgf(params: ProcessParams, t: float, u: float,
         cfg: SeriesConfig | None = None) -> EvalResult:
     """Probability generating function E[u**N(t)] for |u| <= 1.
 
-    Equals E_nu(-lam**alpha * (1-u)**alpha * t**nu); at nu = 1 it is the
-    discrete-stable exponential exp(-lam**alpha * t * (1-u)**alpha).  At
-    nu < 1 it is p_0 of the time-fractional row, which takes the three
-    factors exactly, so its bound holds at the exact argument.
+    Equals E_nu(-lam**alpha * (1-u)**alpha * t**nu), p_0 of the
+    time-fractional row (``special_fn.wright_psi11_weighted_rows``), which
+    takes the three factors exactly, so its bound holds at the exact
+    argument.  At nu = 1 that is the discrete-stable exponential
+    exp(-lam**alpha * t * (1-u)**alpha); a zero factor (t = 0 or u = 1)
+    gives 1 exactly.
     """
     if not abs(u) <= 1:
         raise ValueError("u must satisfy |u| <= 1")
     _check_time(t)
-    cfg = cfg or DEFAULT_CONFIG
-    if t == 0.0 or u == 1.0:
-        return EvalResult(1.0, 0.0, 0)
-    lam, alpha = params.lam, params.alpha
-    factors = ((lam, alpha), (1.0 - u, alpha), (t, params.nu))
-    if params.nu == 1.0:
-        arg = _argument_double(factors)
-        v = math.exp(arg)
-        return EvalResult(v, _exp_error_bound(v, abs(arg)), 0)
+    factors = ((params.lam, params.alpha), (1.0 - u, params.alpha),
+               (t, params.nu))
     return wright_psi11_weighted_rows(0, factors, params.nu, cfg)[0]
 
 
@@ -395,10 +368,10 @@ def first_passage(params: ProcessParams, t: float, k: int,
     lam, alpha = params.lam, params.alpha
     if alpha == 1.0:
         mu = _series_argument(params, t)[1]
-        row = _poisson_row(mu, k - 1)
+        row = _poisson_mass(mu, k - 1)
         return _erlang_cdf(mu, k, cfg or DEFAULT_CONFIG), \
-            EvalResult(lam * row.p, lam * row.abs_error_bound + math.ulp(0.0),
-                       0)
+            EvalResult(lam * row.value,
+                       lam * row.abs_error_bound + math.ulp(0.0), 0)
 
     rows = pmf_row(params, t, k - 1, cfg)
     below = _row_sum(rows)

@@ -221,10 +221,10 @@ def _mixed_poisson_counts(lam: float, alpha: float, nu: float, t: float,
     """n counts Poisson(lam * T) with T the mixing time of the process.
 
     The operational time is the gamma-stable clock t**(1/gamma) * S_gamma
-    when gamma is given (nu is then unused), else the inverse nu-stable
-    time L_nu(t) = t**nu * S_nu**-nu, which is t at nu = 1.  For alpha < 1
-    the alpha-stable subordinator runs on that clock: T = clock**(1/alpha)
-    * S_alpha.  log T is built from the stable logs by adds and scalings,
+    when gamma is given (the composed process, at nu = 1), else L_nu(t) =
+    t**nu * S_nu**-nu, which is t at nu = 1.  For alpha < 1 the
+    alpha-stable subordinator runs on that clock: T = clock**(1/alpha) *
+    S_alpha.  log T is built from the stable logs by adds and scalings,
     and mu = lam * T takes one exp, so nothing overflows before
     ``_poisson_counts`` caps the count.  Returns (counts, stable redraws).
     """
@@ -290,13 +290,13 @@ def sample_batch(process: str, params: ProcessParams, t: float, n: int,
         _check_order(gamma, "gamma")
     elif gamma is not None:
         raise ValueError("gamma applies only to the composed process")
-    if process == "space" and params.nu != 1.0:
-        raise ValueError("the space process requires nu = 1")
+    if process in ("space", "composed") and params.nu != 1.0:
+        raise ValueError(f"the {process} process requires nu = 1")
     if process == "time" and params.alpha != 1.0:
         raise ValueError("the time process requires alpha = 1")
     if params.alpha < 1:
         _check_order(params.alpha, "alpha")
-    if gamma is None and params.nu < 1:
+    if params.nu < 1:
         _check_order(params.nu, "nu")
 
     def run_chunk(idx: int) -> tuple[np.ndarray, int]:

@@ -9,13 +9,14 @@ with w = -lam**alpha * t**nu <= 0 and ``ffact(r, k) = r*(r-1)*...*(r-k+1)``
 the integer falling factorial (at alpha < 1 ``dist`` composes it with
 the Sibuya law, which cancels nothing).  With k = 0 this is the
 one-parameter Mittag-Leffler series E_nu(w).  The row serves
-0 < nu < 1 (at nu = 1 every law has a Poisson closed form).  It takes w
-as its exact factors and forms it in its working precision, so its
-certificates hold at the exact argument.
+0 < nu <= 1; at nu = 1 it is the Poisson(x) row, x = -w, each mass a
+closed form (``_poisson_mass``).  It takes w as its exact factors and
+forms it in its working precision, so its certificates hold at the
+exact argument.
 
-One engine computes it, the contour (``_contour_rows``): the trapezoidal
-rule on a parabolic Bromwich contour for the Laplace transform
-x**k s**(nu-1) / (s**nu + x)**(k+1) of p_k, x = -w.  One set of nodes
+At nu < 1 one engine computes it, the contour (``_contour_rows``): the
+trapezoidal rule on a parabolic Bromwich contour for the Laplace
+transform x**k s**(nu-1) / (s**nu + x)**(k+1) of p_k.  One set of nodes
 gives the whole row, a complex product per node and entry, at a modest
 precision and with no gamma function.  The nodes (``_contour_nodes``)
 are libmp and Gaussian-integer arithmetic: e**s by a product recurrence
@@ -34,7 +35,7 @@ with its bound: the direct time-fractional form in ``dist``, an
 independent check of the row.  Its prescan (``_scan_profile``) also sizes
 the oracle in ``verify``.
 
-``mittag_leffler`` at nu < 1 is row 0 of this row.
+``mittag_leffler`` at nu < 1 is entry 0 of this row (at nu = 1, exp).
 """
 
 from __future__ import annotations
@@ -135,11 +136,14 @@ def _scan_profile(block, rmax: int, r_concave: float) -> np.ndarray:
 def _argument_double(factors) -> float:
     """w = -prod(b**e) over ``factors``, pairs (b, e) with b >= 0, in
     doubles, which size the sums (and are the Poisson mean at nu = 1); a
-    ValueError if it overflows.  A product that underflows part-way while
-    every base is positive is formed again as exp(sum e*log(b)), so that
-    w is 0 only where the exact product is below the subnormal range."""
+    ValueError if it overflows.  A zero base gives w = 0, whatever the
+    other factors.  A product of positive bases that underflows part-way
+    is formed again as exp(sum e*log(b)), so that w is 0 only where the
+    exact product is below the subnormal range."""
+    if any(b == 0 for b, _ in factors):
+        return -0.0
     w = -math.prod(b ** e for b, e in factors)
-    if w == 0.0 and all(b > 0 for b, _ in factors):
+    if w == 0.0:
         w = -math.exp(math.fsum(e * math.log(b) for b, e in factors))
     if not -math.inf < w <= 0:
         raise ValueError("the series argument -lam**alpha * t**nu must be "
@@ -253,6 +257,18 @@ def _exp_error_bound(value: float, cond: float = 0.0) -> float:
     underflow of a result below the smallest subnormal.
     """
     return value * (math.expm1(8 * _EPS * cond) + 4 * _EPS) + math.ulp(0.0)
+
+
+def _poisson_mass(mu: float, k: int) -> EvalResult:
+    """Poisson(mu) mass at k, bounded through the condition sum of its log.
+
+    mu = 0 is a mean that underflowed (every caller has lam, t > 0): the
+    mass at k errs from that of mu = 0 by at most mu < ulp(0)."""
+    if mu == 0.0:
+        return EvalResult(1.0 if k == 0 else 0.0, math.ulp(0.0), 1)
+    lg, lm = math.lgamma(k + 1), math.log(mu)
+    p = math.exp(-mu + k * lm - lg)
+    return EvalResult(p, _exp_error_bound(p, mu + k * abs(lm) + lg), 1)
 
 
 def _rule(n: int) -> tuple[float, float]:
@@ -731,30 +747,32 @@ def mittag_leffler(nu: float, x: float, cfg: SeriesConfig | None = None) -> Eval
 def wright_psi11_weighted_rows(kmax: int, factors, time_nu: float,
                                cfg: SeriesConfig | None = None
                                ) -> list[EvalResult]:
-    """Rows ((-1)**k / k!) * S_k for k = 0..kmax, 0 < time_nu < 1: the
+    """Rows ((-1)**k / k!) * S_k for k = 0..kmax, 0 < time_nu <= 1: the
     time-fractional Poisson masses with lam**alpha * t**nu = -w, given as
-    its exact ``factors`` ((lam, alpha), (t, nu)).
+    its exact ``factors`` ((lam, alpha), (t, nu)) (``pgf`` adds (1-u, alpha)).
 
-    p_k <= x**k / Gamma(nu*k + 1), x = -w (its proof is in
+    Where w is 0 in doubles the row is that of x = 0, exact where a base
+    is 0.  Else x underflowed, and each mass errs by at most 1 - E_nu(-x)
+    <= x/Gamma(1 + nu) < 1.2x < ulp(0), so the bounds are ulp(0).
+
+    At time_nu = 1 the row is Poisson(x), each mass by ``_poisson_mass``.
+    Else p_k <= x**k / Gamma(nu*k + 1) (its proof is in
     ``_contour_rows``).  Past the last k where that ceiling, with a nat
     for the rounding of lgamma, reaches ulp(0), each p_k is returned as 0
     with bound ulp(0); the contour rule (``_contour_rows``) gives the
     entries up to it, each certified to rel_tol.
-
-    Where w is 0 in doubles the row is that of x = -w = 0.  If every base
-    is positive, x underflowed, and each mass errs by at most
-    1 - E_nu(-x) <= x/Gamma(1 + nu) < 1.2x < ulp(0), so the bounds are
-    ulp(0).
     """
-    if not 0 < time_nu < 1:
-        raise ValueError("time_nu must lie in (0, 1)")
+    if not 0 < time_nu <= 1:
+        raise ValueError("time_nu must lie in (0, 1]")
     if kmax < 0:
         raise ValueError("k must be >= 0")
-    cfg = cfg or DEFAULT_CONFIG
     w = _argument_double(factors)
     if w == 0.0:
         e = math.ulp(0.0) if all(b > 0 for b, _ in factors) else 0.0
         return [EvalResult(float(k == 0), e, 1) for k in range(kmax + 1)]
+    if time_nu == 1.0:
+        return [_poisson_mass(-w, k) for k in range(kmax + 1)]
+    cfg = cfg or DEFAULT_CONFIG
     k = np.arange(kmax + 1.0)
     kcut = int(np.flatnonzero(k * math.log(-w) - _lgamma(time_nu * k + 1)
                               >= math.log(math.ulp(0.0)) - 1)[-1])

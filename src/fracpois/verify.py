@@ -22,8 +22,7 @@ import numpy as np
 
 from . import dist, frac_ops, sample
 from .dist import ProcessParams
-from .special_fn import (DEFAULT_CONFIG, NonConvergence, SeriesConfig,
-                         _lgamma, _scan_profile)
+from .special_fn import NonConvergence, SeriesConfig, _lgamma, _scan_profile
 
 __all__ = [
     "GofReport", "OracleConfig", "DegenerateBins", "gof_pmf",
@@ -119,7 +118,6 @@ def gof_pmf(batch: sample.SampleBatch,
     a single tail bin with expected mass 1 - cdf(GOF_KCAP).
     """
     kcap = GOF_KCAP
-    cfg = cfg or DEFAULT_CONFIG
     n = batch.n
     if n < 10_000:
         raise ValueError("need n >= 10**4 for a meaningful test")
@@ -213,7 +211,6 @@ def check_ode_residual(params: ProcessParams, t: float, K: int,
     if K < 1:
         raise ValueError("K must be >= 1")
     dist._check_time(t, strict=True)
-    cfg = cfg or DEFAULT_CONFIG
     h = 1e-4 * t
     p_mid = np.array([r.p for r in dist.pmf_row(params, t, K, cfg)])
     p_hi = np.array([r.p for r in dist.pmf_row(params, t + h, K, cfg)])
@@ -459,7 +456,6 @@ def check_fixture(path=None, cfg: SeriesConfig | None = None):
     value and the computed PMF on top of the certified series bound.
     Returns (all_ok, failures) where each failure is (row, value, bound).
     """
-    cfg = cfg or DEFAULT_CONFIG
     failures = []
     rows = load_fixture(path)
     by_combo: dict = {}

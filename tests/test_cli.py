@@ -429,6 +429,28 @@ def test_sample_meta_reports_redraws(capsys, monkeypatch):
     assert json.loads(out)["meta"]["redraws"] == sum(redraws)
 
 
+@pytest.mark.parametrize("argv", [
+    ["sample", "--process", "composed", "--n", "3", "--seed", "1"],
+    ["verify", "--suite", "subordination", "--n", "20000", "--seed", "1"],
+])
+def test_composed_process_refuses_nu_below_one(capsys, argv):
+    """The composed process runs on a gamma-stable clock, at nu = 1 only."""
+    code, out, err = run_cli(capsys, *argv, "--lambda", "1", "--alpha",
+                             "0.7", "--nu", "0.5", "--gamma", "0.5", "--t",
+                             "1")
+    assert code == 1 and out == ""
+    assert "requires nu = 1" in err
+
+
+def test_sample_meta_reports_gamma(capsys):
+    code, out, _ = run_cli(capsys, "sample", "--process", "composed",
+                           "--lambda", "1", "--alpha", "0.7", "--gamma",
+                           "0.5", "--t", "1", "--n", "3", "--seed", "1",
+                           "--format", "json")
+    assert code == 0
+    assert json.loads(out)["meta"]["gamma"] == 0.5
+
+
 def test_sample_meta_reports_capped(capsys):
     """At alpha = .05 about a tenth of the counts sit at the cap 2**62, and
     the JSON meta counts them."""

@@ -136,6 +136,20 @@ def test_pgf_normalization_and_poisson_case():
         pytest.approx(math.exp(-1.0), rel=1e-14)
 
 
+def test_pgf_at_order_one_takes_the_zero_argument_rule():
+    """x = lam**alpha * (1-u)**alpha * t ~ 7e-451 underflows to 0: at
+    nu = 1, as at nu < 1, the row gives E_1(-x) = 1 within ulp(0), since
+    1 - e**-x <= x."""
+    res = dist.pgf(ProcessParams(1e-300, 0.5, 1.0), 1e-300, 0.5)
+    assert (res.value, res.abs_error_bound) == (1.0, math.ulp(0.0))
+
+
+def test_pgf_zero_factor_is_exact_where_the_rest_overflows():
+    """At t = 0 the PGF is 1 exactly, though lam * (1-u) overflows."""
+    res = dist.pgf(ProcessParams(1e308), 0.0, -1.0)
+    assert (res.value, res.abs_error_bound) == (1.0, 0.0)
+
+
 def test_pgf_at_zero_equals_p0():
     params = ProcessParams(1.0, 0.5)
     assert dist.pgf(params, 1.0, 0.0).value == \

@@ -1,4 +1,6 @@
+import ast
 import importlib
+import pathlib
 import pkgutil
 
 import pytest
@@ -15,3 +17,34 @@ MODULES = ["fracpois"] + [f"fracpois.{m.name}"
 def test_star_import_resolves_every_export(name):
     """Every name in ``__all__`` exists, so ``import *`` works."""
     exec(f"from {name} import *", {})
+
+
+def _unused_imports(path: pathlib.Path) -> list[str]:
+    """Names that the module at ``path`` imports and never uses.  A name
+    counts as used where the module reads it or lists it in ``__all__``;
+    ``__future__`` imports and import lines marked ``# noqa`` (kept for
+    their side effect) are skipped."""
+    text = path.read_text("utf-8")
+    lines = text.splitlines()
+    tree = ast.parse(text)
+    imported, used = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif (isinstance(node, ast.Assign)
+              and any(isinstance(t, ast.Name) and t.id == "__all__"
+                      for t in node.targets)):
+            used.update(ast.literal_eval(node.value))
+        elif (isinstance(node, (ast.Import, ast.ImportFrom))
+              and getattr(node, "module", None) != "__future__"
+              and "# noqa" not in lines[node.lineno - 1]):
+            imported.update(a.asname or a.name.split(".")[0]
+                            for a in node.names)
+    return sorted(imported - used)
+
+
+@pytest.mark.parametrize("path", sorted(
+    pathlib.Path(fracpois.__file__).parent.glob("*.py")),
+    ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    assert _unused_imports(path) == []

@@ -417,6 +417,9 @@ def test_batch_argument_validation():
                      RngStream(0))
     with pytest.raises(ValueError):
         sample_batch("time", params, 1.0, 10, RngStream(0))
+    with pytest.raises(ValueError, match="composed process requires nu = 1"):
+        sample_batch("composed", ProcessParams(1.0, 0.7, 0.5), 1.0, 10,
+                     RngStream(0), gamma=0.5)
 
 
 def test_composed_matches_direct_order():

@@ -210,11 +210,24 @@ def test_kernel_zero_argument():
     assert wright_psi11_weighted_rows(3, ((0.0, 1.0),), 0.5)[3].value == 0.0
 
 
-def test_rows_serve_orders_below_one_only():
-    """At nu = 1 every law has a closed form: the row refuses it, and
-    E_1(0) = exp(0) is exact."""
-    with pytest.raises(ValueError):
-        wright_psi11_weighted_rows(0, ((1.0, 1.0),), 1.0)
+def test_rows_at_order_one_are_poisson():
+    """At nu = 1 the row is Poisson(x), x = lam * t: each mass is
+    exp(-x + k log x - lgamma(k+1)), bounded through the condition sum of
+    its log, bit for bit.  An x that underflows gives the x = 0 row with
+    bounds ulp(0), t = 0 the exact one; and E_1(0) = exp(0) is exact."""
+    for lam, t in ((0.3, 1.0), (7.5, 2.0), (700.0, 1.0)):
+        x = lam * t
+        row = wright_psi11_weighted_rows(40, ((lam, 1.0), (t, 1.0)), 1.0)
+        for k, r in enumerate(row):
+            lg = math.lgamma(k + 1)
+            p = math.exp(-x + k * math.log(x) - lg)
+            cond = x + k * abs(math.log(x)) + lg
+            assert (r.value, r.abs_error_bound) == \
+                (p, special_fn._exp_error_bound(p, cond))
+    for lam, t, bound in ((1e-300, 1e-300, math.ulp(0.0)), (2.0, 0.0, 0.0)):
+        row = wright_psi11_weighted_rows(40, ((lam, 1.0), (t, 1.0)), 1.0)
+        assert [(r.value, r.abs_error_bound) for r in row] == \
+            [(1.0, bound)] + [(0.0, bound)] * 40
     for x in (0.0, -0.0):
         assert mittag_leffler(1.0, x) == EvalResult(1.0, 0.0, 1)
 
