@@ -12,8 +12,8 @@ p_k = sum_{m<=k} q_m * [u**k] S(u)**m: a positive sum, nothing cancels.
 The Sibuya powers [u**n] S(u)**m follow one positive first-order
 recurrence in n, so a row of K masses costs O(K**2), and the survival
 Pr{N(t) > k} = ``first_passage_cdf(params, t, k + 1)`` carries its bound
-for any alpha at nu = 1.  The first-passage laws at alpha = 1 are the
-Erlang closed forms.
+for any alpha at nu = 1.  At alpha = 1 the first passage is Erlang: a
+Poisson upper tail, which ``special_fn._sum_series`` sums, and a mass.
 """
 
 from __future__ import annotations
@@ -201,6 +201,10 @@ def pmf_time_fractional_direct(params: ProcessParams, t: float, k: int,
     doubles; the bases take x from its exact factors, formed in the
     working precision (``special_fn._argument``), so the bound holds at
     the exact x.
+
+    An independent checker whose cost grows with x: at (8, 1, .3), t = 1,
+    the peak term e**1020 at r = 3412 sets 482 digits, and 9363 terms with
+    an ``mp.rgamma`` each take 8.8-19 s on 2 shared CPUs (``pmf``: 8-13 ms).
     """
     if params.alpha != 1.0:
         raise ValueError("direct time-fractional form requires alpha = 1")
@@ -284,53 +288,44 @@ def cdf(params: ProcessParams, t: float, k: int,
     return _row_sum(pmf_row(params, t, k, cfg))
 
 
-def _erlang_cdf(mu: float, k: int, cfg: SeriesConfig) -> EvalResult:
-    """Pr{Poisson(mu) >= k} for k >= 1: the Erlang(k) distribution function.
+def _erlang_cdf(factors, mu: float, k: int, cfg: SeriesConfig) -> EvalResult:
+    """Pr{Poisson(m) >= k}, k >= 1, the Erlang(k) distribution function at
+    the mean m of ``factors``, which is mu in doubles.
 
-    Summed in mpmath outward from k, so that nothing cancels: upward,
-    p_k + p_{k+1} + ..., when k >= mu, else as the complement of
-    p_{k-1} + p_{k-2} + ... + p_0.  The ratios of successive terms,
-    mu/(j+1) upward and j/mu downward, are below 1 and shrink, so after a
-    term t of ratio q the remainder is at most t*q/(1-q); the sum stops
-    once that is below 2**-prec of the sum.
-
-    The first term is exp(j*log(mu) - mu - log(j!)), whose argument has the
-    condition sum c = mu + k*|log mu| + log(k!); the working precision
-    keeps 30 digits beyond c, so the term is within (8c + 4) roundings of
-    its value.  Each further term adds two roundings and each addition
-    one, so with n terms the sum errs by at most (8c + 3n + 6) * 2**-prec
-    of itself; the remainder adds one more, the subtraction from 1 one
-    ulp of 1.  The bound adds the rounding to double and the underflow of
-    a result below the smallest subnormal.  A mean that underflows to 0
-    gives 0, within ulp(0) since Pr{N >= k} <= mu.
+    ``special_fn._sum_series`` sums the masses outward from k, so nothing
+    cancels: p_k + p_{k+1} + ... when k >= mu, else p_{k-1} + ... + p_0
+    (then exact zeros), whose complement, formed at 40 digits, adds its
+    rounding.  The first mass, exp(j0*log(m) - m - log(j0!)), gives the
+    profile; its argument, of condition sum c = mu + j0*|log mu| +
+    log(j0!) >= 1, takes log2(c) + 8 guard bits.  Each later mass takes a
+    product and a quotient, m/(j+1) up and j/m down, with m 64 bits beyond
+    the working precision (``special_fn._argument``): base r is within
+    2r + 3 roundings of its value at the exact mean (the engine allows
+    3r + 5), where the bound holds, at a tolerance far below double.  A
+    mean that underflows to 0 gives 0, within ulp(0): Pr{N >= k} <= m.
     """
     if mu == 0.0:
         return EvalResult(0.0, math.ulp(0.0), 0)
-    cond = mu + k * abs(math.log(mu)) + math.lgamma(k + 1)
     up = k >= mu
-    with mp.workdps(30 + int(math.log10(cond + 1))):
-        ulp = mp.mpf(2) ** -mp.mp.prec
-        m = mp.mpf(mu)
-        j = k if up else k - 1
-        term = mp.exp(j * mp.log(m) - m - mp.loggamma(j + 1))
-        total, n = mp.mpf(0), 0
-        while True:
-            total += term
-            n += 1
-            if not up and j == 0:
-                break
-            q = m / (j + 1) if up else j / m
-            if term * q <= ulp * total * (1 - q):
-                break
-            if n >= cfg.max_terms:
-                raise NonConvergence(
-                    f"Erlang distribution function needs more than "
-                    f"{cfg.max_terms} Poisson terms (k={k}, mu={mu:.6g})")
-            term *= q
-            j += 1 if up else -1
-        err = ((8 * cond + 3 * n + 7) * total + 1) * ulp
-        v = float(total if up else 1 - total)
-        return EvalResult(v, float(err) + _EPS * v + math.ulp(0.0), n)
+    j0 = k if up else k - 1
+    lm, lg = math.log(mu), math.lgamma(j0 + 1)
+
+    def bases():
+        m = mp.fneg(_argument(factors), exact=True)
+        with mp.workprec(mp.mp.prec + 8
+                         + math.ceil(math.log2(mu + j0 * abs(lm) + lg))):
+            p = mp.exp(j0 * mp.log(m) - m - mp.loggamma(j0 + 1))
+        for j in itertools.count(j0, 1 if up else -1):
+            yield +p    # rounds p_j0 to the working precision
+            p = p * m / (j + 1) if up else p * j / m
+
+    s, b, n = _sum_series(bases, np.array([j0 * lm - mu - lg]),
+                          SeriesConfig(2.0 ** -80, cfg.max_terms))
+    if not up:
+        with mp.workdps(40):
+            s = 1 - s
+            b += abs(s) * 2 ** -mp.mp.prec
+    return _to_double(s, b, n)
 
 
 def first_passage(params: ProcessParams, t: float, k: int,
@@ -350,11 +345,11 @@ def first_passage(params: ProcessParams, t: float, k: int,
     (``frac_ops.frac_binom_coeffs``).  Every D_n lies in (0, 1], so the sum
     has positive weights and nothing cancels.  Both laws are row sums
     (``_row_sum``) over one ``pmf_row(params, t, k-1)``.  At alpha = 1
-    they are the Erlang distribution function (``_erlang_cdf``) and
-    density, lam times the Poisson(lam*t) mass at k-1.  The density is None
-    where it is not defined: k = 0 or t = 0.  With k + 1 for k, the
-    distribution function is the survival Pr{N(t) > k}, bounded for any
-    alpha; its row costs O(k**2) (about a second at k = 10**4).
+    they are Erlang: a Poisson(lam*t) tail, summed by ``_erlang_cdf``, and
+    lam times the Poisson(lam*t) mass at k-1.  The density is None where
+    it is not defined: k = 0 or t = 0.  With k + 1 for k, the distribution
+    function is the survival Pr{N(t) > k}, bounded for any alpha; its row
+    costs O(k**2) (about a second at k = 10**4).
     """
     if params.nu != 1.0:
         raise ValueError("first-passage laws require nu = 1")
@@ -367,9 +362,9 @@ def first_passage(params: ProcessParams, t: float, k: int,
         return EvalResult(0.0, 0.0, 0), None
     lam, alpha = params.lam, params.alpha
     if alpha == 1.0:
-        mu = _series_argument(params, t)[1]
+        factors, mu = _series_argument(params, t)
         row = _poisson_mass(mu, k - 1)
-        return _erlang_cdf(mu, k, cfg or DEFAULT_CONFIG), \
+        return _erlang_cdf(factors, mu, k, cfg or DEFAULT_CONFIG), \
             EvalResult(lam * row.value,
                        lam * row.abs_error_bound + math.ulp(0.0), 0)
 

@@ -30,10 +30,10 @@ node arithmetic.  It returns a certified row or raises NonConvergence.
 ``wright_psi11_weighted_rows`` cuts each row where the proven ceiling
 p_k <= x**k / Gamma(nu*k + 1) falls below the least subnormal.
 
-``_sum_series`` sums one alternating series exactly in Python integers,
-with its bound: the direct time-fractional form in ``dist``, an
-independent check of the row.  Its prescan (``_scan_profile``) also sizes
-the oracle in ``verify``.
+``_sum_series`` sums a series exactly in Python integers, with its
+bound: the direct time-fractional form in ``dist``, an independent check
+of the row, and the Erlang law of its first passage at alpha = 1.  Its
+prescan (``_scan_profile``) also sizes the oracle in ``verify``.
 
 ``mittag_leffler`` at nu < 1 is entry 0 of this row (at nu = 1, exp).
 """
@@ -163,7 +163,8 @@ def _argument(factors):
 
 
 def _sum_series(bases, profile: np.ndarray, cfg: SeriesConfig):
-    """The sum of a series, sum_r base_r, and its bound.
+    """The sum of a series, sum_r base_r, and its bound: the certified loop
+    of the direct form and of the Erlang law in ``dist``.
 
     ``bases`` is called inside the working precision and returns an
     iterator over base_0, base_1, ... as mpf, each within (3r + 5)
@@ -276,12 +277,11 @@ def _rule(n: int) -> tuple[float, float]:
     return math.pi * n / 12, 3.0 / n
 
 
-def _contour_error(x: float, nu: float, kmax: int, n: int,
-                   mu: float | None = None, h: float | None = None
-                   ) -> np.ndarray:
+def _contour_error(x: float, nu: float, kmax: int, n: int, mu: float,
+                   h: float) -> np.ndarray:
     """Natural log of a bound on |T - p_k|, k = 0..kmax, where T is the
     n-node rule with parameters mu and h computed exactly, at rate x, order
-    nu; by default those of ``_contour_rows`` (``_rule``).
+    nu.
 
     In u = v + i*b the integrand g_k(u) = e**s F_k(s) s'(u) / (2*pi*i),
     s = mu*(1 + i*u)**2 = mu*w**2 with w = r + i*v, r = 1 - b, is
@@ -313,7 +313,7 @@ def _contour_error(x: float, nu: float, kmax: int, n: int,
     each edge Im u = +-a its own integral) bound the error of the infinite
     rule by (M_{1+a} + M_{1-a}) / (exp(2*pi*a/h) - 1) for any a < 1; the
     least over the half-widths _CONTOUR_STRIPS is taken.  The nodes cut
-    off, |u| > un = n*h (3 by default), add at most
+    off, |u| > un = n*h (3 under ``_rule``), add at most
     2*h * sum_{j>n} |g_k(j*h)|, where |g_k(u)| <= exp(mu*(1 - u**2)) *
     rho**k * min(1, A(u)/x) / (pi*u*c**(k+1)), rho = x/(A(un) + x).
     With the factor 1 the terms fall by at least exp(-2*mu*un*h) a node,
@@ -323,8 +323,6 @@ def _contour_error(x: float, nu: float, kmax: int, n: int,
     at least q = (1 + h/un) * exp(-2*mu*un*h) a node, and the sum is
     exp(mu*(1 - un**2)) * (A(un)/x) * q/(1 - q); the lesser is taken.
     """
-    if mu is None:
-        mu, h = _rule(n)
     k = np.arange(kmax + 1.0)
     lx = math.log(x)
     lcos = math.log(math.cos(nu * math.pi / 2))

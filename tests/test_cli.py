@@ -267,6 +267,13 @@ def test_unwritable_out_is_usage_error(tmp_path, capsys):
     assert err.startswith("fracpois: error:") and "No such file" in err
 
 
+def test_out_naming_a_folder_is_usage_error(tmp_path, capsys):
+    code, out, err = run_cli(capsys, "pmf", "--lambda", "1", "--t", "1",
+                             "--kmax", "3", "--out", str(tmp_path))
+    assert code == 1 and out == ""
+    assert err.startswith("fracpois: error:") and "Is a directory" in err
+
+
 def test_unwritable_out_fails_before_the_work(tmp_path, capsys,
                                              monkeypatch):
     """The --out path is checked before the command's work runs, and a
@@ -522,7 +529,10 @@ def test_unread_flags_are_usage_errors(capsys, argv):
     ["--suite", "pmf-mc", "--lambda", "1", "--t", "1", "--n", "100"],
     ["--suite", "pmf-mc", "--lambda", "1", "--t", "0"],
     ["--suite", "ode", "--alpha", "0.7", "--lambda", "1", "--t", "0"],
-], ids=["min-uniform-n0", "pmf-mc-n100", "pmf-mc-t0", "ode-t0"])
+    ["--suite", "subordination", "--alpha", "0.7", "--lambda", "1", "--t",
+     "1"],
+], ids=["min-uniform-n0", "pmf-mc-n100", "pmf-mc-t0", "ode-t0",
+        "subordination-no-gamma"])
 def test_verify_bad_input_is_usage_error(capsys, argv):
     code, out, err = run_cli(capsys, "verify", *argv)
     assert code == 1 and out == ""
@@ -553,6 +563,8 @@ OVERFLOW = "lam**alpha * t**nu must be finite"
       "--n", "1000"], "t must be finite"),
     (["passage", "--lambda", "1", "--alpha", "0.5", "--k", "2", "--tmax",
       "inf"], "--tmax must be finite"),
+    (["passage", "--lambda", "1", "--alpha", "0.5", "--k", "1", "--t", "0"],
+     "passage times must be > 0"),
     (["pmf", "--lambda", "1e300", "--nu", "0.5", "--t", "1e300", "--kmax",
       "2"], OVERFLOW),
     (["pmf", "--lambda", "1e300", "--alpha", "0.5", "--t", "1e300",
@@ -570,7 +582,8 @@ OVERFLOW = "lam**alpha * t**nu must be finite"
       "--tol", "inf"], "rel_tol must be finite"),
 ], ids=["pmf-t-neg", "pgf-t-neg", "pgf-t-nan-nu", "pmf-t-nan", "pmf-lam-inf",
         "pmf-t-inf", "passage-t-nan", "pgf-u-nan", "sample-t-inf",
-        "min-uniform-t-nan", "passage-tmax-inf", "pmf-arg-inf-nu",
+        "min-uniform-t-nan", "passage-tmax-inf", "passage-t-zero",
+        "pmf-arg-inf-nu",
         "pmf-arg-inf-alpha", "pmf-arg-inf", "pgf-arg-inf", "pgf-arg-inf-nu",
         "passage-arg-inf-alpha", "passage-arg-inf", "pmf-tol-inf",
         "pgf-tol-inf"])

@@ -159,11 +159,13 @@ def test_pgf_at_zero_equals_p0():
 @pytest.mark.parametrize("params", [ProcessParams(5.0, 0.7, 0.3),
                                     ProcessParams(8.0, 1.0, 0.3)])
 def test_p0_is_one_double_on_every_path(params):
-    """pmf, pmf_row and pgf at u = 0 compute the same p_0 by the same row:
-    they must give the same double."""
+    """pmf, pmf_row, pgf and pgf_partial_sum at u = 0 compute the same p_0
+    by the same row: they must give the same double."""
     p0 = dist.pmf_row(params, 1.0, 0)[0]
     assert dist.pmf(params, 1.0, 0) == p0
     assert dist.pgf(params, 1.0, 0.0).value == p0.p
+    res = dist.pgf_partial_sum(params, 1.0, 0.0, 10)
+    assert (res.value, res.abs_error_bound) == (p0.p, p0.abs_error_bound)
 
 
 @pytest.mark.parametrize("lam,nu,t,u", [(1e-300, 0.5, 1e-300, 0.5),
@@ -226,6 +228,13 @@ def test_cdf_approaches_one_for_poisson():
 
 def test_first_passage_cdf_level_zero_is_one():
     assert dist.first_passage_cdf(ProcessParams(1.0, 0.5), 1.0, 0).value == 1.0
+
+
+@pytest.mark.parametrize("alpha", [1.0, 0.5])
+def test_first_passage_at_time_zero(alpha):
+    """No level k >= 1 is passed by t = 0, and the density is undefined."""
+    assert dist.first_passage(ProcessParams(1.0, alpha), 0.0, 2) == \
+        (special_fn.EvalResult(0.0, 0.0, 0), None)
 
 
 def test_first_passage_cdf_erlang_reduction():
@@ -565,6 +574,30 @@ def test_erlang_passage_cdf_bound_holds_near_mode(x, k):
     with mp.workdps(40):
         ref = mp.gammainc(k, 0, x, regularized=True)
         assert abs(mp.mpf(res.value) - ref) <= res.abs_error_bound
+
+
+def test_erlang_passage_cdf_bound_is_relative():
+    """Far in the upper tail, Pr{Poisson(1) >= 30} ~ 1.4e-33, the bound
+    is relative to the value, not to 1."""
+    res = dist.first_passage_cdf(ProcessParams(1.0), 1.0, 30)
+    assert 0 < res.abs_error_bound <= 1e-15 * res.value
+
+
+def test_erlang_passage_cdf_bound_holds_at_the_exact_mean():
+    """lam * t rounds to 0.30000000000000004, which moves Pr{N >= 10} by
+    8e-16 of itself: the bound holds at the exact mean all the same."""
+    res = dist.first_passage_cdf(ProcessParams(0.1), 3.0, 10)
+    with mp.workdps(40):
+        ref = mp.gammainc(10, 0, mp.mpf(0.1) * 3, regularized=True)
+        assert abs(mp.mpf(res.value) - ref) <= res.abs_error_bound
+
+
+def test_erlang_passage_cdf_honours_max_terms():
+    """At x = k = 100 the masses fall by 0.9 a step only from j = 111 on, so
+    ten terms cannot end the sum."""
+    with pytest.raises(dist.NonConvergence):
+        dist.first_passage_cdf(ProcessParams(1.0), 100.0, 100,
+                               SeriesConfig(max_terms=10))
 
 
 @settings(max_examples=100, deadline=None)

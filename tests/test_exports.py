@@ -48,3 +48,35 @@ def _unused_imports(path: pathlib.Path) -> list[str]:
     ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert _unused_imports(path) == []
+
+
+def _private_names(tree: ast.Module) -> set[str]:
+    """The module-level private functions, classes and constants that
+    ``tree`` defines (dunder names such as ``__all__`` are not private)."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = getattr(node, "targets", [getattr(node, "target", None)])
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return {n for n in names if n.startswith("_") and not n.startswith("__")}
+
+
+def test_no_unread_private_names():
+    """Every private module-level name in ``src/fracpois`` is read by code
+    there (by name, as an attribute, or imported), not only by tests."""
+    trees = {path.name: ast.parse(path.read_text("utf-8")) for path in
+             pathlib.Path(fracpois.__file__).parent.glob("*.py")}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(a.name for a in node.names)
+    unread = {f"{name}:{n}" for name, tree in trees.items()
+              for n in _private_names(tree) - read}
+    assert sorted(unread) == []

@@ -441,7 +441,8 @@ def test_contour_error_terms_hold(lam, nu):
     factors = ((lam, 1.0), (1.0, nu))
     refs = {k: _talbot(factors, nu, k, 40) for k in (0, 5, 30)}
     for n, prec in ((12, 200), (20, 200), (60, 48)):
-        lerr = special_fn._contour_error(lam, nu, 30, n)
+        lerr = special_fn._contour_error(lam, nu, 30, n,
+                                         *special_fn._rule(n))
         vals, lbound = special_fn._contour_sum(30, factors, nu, n, prec, lerr)
         for k, ref in refs.items():
             assert abs(vals[k] - ref) <= mp.exp(lbound[k])
@@ -499,6 +500,24 @@ def test_contour_gives_up_before_sizing(monkeypatch):
     with pytest.raises(NonConvergence, match="cannot size"):
         pmf_row(ProcessParams(1.0, 0.5, 0.5), 1.0, 300,
                 SeriesConfig(max_terms=100))
+
+
+def test_contour_ladder_gives_up():
+    """Near nu = 1 at x = 100, no rung of the ladder of mu resolves p_59
+    within 200 nodes: the row raises after the sizing rounds."""
+    with pytest.raises(NonConvergence,
+                       match="cannot size p_59 within 200 nodes"):
+        pmf_row(ProcessParams(100.0, 1.0, 0.999), 1.0, 120,
+                SeriesConfig(max_terms=200))
+
+
+def test_series_stops_at_its_term_cap():
+    """The direct series of E_.5(-1) peaks at r = 0 but needs more than
+    10 terms to meet rel_tol: the engine raises at its cap."""
+    with pytest.raises(NonConvergence,
+                       match="did not converge within 10 terms"):
+        dist.pmf_time_fractional_direct(ProcessParams(1.0, 1.0, 0.5), 1.0, 0,
+                                        SeriesConfig(max_terms=10))
 
 
 def _no_gamma(monkeypatch):
