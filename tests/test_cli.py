@@ -583,10 +583,9 @@ OVERFLOW = "lam**alpha * t**nu must be finite"
 ], ids=["pmf-t-neg", "pgf-t-neg", "pgf-t-nan-nu", "pmf-t-nan", "pmf-lam-inf",
         "pmf-t-inf", "passage-t-nan", "pgf-u-nan", "sample-t-inf",
         "min-uniform-t-nan", "passage-tmax-inf", "passage-t-zero",
-        "pmf-arg-inf-nu",
-        "pmf-arg-inf-alpha", "pmf-arg-inf", "pgf-arg-inf", "pgf-arg-inf-nu",
-        "passage-arg-inf-alpha", "passage-arg-inf", "pmf-tol-inf",
-        "pgf-tol-inf"])
+        "pmf-arg-inf-nu", "pmf-arg-inf-alpha", "pmf-arg-inf", "pgf-arg-inf",
+        "pgf-arg-inf-nu", "passage-arg-inf-alpha", "passage-arg-inf",
+        "pmf-tol-inf", "pgf-tol-inf"])
 def test_bad_numbers_are_usage_errors(capsys, argv, message):
     """Values outside the domain end in exit 1 with the library's or the
     CLI's message, not in a traceback, a warning or a table of nan."""

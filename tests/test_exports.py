@@ -57,9 +57,9 @@ def _private_names(tree: ast.Module) -> set[str]:
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             names.add(node.name)
-        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-            targets = getattr(node, "targets", [getattr(node, "target", None)])
-            names.update(t.id for t in targets if isinstance(t, ast.Name))
+        elif isinstance(node, ast.Assign):
+            names.update(t.id for t in node.targets
+                         if isinstance(t, ast.Name))
     return {n for n in names if n.startswith("_") and not n.startswith("__")}
 
 

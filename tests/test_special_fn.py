@@ -512,7 +512,7 @@ def test_contour_ladder_gives_up():
 
 
 def test_series_stops_at_its_term_cap():
-    """The direct series of E_.5(-1) peaks at r = 0 but needs more than
+    """The direct series of E_.5(-1) peaks at r = 1 but needs more than
     10 terms to meet rel_tol: the engine raises at its cap."""
     with pytest.raises(NonConvergence,
                        match="did not converge within 10 terms"):
