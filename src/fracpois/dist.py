@@ -237,7 +237,8 @@ def pmf_time_fractional_direct(params: ProcessParams, t: float, k: int,
             yield rise * mp.rgamma(nu_mp * (k + r) + 1)
             rise = rise * xm * (r + k + 1) / (r + 1)
 
-    res = _to_double(*_sum_series(bases, profile, cfg))
+    res = _to_double(*_sum_series(bases, profile, cfg,
+                                  f"(k={k}, nu={nu}, x={x:.6g})"))
     return PmfRow(k, res.value, res.abs_error_bound)
 
 
@@ -320,7 +321,8 @@ def _erlang_cdf(factors, mu: float, k: int, cfg: SeriesConfig) -> EvalResult:
             p = p * m / (j + 1) if up else p * j / m
 
     s, b, n = _sum_series(bases, np.array([j0 * lm - mu - lg]),
-                          SeriesConfig(2.0 ** -80, cfg.max_terms))
+                          SeriesConfig(2.0 ** -80, cfg.max_terms),
+                          f"(k={k}, mu={mu:.6g})")
     if not up:
         with mp.workdps(40):
             s = 1 - s

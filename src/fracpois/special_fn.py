@@ -162,7 +162,7 @@ def _argument(factors):
         return -mp.fprod(mp.mpf(b) ** e for b, e in factors)
 
 
-def _sum_series(bases, profile: np.ndarray, cfg: SeriesConfig):
+def _sum_series(bases, profile: np.ndarray, cfg: SeriesConfig, where: str):
     """The sum of a series, sum_r base_r, and its bound: the certified loop
     of the direct form and of the Erlang law in ``dist``.
 
@@ -189,7 +189,8 @@ def _sum_series(bases, profile: np.ndarray, cfg: SeriesConfig):
     with more digits (at most twice).
 
     Returns (sum, bound, terms_used) with mpf sum and bound, both exact
-    images of their integers.
+    images of their integers.  Each NonConvergence message ends with
+    ``where``, the caller's arguments.
     """
     tol_num, tol_den = cfg.rel_tol.as_integer_ratio()
     q_num, q_den = _STOP_RATIO.as_integer_ratio()
@@ -198,7 +199,7 @@ def _sum_series(bases, profile: np.ndarray, cfg: SeriesConfig):
         # the stop rule needs three terms past the peak
         raise NonConvergence(
             f"series needs more than {cfg.max_terms} terms: its terms "
-            f"peak at r >= {rpeak}")
+            f"peak at r >= {rpeak} {where}")
     dps = max(32, int(profile[rpeak] / _LN10) + 40)
     for _ in range(3):
         with mp.workdps(dps):
@@ -210,7 +211,7 @@ def _sum_series(bases, profile: np.ndarray, cfg: SeriesConfig):
             while True:
                 if r > cfg.max_terms:
                     raise NonConvergence(f"series did not converge within "
-                                         f"{cfg.max_terms} terms")
+                                         f"{cfg.max_terms} terms {where}")
                 neg, man, exp, _ = next(terms)._mpf_
                 sh = exp - grid
                 # truncate the magnitude: >> floors negative numbers
@@ -442,17 +443,9 @@ def _contour_rows(kmax: int, factors, x: float, nu: float,
     cached nodes.
 
     Raises NonConvergence before any work where the first n exceeds
-    cfg.max_terms.  Before any estimate, it raises where no round can
-    resolve some entry: a kept estimate lies within e**-1 of its rule and
-    above e**-24 of its sum of |terms|, so |p_k| then exceeds e**-24.5 of
-    the rule's j = 0 term; and p_k, a mixture of Poisson masses at the
-    means x*Y with E[Y**k] = k!/Gamma(nu*k + 1), is at most
-    min(max_y e**-y * y**k / k!, x**k / Gamma(nu*k + 1)) <=
-    1/sqrt(2*pi*k) (1 at k = 0).  The j = 0 term is taken at least over
-    mu = .5 * 2**(i/4) up to pi*cfg.max_terms/12, at the least step of
-    each.  Then it raises where the ladder leaves an entry open or n
-    would pass cfg.max_terms, and where some entry's bound misses rel_tol
-    of its value.
+    cfg.max_terms.  Then it raises where the ladder leaves an entry open
+    or n would pass cfg.max_terms, and where some entry's bound misses
+    rel_tol of its value.
     """
     ltol = math.log(cfg.rel_tol / 8)
     known = np.full(kmax + 1, -np.inf)
@@ -471,22 +464,6 @@ def _contour_rows(kmax: int, factors, x: float, nu: float,
         return _contour_estimate(x, nu, kmax, n, mu, h)
 
     bound(n, *_rule(n))         # raises at once if n is past the budget
-    # no round resolves an entry whose ceiling lies e**-25 below the j = 0
-    # term of every rule: mu = .5 * 2**(i/4) up to pi*max_terms/12, each
-    # with the least step of its rounds, h = 3/sqrt(m0*max_terms)
-    k, lx = np.arange(kmax + 1.0), math.log(x)
-    ceiling = np.minimum(-0.5 * np.log(np.maximum(2 * math.pi * k, 1)),
-                         k * lx - _lgamma(nu * k + 1))
-    mus = 0.5 * 2 ** (np.arange(
-        4 * math.log2(math.pi * cfg.max_terms / 6)) / 4)[:, None]
-    lead = np.min(mus + nu * np.log(mus) + math.log(3 / math.pi)
-                  - 0.5 * np.log(12 / math.pi * cfg.max_terms * mus)
-                  + (k + 1) * (lx - np.log(mus ** nu + x)) - lx, axis=0)
-    if np.any(ceiling < lead - 25):
-        raise NonConvergence(
-            f"contour rule cannot size p_k for k >= "
-            f"{np.argmax(ceiling < lead - 25)} within {cfg.max_terms} "
-            f"nodes {where}")
     deep, small = math.pi * 33 / 12, [4.0, 2.0, 1.0, 0.5]
     mu, m0, m = deep, 33, min(n, 33)
     while True:
@@ -550,7 +527,9 @@ def _fit(a: int, b: int, e: int, bits: int):
 def _contour_nodes(factors, nu: float, n: int, prec: int):
     """c_j and r_j of the n-node rule of ``_contour_rows``, j = 0..n, as
     Gaussian integers (a, b, e) with prec bits in the larger component
-    (``_fit``), c_0 halved; and eps, a bound on the relative error of each.
+    (``_fit``), c_0 halved; and eps in units of 2**-prec, a bound on the
+    relative error of each (eps itself underflows in doubles past 1074
+    bits).
 
     Everything is libmp arithmetic on integers.  u_j = j*h and
     w_j = 1 + i*u_j are exact dyadic numbers, and x = ``_argument`` at
@@ -613,7 +592,7 @@ def _contour_nodes(factors, nu: float, n: int, prec: int):
     cs[0] = a, b, e - 1
     worst = ((6 * math.log(mu) + 36)
              * (1 + 1 / math.cos(nu * math.pi / 2)) + 8)
-    return cs, rs, 2.0 ** -prec * (3 + 2.0 ** -32 * worst)
+    return cs, rs, 3 + 2.0 ** -32 * worst
 
 
 @functools.lru_cache(maxsize=32)
@@ -686,10 +665,13 @@ def _contour_sum(kmax: int, factors, nu: float, n: int, prec: int,
     product).  So entry k errs by at most its sum of |terms| times the
     first two, plus 4 * 2**-prec * |p_k|.  The bound is twice the sum of
     that and ``lerr``, which also covers the evaluation of the bound in
-    doubles.
+    doubles.  Past 960 bits, where 2**-prec would underflow, the rounding
+    terms are formed with 2**-960 for 2**-prec and their logs lowered by
+    s*log(2), s = prec - 960: expm1 is convex and 0 at 0, so expm1(z) <=
+    2**-s * expm1(2**s * z).
     """
     h = _rule(n)[1]
-    cs, rs, eps = _contour_nodes(factors, nu, n, prec)
+    cs, rs, eps_units = _contour_nodes(factors, nu, n, prec)
     with mp.workprec(prec):
         f = (mp.mpf(h) / mp.pi)._mpf_
     vals = []
@@ -714,12 +696,14 @@ def _contour_sum(kmax: int, factors, nu: float, n: int, prec: int,
     lc, lr = (np.array([_log_abs(*z) for z in zs]) for zs in (cs, rs))
     labs = _log_sums(lc, lr, kmax)[1] + math.log(h / math.pi)
     k = np.arange(kmax + 1.0)
-    unit = 2.0 ** -prec
-    lround = labs + np.log(np.expm1((k + 1) * eps + 3 * k * unit)
-                           + (n + 1) * 2.0 ** -15 * unit)
+    lift = max(0, prec - 960)
+    unit = 2.0 ** (lift - prec)
+    lround = labs + np.log(np.expm1((k + 1) * (eps_units * unit)
+                                    + 3 * k * unit)
+                           + (n + 1) * 2.0 ** -15 * unit) - lift * _LN2
     lval = _log_mpfs(vals)
     return vals, _LN2 + np.logaddexp(np.logaddexp(lerr, lround),
-                                     lval + math.log(4 * unit))
+                                     lval + math.log(4 * unit) - lift * _LN2)
 
 
 def mittag_leffler(nu: float, x: float, cfg: SeriesConfig | None = None) -> EvalResult:
@@ -754,10 +738,14 @@ def wright_psi11_weighted_rows(kmax: int, factors, time_nu: float,
     <= x/Gamma(1 + nu) < 1.2x < ulp(0), so the bounds are ulp(0).
 
     At time_nu = 1 the row is Poisson(x), each mass by ``_poisson_mass``.
-    Else p_k <= x**k / Gamma(nu*k + 1) (its proof is in
-    ``_contour_rows``).  Past the last k where that ceiling, with a nat
-    for the rounding of lgamma, reaches ulp(0), each p_k is returned as 0
-    with bound ulp(0); the contour rule (``_contour_rows``) gives the
+    Else p_k is a mixture of Poisson masses at the means x*Y, with
+    E[Y**k] = k!/Gamma(nu*k + 1) (Beghin & Orsingher, EJP 14, 2009), so
+    p_k = E[e**(-x*Y) * (x*Y)**k / k!] is at most
+    min(max_y e**-y * y**k / k!, x**k * E[Y**k] / k!) <=
+    min(1/sqrt(2*pi*k), x**k / Gamma(nu*k + 1)) (1 at k = 0).  Past the
+    last k where the ceiling x**k / Gamma(nu*k + 1), with a nat for the
+    rounding of lgamma, reaches ulp(0), each p_k is returned as 0 with
+    bound ulp(0); the contour rule (``_contour_rows``) gives the
     entries up to it, each certified to rel_tol.
     """
     if not 0 < time_nu <= 1:

@@ -600,6 +600,14 @@ def test_erlang_passage_cdf_honours_max_terms():
                                SeriesConfig(max_terms=10))
 
 
+def test_erlang_passage_refusal_names_the_law():
+    """Near the mode at mean 1e6 the masses within 2**-80 of the peak span
+    more than 10**4 terms: the engine refuses, naming k and the mean."""
+    with pytest.raises(dist.NonConvergence,
+                       match=r"within 10000 terms \(k=1000000, mu=1e\+06\)"):
+        dist.first_passage_cdf(ProcessParams(1.0), 1e6, 10**6)
+
+
 @settings(max_examples=100, deadline=None)
 @given(x=st.floats(1e-3, 1e4), k=st.integers(1, 3000))
 def test_erlang_passage_cdf_bound_holds(x, k):

@@ -1,6 +1,8 @@
 import math
+import time
 
 import mpmath as mp
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -448,6 +450,18 @@ def test_contour_error_terms_hold(lam, nu):
             assert abs(vals[k] - ref) <= mp.exp(lbound[k])
 
 
+def test_contour_sum_past_the_double_range():
+    """Past 1074 bits 2**-prec underflows in doubles: at 1104 bits the rule
+    still returns finite bounds, and its values lie within the summed
+    bounds of the 1072-bit rule."""
+    factors, lerr = ((1.0, 1.0),), np.full(3, -40.0)
+    lo, llo = special_fn._contour_sum(2, factors, 0.5, 33, 1072, lerr)
+    hi, lhi = special_fn._contour_sum(2, factors, 0.5, 33, 1104, lerr)
+    assert np.all(np.isfinite(lhi))
+    for a, b, la, lb in zip(lo, hi, llo, lhi):
+        assert abs(a - b) <= mp.exp(la) + mp.exp(lb)
+
+
 @pytest.mark.parametrize("nu", [0.05, 0.5, 0.95])
 @pytest.mark.parametrize("x", [1e-3, 1.0, 1e3])
 def test_contour_nodes_hold_their_eps(nu, x):
@@ -456,7 +470,8 @@ def test_contour_nodes_hold_their_eps(nu, x):
     e**s_j comes from 2000 products of the recurrence."""
     factors = ((x, 1.0),)
     for n, prec in ((34, 76), (2000, 76), (60, 48)):
-        cs, rs, eps = special_fn._contour_nodes(factors, nu, n, prec)
+        cs, rs, eps_units = special_fn._contour_nodes(factors, nu, n, prec)
+        eps = eps_units * 2.0 ** -prec
         mu, h = special_fn._rule(n)
         with mp.workprec(2 * prec):
             xm = -special_fn._argument(factors)
@@ -492,14 +507,28 @@ def test_long_rows_near_one_return(nu):
     assert all(r.abs_error_bound <= 2e-12 * r.p for r in rows)
 
 
-def test_contour_gives_up_before_sizing(monkeypatch):
-    """With at most 100 nodes, no rule in doubles at x = 1 resolves the
-    deep entries of a 300-entry row, whose ceiling stays above ulp(0):
-    the row raises before any estimate."""
-    monkeypatch.setattr(special_fn, "_contour_estimate", _fail)
-    with pytest.raises(NonConvergence, match="cannot size"):
-        pmf_row(ProcessParams(1.0, 0.5, 0.5), 1.0, 300,
-                SeriesConfig(max_terms=100))
+@pytest.mark.parametrize("params,kmax,most", [
+    (ProcessParams(1.0, 0.5, 0.5), 300, 100),
+    (ProcessParams(1.0, 1.0, 1 - 1e-6), 177, 40),
+    (ProcessParams(1.0, 1.0, 0.3), 591, 40)])
+def test_contour_ladder_refuses_rows_it_cannot_size(params, kmax, most):
+    """With a small node budget at x = 1, no rung of the ladder resolves
+    the deep entries of these rows, whose ceiling stays above ulp(0): the
+    ladder refuses each row, within 2 s."""
+    start = time.perf_counter()
+    with pytest.raises(NonConvergence, match="cannot size p_"):
+        pmf_row(params, 1.0, kmax, SeriesConfig(max_terms=most))
+    assert time.perf_counter() - start < 2.0
+
+
+def test_contour_small_budget_starts_below_33_nodes():
+    """At rel_tol 1e-3 the first n is 13: the ladder's first rung starts
+    from that rule, not from 33 nodes, and so sizes this row within 64
+    nodes, each entry within rel_tol."""
+    rows = pmf_row(ProcessParams(0.5, 1.0, 0.9), 1.0, 30,
+                   SeriesConfig(rel_tol=1e-3, max_terms=64))
+    assert len(rows) == 31
+    assert all(r.abs_error_bound <= 1e-3 * r.p for r in rows)
 
 
 def test_contour_ladder_gives_up():
@@ -513,9 +542,11 @@ def test_contour_ladder_gives_up():
 
 def test_series_stops_at_its_term_cap():
     """The direct series of E_.5(-1) peaks at r = 1 but needs more than
-    10 terms to meet rel_tol: the engine raises at its cap."""
+    10 terms to meet rel_tol: the engine raises at its cap, naming the
+    law."""
     with pytest.raises(NonConvergence,
-                       match="did not converge within 10 terms"):
+                       match=r"did not converge within 10 terms "
+                             r"\(k=0, nu=0.5, x=1\)"):
         dist.pmf_time_fractional_direct(ProcessParams(1.0, 1.0, 0.5), 1.0, 0,
                                         SeriesConfig(max_terms=10))
 
