@@ -69,12 +69,12 @@ def _check_time(t: float, strict: bool = False) -> None:
 
 
 def _series_argument(params: ProcessParams, t: float):
-    """The exact factors ((lam, alpha), (t, nu)) of the series argument
+    """The exact factors ((lam, alpha), (t, nu)) of the rate
     x = lam**alpha * t**nu, which the row and the direct series form in
     their working precision, and x in doubles
     (``special_fn._argument_double``), a ValueError where it overflows."""
     factors = ((params.lam, params.alpha), (t, params.nu))
-    return factors, -_argument_double(factors)
+    return factors, _argument_double(factors)
 
 
 def _row_sum(rows: list[PmfRow], weights=1.0, rel=0.0) -> EvalResult:
@@ -189,15 +189,14 @@ def pmf_time_fractional_direct(params: ProcessParams, t: float, k: int,
 
     Pr{N_nu(t)=k} = sum_r x**k*(r+k)!/(r!*k!) * (-x)**r / Gamma(nu*(k+r)+1),
     x = lam*t**nu.  At nu = 1 and where x = 0 in doubles it is ``pmf``,
-    whose row decides both.  Else the (r+k)!/r! recurrence and its own
-    term profile are summed exactly in integers with a certified bound
+    whose row decides both.  Else the (r+k)!/r! recurrence is summed
+    exactly in integers with a certified bound
     (``special_fn._sum_series``), sharing no code with the contour of
     ``pmf``, which it cross-validates at alpha = 1.  The log term
     magnitudes are concave in r (the ratio of successive terms falls), so
-    the profile is scanned in doubling blocks
-    (``special_fn._scan_profile``) up to
-    r = min(max_terms, 50_000), stopping once past the peak and
-    _PRESCAN_DROP nats below both the peak and 1.  The profile takes x in
+    their peak is found by a scan in doubling blocks
+    (``special_fn._scan_profile``) up to r = min(max_terms, 50_000), which
+    stops once the terms fall by the stop ratio.  The scan takes x in
     doubles; the bases take x from its exact factors, formed in the
     working precision (``special_fn._argument``), so the bound holds at
     the exact x.
@@ -222,22 +221,22 @@ def pmf_time_fractional_direct(params: ProcessParams, t: float, k: int,
         return (_lgamma(r + k + 1) - _lgamma(r + 1) - lgk + (r + k) * logx
                 - _lgamma(nu * (k + r) + 1.0))
 
-    profile = _scan_profile(block, min(cfg.max_terms, 50_000), 0)
+    rpeak, lpeak = _scan_profile(block, min(cfg.max_terms, 50_000), 0)
 
     def bases():
         # gamma arguments must be built in working precision: forming
         # nu*(k+r) in doubles feeds incoherent argument noise into a
         # heavily cancelling sum.  rise takes three roundings a step, so
         # base r is within the engine's allowance of 3r + 5 roundings;
-        # the error of -xm (under 2**-61 relatively) adds (k + r) * 2**-61,
+        # the error of xm (under 2**-61 relatively) adds (k + r) * 2**-61,
         # within the two roundings spare for any k < 2**60
         xm, nu_mp = _argument(factors), mp.mpf(nu)
-        rise = (-xm) ** k      # x**k * (r+k)!/(r!*k!), multiplicatively
+        rise = xm ** k  # x**k * (r+k)!/(r!*k!) * (-x)**r at step r
         for r in itertools.count():
             yield rise * mp.rgamma(nu_mp * (k + r) + 1)
-            rise = rise * xm * (r + k + 1) / (r + 1)
+            rise = -rise * xm * (r + k + 1) / (r + 1)
 
-    res = _to_double(*_sum_series(bases, profile, cfg,
+    res = _to_double(*_sum_series(bases, rpeak, lpeak, cfg,
                                   f"(k={k}, nu={nu}, x={x:.6g})"))
     return PmfRow(k, res.value, res.abs_error_bound)
 
@@ -296,8 +295,8 @@ def _erlang_cdf(factors, mu: float, k: int, cfg: SeriesConfig) -> EvalResult:
     ``special_fn._sum_series`` sums the masses outward from k, so nothing
     cancels: p_k + p_{k+1} + ... when k >= mu, else p_{k-1} + ... + p_0
     (then exact zeros), whose complement, formed at 40 digits, adds its
-    rounding.  The first mass, exp(j0*log(m) - m - log(j0!)), gives the
-    profile; its argument, of condition sum c = mu + j0*|log mu| +
+    rounding.  The first mass, exp(j0*log(m) - m - log(j0!)), is the peak
+    term; its argument, of condition sum c = mu + j0*|log mu| +
     log(j0!) >= 1, takes log2(c) + 8 guard bits.  Each later mass takes a
     product and a quotient, m/(j+1) up and j/m down, with m 64 bits beyond
     the working precision (``special_fn._argument``): base r is within
@@ -312,7 +311,7 @@ def _erlang_cdf(factors, mu: float, k: int, cfg: SeriesConfig) -> EvalResult:
     lm, lg = math.log(mu), math.lgamma(j0 + 1)
 
     def bases():
-        m = mp.fneg(_argument(factors), exact=True)
+        m = _argument(factors)
         with mp.workprec(mp.mp.prec + 8
                          + math.ceil(math.log2(mu + j0 * abs(lm) + lg))):
             p = mp.exp(j0 * mp.log(m) - m - mp.loggamma(j0 + 1))
@@ -320,7 +319,7 @@ def _erlang_cdf(factors, mu: float, k: int, cfg: SeriesConfig) -> EvalResult:
             yield +p    # rounds p_j0 to the working precision
             p = p * m / (j + 1) if up else p * j / m
 
-    s, b, n = _sum_series(bases, np.array([j0 * lm - mu - lg]),
+    s, b, n = _sum_series(bases, 0, j0 * lm - mu - lg,
                           SeriesConfig(2.0 ** -80, cfg.max_terms),
                           f"(k={k}, mu={mu:.6g})")
     if not up:

@@ -1,32 +1,29 @@
 """Scalar special functions underlying the fractional Poisson laws.
 
-Every law in ``dist`` is built on the time-fractional row
-
-    p_k = ((-1)**k / k!) * S_k,
-    S_k = sum_{r>=0} w**r / Gamma(nu*r + 1) * ffact(r, k),
-
-with w = -lam**alpha * t**nu <= 0 and ``ffact(r, k) = r*(r-1)*...*(r-k+1)``
-the integer falling factorial (at alpha < 1 ``dist`` composes it with
-the Sibuya law, which cancels nothing).  With k = 0 this is the
-one-parameter Mittag-Leffler series E_nu(w).  The row serves
-0 < nu <= 1; at nu = 1 it is the Poisson(x) row, x = -w, each mass a
-closed form (``_poisson_mass``).  It takes w as its exact factors and
-forms it in its working precision, so its certificates hold at the
-exact argument.
+Every law in ``dist`` is built on the time-fractional row: the masses
+p_k(x), k = 0, 1, ..., of the time-fractional Poisson law at t = 1 and
+rate x >= 0, with x = lam**alpha * t**nu for the law at time t (at
+alpha < 1 ``dist`` composes the row with the Sibuya law, which cancels
+nothing).  Each p_k is a mixture of Poisson masses at the means x*Y
+(Beghin & Orsingher, EJP 14, 2009), with Laplace transform
+x**k s**(nu-1) / (s**nu + x)**(k+1); p_0 is the one-parameter
+Mittag-Leffler function E_nu(-x).  The row serves 0 < nu <= 1; at nu = 1
+it is the Poisson(x) row, each mass a closed form (``_poisson_mass``).
+It takes x as its exact factors and forms it in its working precision,
+so its certificates hold at the exact rate.
 
 At nu < 1 one engine computes it, the contour (``_contour_rows``): the
-trapezoidal rule on a parabolic Bromwich contour for the Laplace
-transform x**k s**(nu-1) / (s**nu + x)**(k+1) of p_k.  One set of nodes
-gives the whole row, a complex product per node and entry, at a modest
-precision and with no gamma function.  The nodes (``_contour_nodes``)
-are libmp and Gaussian-integer arithmetic: e**s by a product recurrence
-over the nodes, s**nu from one log, atan, exp and cos_sin each, the
-parts free of x cached per order, node count and precision
-(``_x_free_nodes``).  Rules in doubles (``_contour_estimate``) size it,
-over a ladder of contour parameters mu that reaches deep entries and
-orders near 1.  Its bound adds the trapezoidal error from the strip of
-analyticity of the integrand, the nodes cut off and the rounding of the
-node arithmetic.  It returns a certified row or raises NonConvergence.
+trapezoidal rule on a parabolic Bromwich contour for that transform.
+One set of nodes gives the whole row, a complex product per node and
+entry, at a modest precision and with no gamma function.  The nodes
+(``_contour_nodes``) are libmp and Gaussian-integer arithmetic: e**s by
+a product recurrence over the nodes, s**nu from one log, atan, exp and
+cos_sin each, the parts free of x cached per order, node count and
+precision (``_x_free_nodes``).  Rules in doubles (``_contour_estimate``)
+size it, over a ladder of contour parameters mu that reaches deep
+entries and orders near 1.  Its bound adds the trapezoidal error from
+the strip of analyticity of the integrand, the nodes cut off and the
+rounding of the node arithmetic.  It returns a certified row or raises NonConvergence.
 ``wright_psi11_weighted_rows`` cuts each row where the proven ceiling
 p_k <= x**k / Gamma(nu*k + 1) falls below the least subnormal.
 
@@ -54,9 +51,6 @@ _LN2 = math.log(2.0)
 _EPS = 2.0 ** -52           # machine epsilon of a double
 # the series stop rule: past the peak, terms must fall by this ratio or less
 _STOP_RATIO = 0.9
-# the prescan ends once the last term is this many nats below both the
-# peak and 1 (and past the hump; see _scan_profile)
-_PRESCAN_DROP = 250.0
 # the contour rule (see _contour_rows): half-widths a of the strips whose
 # error bounds are compared, and cells per edge integral in _contour_error
 _CONTOUR_STRIPS = (0.2, 0.35, 0.5, 0.65, 0.8, 0.9)
@@ -105,73 +99,75 @@ def _lgamma(x: np.ndarray) -> np.ndarray:
     return np.fromiter(map(math.lgamma, x.tolist()), float, x.size)
 
 
-def _scan_profile(block, rmax: int, r_concave: float) -> np.ndarray:
-    """Natural-log term magnitudes of a series, r = 0, 1, ...
+def _scan_profile(block, rmax: int, r_concave: float) -> tuple[int, float]:
+    """The peak of a series' natural-log term magnitudes, r = 0, 1, ...:
+    the first index of the largest term, and that term's log.
 
     ``block(r)`` maps a float array of term indices to their log
-    magnitudes.  The scan runs in doubling blocks (64, 64, 128, ..., each
-    within 2e6 entries) up to r = rmax and stops early once r > r_concave,
-    past which the log magnitude is concave in r, the last term has fallen
-    by a ratio of at most _STOP_RATIO, and it lies _PRESCAN_DROP nats below
-    both the peak and 1: the series peaks no more, so the argmax and the
-    maximum are those of the full scan.
+    magnitudes.  The scan runs in doubling blocks (64, 64, 128, ...) up to
+    r = rmax and stops early once r > r_concave, past which the log
+    magnitude is concave in r, and the last term has fallen by a ratio of
+    at most _STOP_RATIO: every later step falls by that much or more, so
+    the peak lies behind the scan, and the index and the log are those of
+    the full scan.
     """
-    peak = -np.inf
-    blocks = []
+    rpeak, lpeak = 0, -math.inf
     lo = 0
     while lo <= rmax:
-        hi = min(rmax + 1, lo + min(2_000_000, max(lo, 64)))
+        hi = min(rmax + 1, lo + max(lo, 64))
         lt = block(np.arange(lo, hi, dtype=float))
         lt[~np.isfinite(lt)] = -np.inf
-        peak = max(peak, lt.max())
-        blocks.append(lt)
+        top = int(np.argmax(lt))
+        if lt[top] > lpeak:
+            rpeak, lpeak = lo + top, float(lt[top])
         lo = hi
         if (hi - 1 > r_concave and lt.size > 1
-                and lt[-1] - lt[-2] <= math.log(_STOP_RATIO)
-                and lt[-1] <= min(peak, 0.0) - _PRESCAN_DROP):
+                and lt[-1] - lt[-2] <= math.log(_STOP_RATIO)):
             break
-    return np.concatenate(blocks)
+    return rpeak, lpeak
 
 
 def _argument_double(factors) -> float:
-    """w = -prod(b**e) over ``factors``, pairs (b, e) with b >= 0, in
-    doubles, which size the sums (and are the Poisson mean at nu = 1); a
-    ValueError if it overflows.  A zero base gives w = 0, whatever the
+    """The rate x = prod(b**e) over ``factors``, pairs (b, e) with b >= 0,
+    in doubles, which size the sums (and are the Poisson mean at nu = 1);
+    a ValueError if it overflows.  A zero base gives x = 0, whatever the
     other factors.  A product of positive bases that underflows part-way
-    is formed again as exp(sum e*log(b)), so that w is 0 only where the
+    is formed again as exp(sum e*log(b)), so that x is 0 only where the
     exact product is below the subnormal range."""
     if any(b == 0 for b, _ in factors):
-        return -0.0
-    w = -math.prod(b ** e for b, e in factors)
-    if w == 0.0:
-        w = -math.exp(math.fsum(e * math.log(b) for b, e in factors))
-    if not -math.inf < w <= 0:
-        raise ValueError("the series argument -lam**alpha * t**nu must be "
-                         "finite and <= 0")
-    return w
+        return 0.0
+    x = math.prod(b ** e for b, e in factors)
+    if x == 0.0:
+        x = math.exp(math.fsum(e * math.log(b) for b, e in factors))
+    if not 0 <= x < math.inf:
+        raise ValueError("the rate lam**alpha * t**nu must be finite and "
+                         ">= 0")
+    return x
 
 
 def _argument(factors):
-    """w of ``factors`` as an mpf, formed 64 bits beyond the working
+    """x of ``factors`` as an mpf, formed 64 bits beyond the working
     precision (prec bits) and kept unrounded.  mpmath forms b**e,
     0 < e <= 1, as exp(e*log(b)) with the log 10 bits beyond the
     precision, and |e*log(b)| < 2**10 for a double b: each power and the
-    product err by a few units of 2**-(prec+64), so w is within
+    product err by a few units of 2**-(prec+64), so x is within
     2**-(prec+61) of its exact value, relatively."""
     with mp.workprec(mp.mp.prec + 64):
-        return -mp.fprod(mp.mpf(b) ** e for b, e in factors)
+        return mp.fprod(mp.mpf(b) ** e for b, e in factors)
 
 
-def _sum_series(bases, profile: np.ndarray, cfg: SeriesConfig, where: str):
+def _sum_series(bases, rpeak: int, lpeak: float, cfg: SeriesConfig,
+                where: str):
     """The sum of a series, sum_r base_r, and its bound: the certified loop
     of the direct form and of the Erlang law in ``dist``.
 
     ``bases`` is called inside the working precision and returns an
     iterator over base_0, base_1, ... as mpf, each within (3r + 5)
-    roundings of its exact value.  ``profile`` holds the log term
-    magnitudes in doubles: its peak sets the working precision (40 digits
-    above the peak term, prec bits) and the index rpeak past which the sum
-    may stop.
+    roundings of its exact value.  ``rpeak`` is the index of the largest
+    term and ``lpeak`` the natural log of its magnitude, in doubles
+    (``_scan_profile``): lpeak sets the working precision (40 digits above
+    the peak term, prec bits) and rpeak the index past which the sum may
+    stop.
 
     The sum is an exact Python integer.  The magnitude of term r,
     +-man*2**exp, is truncated onto the grid 2**E, E set prec +
@@ -194,17 +190,16 @@ def _sum_series(bases, profile: np.ndarray, cfg: SeriesConfig, where: str):
     """
     tol_num, tol_den = cfg.rel_tol.as_integer_ratio()
     q_num, q_den = _STOP_RATIO.as_integer_ratio()
-    rpeak = int(np.argmax(profile))
     if rpeak + 3 > cfg.max_terms:
         # the stop rule needs three terms past the peak
         raise NonConvergence(
             f"series needs more than {cfg.max_terms} terms: its terms "
             f"peak at r >= {rpeak} {where}")
-    dps = max(32, int(profile[rpeak] / _LN10) + 40)
+    dps = max(32, int(lpeak / _LN10) + 40)
     for _ in range(3):
         with mp.workdps(dps):
             prec = mp.mp.prec
-            grid = math.floor(profile[rpeak] / _LN2) - prec - _GRID_GUARD_BITS
+            grid = math.floor(lpeak / _LN2) - prec - _GRID_GUARD_BITS
             total = abssum = last = prev = 0
             terms = bases()
             streak = r = 0
@@ -729,11 +724,11 @@ def mittag_leffler(nu: float, x: float, cfg: SeriesConfig | None = None) -> Eval
 def wright_psi11_weighted_rows(kmax: int, factors, time_nu: float,
                                cfg: SeriesConfig | None = None
                                ) -> list[EvalResult]:
-    """Rows ((-1)**k / k!) * S_k for k = 0..kmax, 0 < time_nu <= 1: the
-    time-fractional Poisson masses with lam**alpha * t**nu = -w, given as
-    its exact ``factors`` ((lam, alpha), (t, nu)) (``pgf`` adds (1-u, alpha)).
+    """The time-fractional Poisson masses p_k(x) for k = 0..kmax,
+    0 < time_nu <= 1, at the rate x = lam**alpha * t**nu >= 0, given as its
+    exact ``factors`` ((lam, alpha), (t, nu)) (``pgf`` adds (1-u, alpha)).
 
-    Where w is 0 in doubles the row is that of x = 0, exact where a base
+    Where x is 0 in doubles the row is that of x = 0, exact where a base
     is 0.  Else x underflowed, and each mass errs by at most 1 - E_nu(-x)
     <= x/Gamma(1 + nu) < 1.2x < ulp(0), so the bounds are ulp(0).
 
@@ -752,16 +747,16 @@ def wright_psi11_weighted_rows(kmax: int, factors, time_nu: float,
         raise ValueError("time_nu must lie in (0, 1]")
     if kmax < 0:
         raise ValueError("k must be >= 0")
-    w = _argument_double(factors)
-    if w == 0.0:
+    x = _argument_double(factors)
+    if x == 0.0:
         e = math.ulp(0.0) if all(b > 0 for b, _ in factors) else 0.0
         return [EvalResult(float(k == 0), e, 1) for k in range(kmax + 1)]
     if time_nu == 1.0:
-        return [_poisson_mass(-w, k) for k in range(kmax + 1)]
+        return [_poisson_mass(x, k) for k in range(kmax + 1)]
     cfg = cfg or DEFAULT_CONFIG
     k = np.arange(kmax + 1.0)
-    kcut = int(np.flatnonzero(k * math.log(-w) - _lgamma(time_nu * k + 1)
+    kcut = int(np.flatnonzero(k * math.log(x) - _lgamma(time_nu * k + 1)
                               >= math.log(math.ulp(0.0)) - 1)[-1])
-    vals, bounds, terms = _contour_rows(kcut, factors, -w, time_nu, cfg)
+    vals, bounds, terms = _contour_rows(kcut, factors, x, time_nu, cfg)
     return ([_to_double(v, b, terms) for v, b in zip(vals, bounds)]
             + [EvalResult(0.0, math.ulp(0.0), terms)] * (kmax - kcut))

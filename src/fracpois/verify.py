@@ -287,12 +287,12 @@ def oracle_pmf(params: ProcessParams, t: float, k: int,
     shrink, so the sum stops after three terms whose geometric tail
     last*q/(1-q) is within the tolerance.
 
-    The working precision comes from a double-precision profile of the
-    term magnitudes over r <= 50_000, scanned in doubling blocks by
-    ``special_fn._scan_profile``: past r = k/alpha + 2 the log magnitudes
-    are concave in r, so the scan stops there once past the peak and
-    _PRESCAN_DROP nats below both the peak and 1, with the argmax and
-    maximum of the full scan.
+    The working precision comes from the peak of the term magnitudes in
+    doubles over r <= 50_000, found by a scan in doubling blocks
+    (``special_fn._scan_profile``): past r = k/alpha + 2 the log
+    magnitudes are concave in r, so the scan stops there once the terms
+    fall by the stop ratio, with the argmax and maximum of the full
+    scan.
 
     The precision is sized for an absolute accuracy of about
     10**-(precision_digits+10).  The sum then measures the digits it lost
@@ -311,23 +311,20 @@ def oracle_pmf(params: ProcessParams, t: float, k: int,
     if t == 0.0:
         return mp.mpf(1 if k == 0 else 0)
     alpha, nu = params.alpha, params.nu
-    wf = -(params.lam ** alpha) * t ** nu
-
-    # size precision from a double-precision magnitude profile
-    logw = math.log(abs(wf))
+    # size precision from the peak of the term magnitudes in doubles
+    logx = math.log(params.lam ** alpha * t ** nu)
 
     def block(r):
-        lt = r * logw - _lgamma(nu * r + 1.0) + _lgamma(alpha * r + 1.0)
+        lt = r * logx - _lgamma(nu * r + 1.0) + _lgamma(alpha * r + 1.0)
         zk = alpha * r + 1.0 - k
         # |1/Gamma(z)| <= Gamma(1-z) for z <= 0 via reflection (|sin| <= 1)
         lt += np.where(zk > 0, -_lgamma(np.maximum(zk, 1e-300)),
                        _lgamma(np.maximum(1.0 - zk, 1.0)))
         return lt
 
-    lt = _scan_profile(block, 50_000, k / alpha + 2)
-    rpeak = int(np.argmax(lt))
+    rpeak, lpeak = _scan_profile(block, 50_000, k / alpha + 2)
     dps = max(ocfg.precision_digits + 10,
-              int(lt[rpeak] / math.log(10)) + ocfg.precision_digits + 10)
+              int(lpeak / math.log(10)) + ocfg.precision_digits + 10)
 
     cache = _gamma_cache if _gamma_cache is not None else {}
     digits = ocfg.precision_digits

@@ -22,13 +22,18 @@ class _Stop(Exception):
 @pytest.fixture
 def profile_scans(monkeypatch):
     """``profile_scans(module, call)`` runs ``call`` up to the profile scan
-    that ``module`` makes and returns the blockwise profile it scans and
-    the full scan of the same term magnitudes up to the scan's limit."""
+    that ``module`` makes and returns the peak (rpeak, lpeak) the scan
+    finds, the number of entries it evaluates, and the full scan of the
+    same term magnitudes up to the scan's limit."""
     def scans(module, call):
-        seen = {}
+        seen = {"size": 0}
 
         def spy(block, rmax, r_concave):
-            seen["scan"] = special_fn._scan_profile(block, rmax, r_concave)
+            def counted(r):
+                seen["size"] += r.size
+                return block(r)
+
+            seen["peak"] = special_fn._scan_profile(counted, rmax, r_concave)
             with np.errstate(divide="ignore", invalid="ignore"):
                 full = block(np.arange(rmax + 1, dtype=float))
             full[~np.isfinite(full)] = -np.inf
@@ -38,7 +43,7 @@ def profile_scans(monkeypatch):
         monkeypatch.setattr(module, "_scan_profile", spy)
         with pytest.raises(_Stop):
             call()
-        return seen["scan"], seen["full"]
+        return seen["peak"], seen["size"], seen["full"]
 
     return scans
 

@@ -176,6 +176,12 @@ def test_usage_error_exit_code_1(capsys):
                          "1.0", "--nu", "0.5", "--t", "1.0", "--n", "5",
                          "--seed", "0")
     assert code == 1  # space process needs nu = 1
+    code, _, err = run_cli(capsys, "pmf", "--lambda", "1.0", "--t", "1.0",
+                           "--kmax", "-1")
+    assert code == 1 and "kmax must be >= 0" in err
+    code, _, err = run_cli(capsys, "passage", "--lambda", "1.0", "--t",
+                           "1.0", "--k", "-1")
+    assert code == 1 and "k must be >= 0" in err
 
 
 def test_nonconvergence_exit_code_2(capsys):

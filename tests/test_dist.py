@@ -120,13 +120,13 @@ def test_direct_form_profile_matches_full_scan(profile_scans, nu):
     truncated = 0
     for lam in (1e-3, 1.0, 8.0, 60.0):
         for k in (0, 1, 10, 100):
-            scan, full = profile_scans(
+            (rpeak, lpeak), size, full = profile_scans(
                 dist, lambda: dist.pmf_time_fractional_direct(
                     ProcessParams(lam, 1.0, nu), 1.0, k))
-            assert np.array_equal(scan, full[:scan.size])
-            assert np.argmax(scan) == np.argmax(full)
-            assert scan.max() == full.max()
-            truncated += scan.size < full.size
+            assert size <= full.size
+            assert rpeak == np.argmax(full)
+            assert lpeak == full.max()
+            truncated += size < full.size
     assert truncated > 0
 
 
@@ -188,6 +188,28 @@ def test_pgf_underflowing_argument_is_bounded(lam, nu, t, u):
 def test_pgf_domain():
     with pytest.raises(ValueError):
         dist.pgf(ProcessParams(1.0), 1.0, 1.5)
+    for u in (-0.5, 1.0):
+        with pytest.raises(ValueError, match="u must lie in"):
+            dist.pgf_partial_sum(ProcessParams(1.0), 1.0, u, 5)
+
+
+def test_index_validation():
+    """Each law refuses an index below its domain, and the direct form an
+    order alpha < 1."""
+    tf, space = ProcessParams(1.0, 1.0, 0.5), ProcessParams(1.0, 0.5)
+    for call, message in (
+            (lambda: dist.pmf_row(tf, 1.0, -1), "kmax must be >= 0"),
+            (lambda: dist.pmf(tf, 1.0, -1), "k must be >= 0"),
+            (lambda: dist.pmf_time_fractional_direct(tf, 1.0, -1),
+             "k must be >= 0"),
+            (lambda: dist.pmf_time_fractional_direct(space, 1.0, 1),
+             "requires alpha = 1"),
+            (lambda: dist.cdf(space, 1.0, -1), "k must be >= 0"),
+            (lambda: dist.first_passage(space, 1.0, -1), "k must be >= 0"),
+            (lambda: dist.first_passage_density(space, 1.0, 0),
+             "k must be >= 1")):
+        with pytest.raises(ValueError, match=message):
+            call()
 
 
 def test_pgf_partial_sum_converges_to_pgf():
@@ -512,7 +534,7 @@ def test_series_bounds_hold_at_exact_argument(monkeypatch):
     cfg = SeriesConfig(rel_tol=1e-60)
     ocfg = verify.OracleConfig(precision_digits=90)
     vals, bounds, _ = special_fn._contour_rows(
-        30, factors, -special_fn._argument_double(factors), 0.97, cfg)
+        30, factors, special_fn._argument_double(factors), 0.97, cfg)
     sums = []
 
     def recorded(*args):

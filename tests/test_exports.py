@@ -1,7 +1,10 @@
 import ast
 import importlib
+import io
 import pathlib
 import pkgutil
+import re
+import tokenize
 
 import pytest
 
@@ -80,3 +83,41 @@ def test_no_unread_private_names():
     unread = {f"{name}:{n}" for name, tree in trees.items()
               for n in _private_names(tree) - read}
     assert sorted(unread) == []
+
+
+# a private name in prose, not a math subscript such as ((1-B)**alpha p)_k
+# or the tail of a dotted name
+_PRIVATE_MENTION = re.compile(r"(?<![\w.)\]])_[A-Za-z]\w*")
+
+
+def _docs_and_code_names(path: pathlib.Path):
+    """(line, text) of each docstring and comment of the module at
+    ``path``, and the names its code spells (every NAME token)."""
+    text = path.read_text("utf-8")
+    docs = [(node.body[0].value.lineno, ast.get_docstring(node, clean=False))
+            for node in ast.walk(ast.parse(text))
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef))
+            and ast.get_docstring(node) is not None]
+    names = set()
+    for tok in tokenize.generate_tokens(io.StringIO(text).readline):
+        if tok.type == tokenize.COMMENT:
+            docs.append((tok.start[0], tok.string))
+        elif tok.type == tokenize.NAME:
+            names.add(tok.string)
+    return docs, names
+
+
+def test_docs_name_no_stale_private_names():
+    """Every private name that a docstring or comment in ``src/fracpois``
+    mentions is defined or read by code there, so that no prose names
+    what was deleted or renamed."""
+    mentions, code = [], set()
+    for path in sorted(pathlib.Path(fracpois.__file__).parent.glob("*.py")):
+        docs, names = _docs_and_code_names(path)
+        code |= names
+        for line, doc in docs:
+            for m in _PRIVATE_MENTION.finditer(doc):
+                line_of_m = line + doc.count("\n", 0, m.start())
+                mentions.append((f"{path.name}:{line_of_m}", m.group()))
+    assert [f"{where}:{name}" for where, name in mentions
+            if name not in code] == []

@@ -70,10 +70,19 @@ def test_beta_form_is_reflection_of_binomial_coeff(alpha, r):
 
 
 def test_beta_form_domain():
+    """The coefficients and the difference operator refuse inputs outside
+    their domains."""
     with pytest.raises(ValueError):
         beta_form_coeff(1.0, 2)
     with pytest.raises(ValueError):
         beta_form_coeff(0.5, 1)
+    with pytest.raises(ValueError, match="r must be >= 0"):
+        frac_binom_coeff(0.5, -1)
+    for alpha in (0.0, 1.5):
+        with pytest.raises(ValueError, match="alpha must lie in"):
+            frac_binom_coeffs(alpha, 3)
+    with pytest.raises(ValueError, match="1-d mass vector"):
+        apply_frac_difference(np.ones((2, 2)), 0.5)
 
 
 def test_three_forms_agree_on_a_pmf_vector():

@@ -408,6 +408,8 @@ def test_batch_argument_validation():
             sample_batch("space", params, t, 10, RngStream(0))
     with pytest.raises(ValueError, match="threads must be >= 1"):
         sample_batch("space", params, 1.0, 10, RngStream(0), threads=0)
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        sample_batch("space", params, 1.0, 0, RngStream(0))
     with pytest.raises(ValueError):
         sample_batch("composed", params, 1.0, 10, RngStream(0))  # no gamma
     with pytest.raises(ValueError, match="only to the composed process"):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fracpois import dist, special_fn
+from fracpois import cli, dist, special_fn
 from fracpois.dist import ProcessParams, pmf_row
 from fracpois.special_fn import (EvalResult, NonConvergence, SeriesConfig,
                                  mittag_leffler, wright_psi11_weighted_rows)
@@ -177,6 +177,11 @@ def test_mittag_leffler_domain_errors():
     for x in (1.0, -math.inf, math.nan):
         with pytest.raises(ValueError):
             mittag_leffler(0.5, x)
+    for nu in (0.0, 1.5):
+        with pytest.raises(ValueError, match="time_nu must lie in"):
+            wright_psi11_weighted_rows(0, ((1.0, 1.0),), nu)
+    with pytest.raises(ValueError, match="k must be >= 0"):
+        wright_psi11_weighted_rows(-1, ((1.0, 1.0),), 0.5)
 
 
 def test_nonconvergence_when_max_terms_too_small():
@@ -257,10 +262,10 @@ def test_error_certificate_is_conservative(alpha, k, w, nu):
 def test_series_rounding_certificate(monkeypatch, kmax, w, nu):
     """At rel_tol=1e-60 rounding dominates the bound of the direct series:
     a rerun 60 digits more precise must land within it at k = 0, 1, kmax/2
-    and kmax.  The profile sets the precision and the summation grid, 40
-    digits and more below the peak term; each case here peaks above
-    1e-8, so that its grid is not coarsened by the 32-digit floor of the
-    precision."""
+    and kmax.  The prescan's peak sets the precision and the summation
+    grid, 40 digits and more below the peak term; each case here peaks
+    above 1e-8, so that its grid is not coarsened by the 32-digit floor of
+    the precision."""
     cfg = SeriesConfig(rel_tol=1e-60)
     params = ProcessParams(-w, 1.0, nu)
 
@@ -281,7 +286,8 @@ def test_series_rounding_certificate(monkeypatch, kmax, w, nu):
 
     def shifted(*args):
         # 60 digits more precision, on the same grid
-        return scan(*args) + 60 * math.log(10.0)
+        rpeak, lpeak = scan(*args)
+        return rpeak, lpeak + 60 * math.log(10.0)
 
     monkeypatch.setattr(dist, "_scan_profile", shifted)
     refs = sums()
@@ -344,7 +350,7 @@ def test_contour_bounds_hold_at_exact_argument(monkeypatch):
     monkeypatch.setattr(mp, "gamma", _fail)
     assert len(wright_psi11_weighted_rows(30, factors, 0.3, cfg)) == 31
     monkeypatch.undo()
-    x = -special_fn._argument_double(factors)
+    x = special_fn._argument_double(factors)
     vals, bounds, _ = special_fn._contour_rows(30, factors, x, 0.3, cfg)
     with mp.workdps(60):
         for k in (0, 1, 15, 30):
@@ -380,6 +386,25 @@ def test_contour_raises_beyond_its_node_budget(monkeypatch):
     with pytest.raises(NonConvergence, match="more than 20 nodes"):
         special_fn._contour_rows(30, ((5.0, 1.0), (1.0, 0.3)), 5.0, 0.3,
                                  SeriesConfig(max_terms=20))
+
+
+def test_contour_refuses_a_row_that_misses_rel_tol(monkeypatch, capsys):
+    """The contour's last check: a row whose summed bound misses rel_tol,
+    here the true bound raised by 50 nats, is refused, and the CLI exits 2
+    with no table."""
+    real = special_fn._contour_sum
+
+    def loose(*args):
+        vals, lbound = real(*args)
+        return vals, lbound + 50.0
+
+    monkeypatch.setattr(special_fn, "_contour_sum", loose)
+    with pytest.raises(NonConvergence, match="missed rel_tol"):
+        pmf_row(ProcessParams(1.0, 1.0, 0.5), 1.0, 5)
+    assert cli.main(["pmf", "--lambda", "1", "--nu", "0.5", "--t", "1",
+                     "--kmax", "5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "missed rel_tol" in captured.err
 
 
 @pytest.mark.parametrize("lam,nu,kmax", [
@@ -474,7 +499,7 @@ def test_contour_nodes_hold_their_eps(nu, x):
         eps = eps_units * 2.0 ** -prec
         mu, h = special_fn._rule(n)
         with mp.workprec(2 * prec):
-            xm = -special_fn._argument(factors)
+            xm = special_fn._argument(factors)
             for j in sorted({*range(0, n + 1, max(1, n // 40)), n}):
                 w = mp.mpc(1, j * mp.mpf(h))
                 s = mp.mpf(mu) * w * w

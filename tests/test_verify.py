@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.stats import chi2
@@ -7,7 +8,7 @@ from scipy.stats import chi2
 from fracpois import dist, sample, verify
 from fracpois.dist import ProcessParams
 from fracpois.sample import RngStream, SampleBatch, sample_batch
-from fracpois.special_fn import mittag_leffler
+from fracpois.special_fn import NonConvergence, mittag_leffler
 from fracpois.verify import (DegenerateBins, OracleConfig, check_fixture,
                              check_min_uniform_space, check_ode_residual,
                              gof_pmf, gof_two_sample, load_fixture,
@@ -157,6 +158,8 @@ def test_ode_residual_flags_wrong_order():
 def test_ode_residual_requires_nu_one():
     with pytest.raises(ValueError):
         check_ode_residual(ProcessParams(1.0, 0.5, 0.5), 1.0, 10)
+    with pytest.raises(ValueError, match="K must be >= 1"):
+        check_ode_residual(ProcessParams(1.0, 0.5), 1.0, 0)
 
 
 def test_oracle_matches_series_pmf():
@@ -189,10 +192,13 @@ def test_oracle_t_zero():
 def test_time_outside_domain_rejected():
     """Every time-taking check rejects a non-finite or negative t; the
     renewal loop would never end at t = inf, and the oracle's sum is
-    complex at t < 0."""
+    complex at t < 0.  The renewal construction also refuses alpha < 1."""
     params = ProcessParams(1.0, 1.0, 0.5)
     with pytest.raises(ValueError, match="t must be finite"):
         oracle_pmf(ProcessParams(1.0, 0.5, 0.5), -1.0, 2)
+    with pytest.raises(ValueError, match="requires alpha = 1"):
+        verify.renewal_batch(ProcessParams(1.0, 0.5, 0.5), 1.0, 2,
+                             RngStream(0))
     for t in (math.inf, math.nan, 0.0):
         with pytest.raises(ValueError, match="t must be finite and > 0"):
             verify.renewal_batch(params, t, 2, RngStream(0))
@@ -214,9 +220,27 @@ def test_oracle_small_order_near_unit_argument():
     assert abs(res.value - ref) <= res.abs_error_bound
 
 
+def test_oracle_refuses_what_it_cannot_resolve(monkeypatch):
+    """The oracle raises NonConvergence, not a value, where its sum runs
+    past ORACLE_MAX_TERMS terms, and where no escalation of the precision
+    resolves the digits its sum cancels."""
+    params = ProcessParams(1.0, 0.5)
+    monkeypatch.setattr(verify, "ORACLE_MAX_TERMS", 3)
+    with pytest.raises(NonConvergence, match="exceeded max_terms"):
+        oracle_pmf(params, 1.0, 2)
+    monkeypatch.undo()
+    # a sum of 0 resolves no digit, whatever the precision
+    monkeypatch.setattr(verify, "_oracle_sum",
+                        lambda *args: (mp.mpf(0), mp.mpf(1)))
+    with pytest.raises(NonConvergence, match="cancels more than"):
+        oracle_pmf(params, 1.0, 2)
+
+
 def test_oracle_config_validation():
     with pytest.raises(ValueError):
         OracleConfig(precision_digits=10)
+    with pytest.raises(ValueError, match="k must be >= 0"):
+        oracle_pmf(ProcessParams(1.0, 0.5), 1.0, -1)
 
 
 def test_fixture_round_trip(tmp_path):
@@ -289,10 +313,10 @@ def test_oracle_profile_matches_full_scan(profile_scans):
                               (0.5, 0.5, 1e-3, 0), (0.7, 0.3, 1.0, 0),
                               (0.7, 1.0, 30.0, 30), (1.0, 0.3, 30.0, 3),
                               (1.0, 0.7, 1.0, 30), (1.0, 1.0, 1e-3, 3)):
-        scan, full = profile_scans(verify, lambda: oracle_pmf(
-            ProcessParams(lam, alpha, nu), 1.0, k))
-        assert np.array_equal(scan, full[:scan.size])
-        assert np.argmax(scan) == np.argmax(full)
-        assert scan.max() == full.max()
-        truncated += scan.size < full.size
+        (rpeak, lpeak), size, full = profile_scans(
+            verify, lambda: oracle_pmf(ProcessParams(lam, alpha, nu), 1.0, k))
+        assert size <= full.size
+        assert rpeak == np.argmax(full)
+        assert lpeak == full.max()
+        truncated += size < full.size
     assert truncated > 0
