@@ -102,7 +102,8 @@ class RngStream:
 
 @dataclass(frozen=True)
 class SampleBatch:
-    """Counts from n independent realizations plus their provenance."""
+    """Counts from n independent realizations plus their provenance: the
+    stream ``RngStream(seed, stream_id, substream)`` they were drawn from."""
 
     counts: np.ndarray
     params: ProcessParams
@@ -110,6 +111,7 @@ class SampleBatch:
     seed: int
     n: int
     stream_id: int = 0
+    substream: int = 0
     redraws: int = field(default=0, compare=False)
     gamma: float | None = None     # stable-clock order of a composed batch
 
@@ -315,5 +317,5 @@ def sample_batch(process: str, params: ProcessParams, t: float, n: int,
     counts = np.concatenate([c for c, _ in results])
     redraws = sum(r for _, r in results)
     return SampleBatch(counts=counts, params=params, t=t, seed=rng.seed,
-                       n=n, stream_id=rng.stream_id, redraws=redraws,
-                       gamma=gamma)
+                       n=n, stream_id=rng.stream_id,
+                       substream=rng.substream, redraws=redraws, gamma=gamma)

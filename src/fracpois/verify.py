@@ -4,11 +4,12 @@ Chi-square goodness of fit of sampled counts against the closed-form
 PMFs, one min-of-uniforms representation check of the generating function
 for every (alpha, nu), the governing-equation residual test, and two
 independent references: an extended-precision oracle for the PMF
-(deliberately sharing no series code with :mod:`fracpois.special_fn`),
-and the renewal construction of the time-fractional process (epochs of
-Mittag-Leffler waiting times, the package's only sampler of them),
-against which the mixed-Poisson counts of :mod:`fracpois.sample` are
-tested.
+(sharing no series code with :mod:`fracpois.special_fn`, whose
+double-precision prescan only sizes its precision), and the renewal
+construction of the time-fractional process (epochs of Mittag-Leffler
+waiting times, the package's only sampler of them, drawn by their own
+two-variable formula with no stable variable), against which the
+mixed-Poisson counts of :mod:`fracpois.sample` are tested.
 """
 
 from __future__ import annotations
@@ -22,7 +23,8 @@ import numpy as np
 
 from . import dist, frac_ops, sample
 from .dist import ProcessParams
-from .special_fn import NonConvergence, SeriesConfig, _lgamma, _scan_profile
+from .special_fn import (NonConvergence, SeriesConfig, _argument_double,
+                         _lgamma, _scan_profile)
 
 __all__ = [
     "GofReport", "OracleConfig", "DegenerateBins", "gof_pmf",
@@ -225,23 +227,27 @@ def check_ode_residual(params: ProcessParams, t: float, K: int,
 # independent renewal construction of the time-fractional process
 
 def _ml_waiting_times(nu: float, rate: float, size: int,
-                      gen: np.random.Generator):
+                      gen: np.random.Generator) -> np.ndarray:
     """Waiting times T with Pr{T > t} = E_nu(-rate * t**nu).
 
-    Mixture representation T = (E**(1/nu) * S_nu) / rate**(1/nu) with E
-    unit exponential and S_nu one-sided stable, formed in logs from
-    log S_nu; exponential at nu = 1.
+    With E unit exponential and V uniform (Kozubowski & Rachev 1999;
+    Fulger, Scalas & Germano, Phys. Rev. E 77, 2008),
+
+        T = E * (sin(nu*pi*(1 - V)) / sin(nu*pi*V))**(1/nu) / rate**(1/nu),
+
+    formed in logs, so no stable variable is drawn; exponential at nu = 1.
     """
     if nu == 1.0:
-        return gen.exponential(1.0 / rate, size), 0
+        return gen.exponential(1.0 / rate, size)
     e = gen.standard_exponential(size)
-    log_s, redraws = sample._log_stable(nu, size, gen)
+    v = gen.random(size)
     with np.errstate(divide="ignore", over="ignore"):
-        log_w = np.log(e, out=e)
+        log_w = np.log(np.sin(nu * math.pi * (1.0 - v)))
+        log_w -= np.log(np.sin(nu * math.pi * v))
         log_w -= math.log(rate)
         log_w *= 1.0 / nu
-        log_w += log_s
-        return np.exp(log_w, out=log_w), redraws
+        log_w += np.log(e)
+        return np.exp(log_w, out=log_w)
 
 
 def renewal_batch(params: ProcessParams, t: float, n: int,
@@ -249,36 +255,36 @@ def renewal_batch(params: ProcessParams, t: float, n: int,
     """n time-fractional counts N_nu(t) by the renewal construction.
 
     Each count is the number of epochs of i.i.d. Mittag-Leffler waiting
-    times of rate lam within [0, t], drawn round after round until every
-    realization has passed t.  The reference that the mixed-Poisson
-    counts of ``sample_batch("time", ...)`` are tested against.
+    times of rate lam (``_ml_waiting_times``) within [0, t], drawn round
+    after round until every realization has passed t.  The reference that
+    the mixed-Poisson counts of ``sample_batch("time", ...)`` are tested
+    against; it refuses the orders nu that sampler refuses.
     """
     if params.alpha != 1.0:
         raise ValueError("the renewal construction requires alpha = 1")
     dist._check_time(t, strict=True)
+    if params.nu < 1:
+        sample._check_order(params.nu, "nu")
     gen = rng.generator()
     counts = np.zeros(n, dtype=np.int64)
     elapsed = np.zeros(n)
     active = np.arange(n)
-    redraws = 0
     while active.size:
-        w, rd = _ml_waiting_times(params.nu, params.lam, active.size, gen)
-        redraws += rd
-        elapsed[active] += w
+        elapsed[active] += _ml_waiting_times(params.nu, params.lam,
+                                             active.size, gen)
         within = elapsed[active] <= t
         counts[active[within]] += 1
         active = active[within]
     return sample.SampleBatch(counts=counts, params=params, t=t,
                               seed=rng.seed, n=n, stream_id=rng.stream_id,
-                              redraws=redraws)
+                              substream=rng.substream)
 
 
 # ---------------------------------------------------------------------------
 # independent extended-precision oracle
 
 def oracle_pmf(params: ProcessParams, t: float, k: int,
-               ocfg: OracleConfig | None = None,
-               _gamma_cache: dict | None = None) -> mp.mpf:
+               ocfg: OracleConfig | None = None) -> mp.mpf:
     """Reference PMF value by direct arbitrary-precision summation.
 
     Terms are built from gamma-function quotients (reciprocal gamma at
@@ -289,10 +295,13 @@ def oracle_pmf(params: ProcessParams, t: float, k: int,
 
     The working precision comes from the peak of the term magnitudes in
     doubles over r <= 50_000, found by a scan in doubling blocks
-    (``special_fn._scan_profile``): past r = k/alpha + 2 the log
-    magnitudes are concave in r, so the scan stops there once the terms
-    fall by the stop ratio, with the argmax and maximum of the full
-    scan.
+    (``special_fn._scan_profile``, which only sizes the sum): past
+    r = k/alpha + 2 the log magnitudes are concave in r, so the scan stops
+    there once the terms fall by the stop ratio, with the argmax and
+    maximum of the full scan.  The scan takes log x = alpha*log(lam) +
+    nu*log(t), so a rate x that underflows a double is summed like any
+    other; one that overflows it is the ValueError of dist
+    (``special_fn._argument_double``).
 
     The precision is sized for an absolute accuracy of about
     10**-(precision_digits+10).  The sum then measures the digits it lost
@@ -311,8 +320,8 @@ def oracle_pmf(params: ProcessParams, t: float, k: int,
     if t == 0.0:
         return mp.mpf(1 if k == 0 else 0)
     alpha, nu = params.alpha, params.nu
-    # size precision from the peak of the term magnitudes in doubles
-    logx = math.log(params.lam ** alpha * t ** nu)
+    _argument_double(((params.lam, alpha), (t, nu)))
+    logx = alpha * math.log(params.lam) + nu * math.log(t)
 
     def block(r):
         lt = r * logx - _lgamma(nu * r + 1.0) + _lgamma(alpha * r + 1.0)
@@ -326,13 +335,11 @@ def oracle_pmf(params: ProcessParams, t: float, k: int,
     dps = max(ocfg.precision_digits + 10,
               int(lpeak / math.log(10)) + ocfg.precision_digits + 10)
 
-    cache = _gamma_cache if _gamma_cache is not None else {}
     digits = ocfg.precision_digits
     relative = False
     for _ in range(5):
         with mp.workdps(dps):
-            s, big = _oracle_sum(params, t, k, dps, rpeak, relative, ocfg,
-                                 cache)
+            s, big = _oracle_sum(params, t, k, rpeak, relative, ocfg)
             lost = mp.log10(big / abs(s)) if s else dps
             if dps - lost >= digits + 5 and (
                     relative or abs(s) >= mp.mpf(10) ** (-digits - 5)):
@@ -344,7 +351,7 @@ def oracle_pmf(params: ProcessParams, t: float, k: int,
         f"oracle sum cancels more than {dps} digits (k={k}, t={t})")
 
 
-def _oracle_sum(params, t, k, dps, rpeak, relative, ocfg, cache):
+def _oracle_sum(params, t, k, rpeak, relative, ocfg):
     """The oracle's alternating sum in the working precision, and its
     largest |term|; it stops on a tail within tol = 10**-(precision_digits
     + 5) of |partial sum|, plus tol unless ``relative``."""
@@ -353,21 +360,6 @@ def _oracle_sum(params, t, k, dps, rpeak, relative, ocfg, cache):
     # doubles injects incoherent per-term argument noise that the
     # alternating sum amplifies well past the target accuracy
     a_mp, nu_mp = mp.mpf(alpha), mp.mpf(nu)
-
-    def gam(key, x):
-        v = cache.get(key)
-        if v is None:
-            v = mp.gamma(x)
-            cache[key] = v
-        return v
-
-    def rgam(key, x):
-        v = cache.get(key)
-        if v is None:
-            v = mp.rgamma(x)
-            cache[key] = v
-        return v
-
     w = mp.mpf(params.lam) ** alpha * mp.mpf(t) ** nu * -1
     s = big = mp.mpf(0)
     wpow = mp.mpf(1)
@@ -379,10 +371,8 @@ def _oracle_sum(params, t, k, dps, rpeak, relative, ocfg, cache):
     while True:
         if r > ORACLE_MAX_TERMS:
             raise NonConvergence("oracle series exceeded max_terms")
-        term = (wpow
-                * rgam(("n", nu, r, dps), nu_mp * r + 1)
-                * gam(("g", alpha, r, dps), a_mp * r + 1)
-                * rgam(("r", alpha, r, k, dps), a_mp * r + 1 - k))
+        term = (wpow * mp.rgamma(nu_mp * r + 1) * mp.gamma(a_mp * r + 1)
+                * mp.rgamma(a_mp * r + 1 - k))
         s += term
         at = abs(term)
         big = max(big, at)
@@ -419,10 +409,8 @@ def write_fixture(path, records, ocfg: OracleConfig, meta: str = ""):
                  f"max_terms={ORACLE_MAX_TERMS}\n")
         if meta:
             fh.write(f"# {meta}\n")
-        cache: dict = {}
         for alpha, nu, lam, t, k in records:
-            v = oracle_pmf(ProcessParams(lam, alpha, nu), t, k, ocfg,
-                           _gamma_cache=cache)
+            v = oracle_pmf(ProcessParams(lam, alpha, nu), t, k, ocfg)
             vs = mp.nstr(v, 25, strip_zeros=False)
             fh.write(f"{alpha} {nu} {lam} {t} {k} {vs}\n")
 

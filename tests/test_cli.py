@@ -280,6 +280,19 @@ def test_out_naming_a_folder_is_usage_error(tmp_path, capsys):
     assert err.startswith("fracpois: error:") and "Is a directory" in err
 
 
+def test_out_without_write_permission_is_usage_error(tmp_path, capsys,
+                                                    monkeypatch):
+    """A file that may not be written is exit 1, and none is made.  Where
+    the tests run as root every path is writable, so ``os.access`` is
+    made to refuse."""
+    monkeypatch.setattr(cli.os, "access", lambda path, mode: False)
+    target = tmp_path / "x"
+    code, out, err = run_cli(capsys, "pmf", "--lambda", "1", "--t", "1",
+                             "--kmax", "3", "--out", str(target))
+    assert code == 1 and out == "" and not target.exists()
+    assert err.startswith("fracpois: error:") and "Permission denied" in err
+
+
 def test_unwritable_out_fails_before_the_work(tmp_path, capsys,
                                              monkeypatch):
     """The --out path is checked before the command's work runs, and a

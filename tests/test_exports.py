@@ -85,6 +85,31 @@ def test_no_unread_private_names():
     assert sorted(unread) == []
 
 
+# what verify's references may read of the code they check: the order
+# check, the prescan that sizes the oracle, log gamma and the rate check
+_REFERENCE_ENGINE_READS = {"_check_order", "_scan_profile", "_lgamma",
+                           "_argument_double"}
+
+
+def test_verify_references_stand_apart_from_the_engines():
+    """Of ``sample`` and ``special_fn``, ``verify`` reads no private name
+    beyond _REFERENCE_ENGINE_READS, so no stable draw or summation of the
+    engines it checks runs inside its references."""
+    engines = {"sample", "special_fn"}
+    path = pathlib.Path(fracpois.__file__).parent / "verify.py"
+    read = set()
+    for node in ast.walk(ast.parse(path.read_text("utf-8"))):
+        if (isinstance(node, ast.ImportFrom) and node.module
+                and node.module.rsplit(".", 1)[-1] in engines):
+            read.update(a.name for a in node.names)
+        elif (isinstance(node, ast.Attribute)
+              and isinstance(node.value, ast.Name)
+              and node.value.id in engines):
+            read.add(node.attr)
+    private = {name for name in read if name.startswith("_")}
+    assert sorted(private - _REFERENCE_ENGINE_READS) == []
+
+
 # a private name in prose, not a math subscript such as ((1-B)**alpha p)_k
 # or the tail of a dotted name
 _PRIVATE_MENTION = re.compile(r"(?<![\w.)\]])_[A-Za-z]\w*")

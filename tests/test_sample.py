@@ -61,6 +61,23 @@ def test_sample_batch_length_check():
                     params=ProcessParams(1.0), t=1.0, seed=0, n=5)
 
 
+def test_batch_provenance_rebuilds_its_stream():
+    """A batch names the stream it was drawn from: RngStream(seed,
+    stream_id, substream) of its fields draws its counts again, for a root
+    stream and its child alike, which share seed and stream id but not
+    counts."""
+    params = ProcessParams(1.0, 1.0, 0.5)
+    for draw in (lambda rng: sample_batch("time", params, 1.0, 1000, rng),
+                 lambda rng: verify.renewal_batch(params, 1.0, 1000, rng)):
+        a, b = draw(RngStream(1)), draw(RngStream(1).child(0))
+        assert (a.seed, a.stream_id) == (b.seed, b.stream_id)
+        assert not np.array_equal(a.counts, b.counts)
+        for batch in (a, b):
+            again = draw(RngStream(batch.seed, batch.stream_id,
+                                   batch.substream))
+            assert np.array_equal(again.counts, batch.counts)
+
+
 def test_poisson_moments():
     """A scalar mean and an array of means give Poisson counts alike."""
     gen = RngStream(1).generator()
@@ -228,7 +245,7 @@ def test_stable_rejects_orders_whose_inverse_overflows(g):
     assert gen.left == 8
     rng = SimpleNamespace(generator=lambda: _FewDraws(
         RngStream(0).generator()), seed=0, stream_id=0)
-    with pytest.raises(ValueError, match="1/gamma finite"):
+    with pytest.raises(ValueError, match="1/nu finite"):
         verify.renewal_batch(ProcessParams(1.0, 1.0, g), 1.0, 4, rng)
     # an order of 1e-300 still draws
     assert np.isfinite(sample._log_stable(1e-300, 4, gen)[0]).all()
@@ -249,12 +266,13 @@ def test_sample_batch_checks_orders_before_drawing(monkeypatch, process,
         sample_batch(process, params, 1.0, 10, RngStream(0), gamma=gamma)
 
 
-def test_ml_waiting_time_survival():
+@pytest.mark.parametrize("nu", [0.05, 0.6, 0.999])
+def test_ml_waiting_time_survival(nu):
     """Pr{T > t} must match E_nu(-lam * t**nu)."""
     gen = RngStream(17).generator()
     n = 200_000
-    nu, lam = 0.6, 1.3
-    w, _ = verify._ml_waiting_times(nu, lam, n, gen)
+    lam = 1.3
+    w = verify._ml_waiting_times(nu, lam, n, gen)
     for t in (0.5, 1.0, 2.0):
         emp = float((w > t).mean())
         target = mittag_leffler(nu, -lam * t ** nu).value
@@ -264,7 +282,7 @@ def test_ml_waiting_time_survival():
 
 def test_ml_waiting_time_exponential_case():
     gen = RngStream(17).generator()
-    w, _ = verify._ml_waiting_times(1.0, 2.0, 100_000, gen)
+    w = verify._ml_waiting_times(1.0, 2.0, 100_000, gen)
     assert w.mean() == pytest.approx(0.5, rel=0.02)
 
 

@@ -182,6 +182,13 @@ def test_oracle_resolves_tiny_masses(panjer_row):
 def test_oracle_poisson_case():
     v = float(oracle_pmf(ProcessParams(2.0), 1.0, 3))
     assert v == pytest.approx(math.exp(-2.0) * 8 / 6, rel=1e-13)
+    # a rate x = lam * t that underflows a double: p_0 = exp(-x) rounds to
+    # 1, and p_3 = exp(-x) * x**3 / 3! is x**3 / 3! to 40 digits
+    tiny = ProcessParams(1e-300)
+    assert oracle_pmf(tiny, 1e-300, 0) == 1
+    with mp.workdps(50):
+        x = mp.mpf(1e-300) ** 2
+        assert abs(oracle_pmf(tiny, 1e-300, 3) / (x ** 3 / 6) - 1) < 1e-35
 
 
 def test_oracle_t_zero():
@@ -241,6 +248,9 @@ def test_oracle_config_validation():
         OracleConfig(precision_digits=10)
     with pytest.raises(ValueError, match="k must be >= 0"):
         oracle_pmf(ProcessParams(1.0, 0.5), 1.0, -1)
+    # a rate that overflows a double is refused as dist refuses it
+    with pytest.raises(ValueError, match="the rate lam"):
+        oracle_pmf(ProcessParams(1e300, 1.0, 0.7), 1e300, 0)
 
 
 def test_fixture_round_trip(tmp_path):
